@@ -44,7 +44,8 @@ test-race:
 # reporting the latency-SLO plane's p50/p99/p999 ingest-to-dispatch
 # quantiles),
 # BenchmarkJournalAppend, BenchmarkCheckpointReplay (cold boot with and
-# without a checkpoint resume point), BenchmarkControllerReport,
+# without a checkpoint resume point, and planes=all: the every-plane boot
+# from one pass of the replay driver), BenchmarkControllerReport,
 # BenchmarkFleetDiagnosis (evidence fold + parallel ranking at the paper's
 # 60 000-block scale) and BenchmarkFederationUplink (the edge→aggregator
 # rollup-delta cycle: deltas/s and bytes/delta) — and additionally emits

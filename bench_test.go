@@ -689,6 +689,14 @@ func BenchmarkE14Fleet(b *testing.B) {
 // batches, so Replay restores monitor state from the records and
 // re-dispatches only the delta, while mode=full re-dispatches everything.
 // One op is one cold boot: fresh pool, open, replay, settle.
+//
+// planes=all is the every-plane boot (ISSUE 12): the checkpointed session
+// recorded with a recovery controller and a continuous diagnosis engine
+// attached — their records in the checkpoint batch, labeled spectrum deltas
+// in the delta — and booted the way traderd boots it, the pool, the engine
+// and the controller recovering from ONE pass of the replay driver. Before
+// the plane contract each plane walked the journal on its own; the gap to
+// mode=checkpoint is now the planes' work, not two more scans.
 func BenchmarkCheckpointReplay(b *testing.B) {
 	const (
 		devices = 64
@@ -697,16 +705,30 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 		delta   = 5  // frames per device after it
 	)
 	discard := func(wire.Message) error { return nil }
-	build := func(dir string, checkpoint bool) {
+	diagOpts := diagnose.Options{Blocks: 512, Continuous: true}
+	build := func(dir string, checkpoint, planes bool) {
 		pool := fleet.NewPool(fleet.Options{Shards: shards})
 		defer pool.Stop()
 		jw, err := journal.CreateSharded(dir, shards, journal.Options{NoSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		cper := &fleet.Checkpointer{Pool: pool, Journal: jw, Profile: "light"}
+		var eng *diagnose.Engine
+		if planes {
+			opts := diagOpts
+			opts.Journal = jw
+			eng = diagnose.Attach(pool, opts)
+			defer eng.Close()
+			ctl := control.Attach(pool, control.Options{Journal: jw, OnEscalate: eng.HandleAction})
+			defer ctl.Close()
+			cper.Planes = []func() wire.Message{eng.Checkpoint, ctl.Checkpoint}
+		}
 		ids := make([]string, devices)
+		recorders := make([]*diagnose.Recorder, devices)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("boot-%03d", i)
+			recorders[i] = diagnose.NewRecorder(diagnose.RecorderOptions{Blocks: diagOpts.Blocks, Seed: int64(i + 1)})
 			if err := pool.AddRemoteDevice(ids[i], fleet.LightMonitorFactory(), discard); err != nil {
 				b.Fatal(err)
 			}
@@ -714,7 +736,7 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 		// Journal and dispatch in lock-step, the way the ingestion server
 		// does, so the checkpoint captures exactly the journaled prefix.
 		phase := func(n int, fromMs int64) {
-			for _, id := range ids {
+			for i, id := range ids {
 				for j := 0; j < n; j++ {
 					at := sim.Time(fromMs+int64(j)*10) * sim.Millisecond
 					ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
@@ -727,6 +749,12 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 					}
 				}
 				hbAt := sim.Time(fromMs+int64(n)*10) * sim.Millisecond
+				if eng != nil {
+					// A compliant client's delta rides right before its heartbeat.
+					recorders[i].Press("volume")
+					eng.HandleSpectrumDelta(id, wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: hbAt,
+						Delta: recorders[i].RotateDelta(hbAt)})
+				}
 				if err := jw.Append(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: hbAt}); err != nil {
 					b.Fatal(err)
 				}
@@ -737,10 +765,12 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 			if err := pool.Sync(); err != nil {
 				b.Fatal(err)
 			}
+			if eng != nil {
+				eng.Sync()
+			}
 		}
 		phase(history, 10)
 		if checkpoint {
-			cper := &fleet.Checkpointer{Pool: pool, Journal: jw, Profile: "light"}
 			if err := cper.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
@@ -751,28 +781,36 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 		}
 	}
 	for _, mode := range []struct {
-		name       string
-		checkpoint bool
-	}{{"full", false}, {"checkpoint", true}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
+		name               string
+		checkpoint, planes bool
+	}{{"mode=full", false, false}, {"mode=checkpoint", true, false}, {"planes=all", true, true}} {
+		b.Run(mode.name, func(b *testing.B) {
 			dir := b.TempDir()
-			build(dir, mode.checkpoint)
+			build(dir, mode.checkpoint, mode.planes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pool := fleet.NewPool(fleet.Options{Shards: shards})
+				rp := pool.Replayer(fleet.LightMonitorFactory())
+				boot, stop := []journal.Plane{rp}, pool.Stop
+				if mode.planes {
+					eng := diagnose.Attach(pool, diagOpts)
+					ctl := control.New(pool, control.Options{OnEscalate: eng.HandleAction})
+					boot = append(boot, eng, ctl)
+					stop = func() { ctl.Close(); eng.Close(); pool.Stop() }
+				}
 				jr, err := journal.OpenReader(dir)
 				if err != nil {
 					b.Fatal(err)
 				}
-				st, err := pool.Replay(jr, fleet.LightMonitorFactory())
+				err = journal.Replay(jr, boot...)
 				jr.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(st.Frames), "frames/boot")
+					b.ReportMetric(float64(rp.Stats.Frames), "frames/boot")
 				}
-				pool.Stop()
+				stop()
 			}
 		})
 	}

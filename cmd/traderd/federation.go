@@ -12,8 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"trader/internal/control"
-	"trader/internal/diagnose"
 	"trader/internal/federate"
 	"trader/internal/journal"
 	"trader/internal/metrics"
@@ -64,7 +62,7 @@ func parseEdgeSpec(spec string) (upstream string, rng, of int, err error) {
 // server keep serving devices exactly as before; the Edge streams their
 // rollup deltas upstream and carries out migrations. The returned stop
 // function ends the uplink.
-func startEdge(spec, journalDir string, e *federate.Edge, ctl *control.Controller, eng *diagnose.Engine) (func(), error) {
+func startEdge(spec, journalDir string, e *federate.Edge) (func(), error) {
 	upstream, rng, of, err := parseEdgeSpec(spec)
 	if err != nil {
 		return nil, err
@@ -74,27 +72,6 @@ func startEdge(spec, journalDir string, e *federate.Edge, ctl *control.Controlle
 	e.Range, e.Of = rng, of
 	e.JournalDir = journalDir
 	e.Logf = logfAdapter("edge")
-	base := e.Sample
-	// The delta carries the control and diagnosis planes' rollups next to
-	// the fleet counters — all order-independent folds, so the aggregator's
-	// sums stay exact.
-	e.Sample = func() federate.Sample {
-		s := base()
-		if ctl != nil {
-			cro := ctl.Rollup()
-			s.Counters["recovery_reports"] = int64(cro.Reports)
-			s.Counters["recovery_resets"] = int64(cro.Resets)
-			s.Counters["recovery_restarts"] = int64(cro.Restarts)
-			s.Counters["recovery_quarantines"] = int64(cro.Quarantines)
-		}
-		if eng != nil {
-			dro := eng.Rollup()
-			s.Counters["diagnosis_snapshots"] = int64(dro.Snapshots)
-			s.Counters["diagnosis_fail_windows"] = int64(dro.FailWindows)
-			s.Counters["diagnosis_pass_windows"] = int64(dro.PassWindows)
-		}
-		return s
-	}
 	done := make(chan struct{})
 	go e.Run(done)
 	slog.Info("edge uplink started", "component", "edge",
@@ -121,12 +98,12 @@ func runAggregate(addrs, journalDir string, ranges, failoverSecs, statsEvery int
 	if journalDir != "" {
 		// Recover the ownership journal before listening, then append to it.
 		if r, err := journal.OpenReader(journalDir); err == nil {
-			n, err := agg.Recover(r)
+			err := journal.Replay(r, agg)
 			r.Close()
 			if err != nil {
 				return fmt.Errorf("recovering ownership journal %s: %w", journalDir, err)
 			}
-			if n > 0 {
+			if n := agg.Recovered(); n > 0 {
 				slog.Info("recovered ownership records", "component", "aggregator",
 					"records", n, "dir", journalDir)
 			}

@@ -23,9 +23,13 @@
 // journal state on boot — kill -9 the daemon and restart it, and every
 // device's monitor state and fault history is rebuilt before new
 // connections are admitted (reconnecting devices adopt their recovered
-// monitors). With -replay DIR the daemon instead replays a journal offline
-// into a fresh pool, prints the fleet rollup and exits: deterministic
-// post-mortem diagnosis without the fleet attached.
+// monitors). The pool and every plane below recover from ONE pass over the
+// journal: each implements the plane contract (ARCHITECTURE.md §3.6), the
+// daemon registers the planes its flags ask for in a list, and recovery,
+// checkpoints, /metrics, the rollup log and the edge uplink sample are
+// loops over that list. With -replay DIR the daemon instead replays a
+// journal offline into a fresh pool, prints the fleet rollup and exits:
+// deterministic post-mortem diagnosis without the fleet attached.
 //
 // With -recover POLICY the awareness loop is closed: a recovery controller
 // (internal/control) subscribes to the fleet's error reports, classifies
@@ -34,7 +38,8 @@
 // quarantine it — pushing the corresponding control commands down the
 // device's connection and journaling every action, so -replay reconstructs
 // what the controller did. A periodic recovery rollup (actions, downtime,
-// FMEA criticality of the observed failure classes) joins the fleet stats.
+// FMEA criticality of the observed failure classes) joins the fleet stats,
+// and trader_recovery_* families join /metrics.
 //
 // With -diagnose COEFF the fleet diagnosis plane (internal/diagnose) rides
 // on the controller: whenever a device escalates past tolerate, the daemon
@@ -42,7 +47,8 @@
 // labels them fail/pass, journals the labeled evidence write-ahead, and
 // folds it into a fleet-level program spectrum. Periodic rollups name the
 // top suspect code block and the FMEA-weighted component verdict; -replay
-// -diagnose reconstructs the identical ranking offline from the journal.
+// -diagnose reconstructs the identical ranking offline from the journal,
+// in the same pass that rebuilds the pool.
 //
 // With -edge upstream=ADDR,range=N/M the ingestion daemon joins a
 // federation (ARCHITECTURE.md §7): it serves the devices whose IDs hash
@@ -235,58 +241,6 @@ func monitorFactory(suo string) (fleet.MonitorFactory, error) {
 	}
 }
 
-// profileMarker is the meta record traderd appends when it opens a journal
-// for writing: a Hello frame from "traderd" itself naming the -suo monitor
-// profile the frames are observed under. Pool.Replay skips Hello records,
-// so the marker costs nothing at replay — but checkJournalProfile reads it
-// back so a journal written under one profile cannot be silently replayed
-// into monitors built from another, which would produce bogus verdicts.
-func profileMarker(suo string) wire.Message {
-	return wire.Message{Type: wire.TypeHello, SUO: "traderd", Target: suo}
-}
-
-// checkJournalProfile compares the journal's recorded profile (if any — the
-// journal may be empty, torn at the first record, or from a build without
-// markers) against the -suo profile about to monitor its frames. The
-// profile reaches the journal two ways: the Hello marker traderd appends on
-// every boot, and — once a checkpoint has truncated the marker away — the
-// Profile tag riding on each Final shard-plane checkpoint record. The scan
-// walks the journal head past checkpoint records and stops at the first
-// frame. Journal corruption is deliberately not reported here: the replay
-// that follows reports it with full position information.
-func checkJournalProfile(dir, suo string) error {
-	r, err := journal.OpenReader(dir)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	mismatch := func(written string) error {
-		return fmt.Errorf("journal %s was written under -suo %s, but -suo %s is in effect; pass -suo %s to replay it faithfully",
-			dir, written, suo, written)
-	}
-	for {
-		m, err := r.Next()
-		if err != nil {
-			return nil
-		}
-		switch {
-		case m.Type == wire.TypeCheckpoint:
-			if cp := m.Checkpoint; cp != nil && cp.Profile != "" && cp.Profile != suo {
-				return mismatch(cp.Profile)
-			}
-		case m.Type == wire.TypeHello && m.SUO == "traderd" && m.Target != "":
-			if m.Target != suo {
-				return mismatch(m.Target)
-			}
-			return nil
-		default:
-			// First real frame with no marker before it: a markerless
-			// journal from an old build. Nothing to check.
-			return nil
-		}
-	}
-}
-
 // diagConfig carries the -diagnose knobs into ingest mode.
 type diagConfig struct {
 	Coeff      string
@@ -322,13 +276,23 @@ const (
 // runReplay is offline post-mortem mode: rebuild a fleet pool from a frame
 // journal — no listeners, no clients — print what the fleet had observed
 // and detected at the moment of the last durable frame, and exit. With
-// -diagnose it additionally reconstructs the fleet diagnosis from the
-// journal's labeled evidence records: the exact ranking the live engine
-// held, byte for byte.
+// -diagnose the same pass additionally reconstructs the fleet diagnosis
+// from the journal's diagnosis checkpoint and labeled evidence records: the
+// exact ranking the live engine held, byte for byte.
 func runReplay(dir, suo string, shards int, diagCoeff string, verbose bool) error {
 	factory, err := monitorFactory(suo)
 	if err != nil {
 		return err
+	}
+	var riders []journal.Plane
+	var diag *diagnose.Offline
+	if diagCoeff != "" {
+		coeff, ok := spectrum.CoefficientByName(diagCoeff)
+		if !ok {
+			return fmt.Errorf("unknown coefficient %q", diagCoeff)
+		}
+		diag = &diagnose.Offline{Coeff: coeff}
+		riders = append(riders, diag)
 	}
 	pool := fleet.NewPool(fleet.Options{Shards: shards})
 	defer pool.Stop()
@@ -337,7 +301,7 @@ func runReplay(dir, suo string, shards int, diagCoeff string, verbose bool) erro
 			slog.Info("error report", "component", "replay", "device", device, "report", r.String())
 		})
 	}
-	if _, err := recoverJournal(dir, suo, pool, factory); err != nil {
+	if _, err := recoverJournal(dir, suo, pool, factory, riders...); err != nil {
 		return err
 	}
 	ro := pool.Rollup()
@@ -345,20 +309,8 @@ func runReplay(dir, suo string, shards int, diagCoeff string, verbose bool) erro
 		"devices", ro.Devices, "dispatched", ro.Dispatched,
 		"comparisons", ro.Monitor.Comparisons, "deviations", ro.Monitor.Deviations,
 		"reports", ro.Reports)
-	if diagCoeff != "" {
-		coeff, ok := spectrum.CoefficientByName(diagCoeff)
-		if !ok {
-			return fmt.Errorf("unknown coefficient %q", diagCoeff)
-		}
-		r, err := journal.OpenReader(dir)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		res, st, err := diagnose.Replay(r, coeff, 10)
-		if err != nil {
-			return err
-		}
+	if diag != nil {
+		res, st := diag.Result(10)
 		if res == nil {
 			slog.Info("journal holds no diagnosis evidence", "component", "replay")
 			return nil
@@ -368,38 +320,6 @@ func runReplay(dir, suo string, shards int, diagCoeff string, verbose bool) erro
 			"windows", st.Windows, "skipped", st.Skipped, "result", res.String())
 	}
 	return nil
-}
-
-// recoverJournal rebuilds pool state from the journal at dir — the one
-// recovery sequence shared by -replay (offline post-mortem) and -journal
-// (recovery on daemon boot): profile-mismatch check, replay through the
-// factory, and a logged summary with the torn-tail note.
-func recoverJournal(dir, suo string, pool *fleet.Pool, factory fleet.MonitorFactory) (fleet.ReplayStats, error) {
-	var st fleet.ReplayStats
-	if err := checkJournalProfile(dir, suo); err != nil {
-		return st, err
-	}
-	r, err := journal.OpenReader(dir)
-	if err != nil {
-		return st, err
-	}
-	defer r.Close()
-	start := time.Now()
-	if st, err = pool.Replay(r, factory); err != nil {
-		return st, err
-	}
-	if st.Frames+st.Heartbeats+st.Checkpoints > 0 {
-		note := ""
-		if r.Torn() {
-			note = " (torn tail record discarded — crash mid-append)"
-		}
-		if n := r.SegmentsSkipped(); n > 0 {
-			note += fmt.Sprintf(" (%d fully-checkpointed segments skipped)", n)
-		}
-		slog.Info("journal replayed", "component", "journal",
-			"stats", fmt.Sprint(st), "dir", dir, "took", time.Since(start).String(), "note", note)
-	}
-	return st, nil
 }
 
 // runIngest is the networked fleet daemon: every accepted connection is one
@@ -447,49 +367,41 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 	if over.CreditWindow > 0 {
 		slog.Info("flow control on", "component", "ingest", "credit_window", over.CreditWindow)
 	}
-	var jw *journal.Sharded
+	// Register the planes the flags ask for. They are built before the
+	// boot pass, which restores into them, and so before the journal is
+	// open for writing: their journal handle is bound once it is (§3.3).
+	var planes []plane
+	planeCounters := func(c federate.Counters) {
+		for _, p := range planes {
+			p.Counters(c)
+		}
+	}
+	sink := &journalSink{}
+	var planeJournal fleet.FrameJournal
 	if journalDir != "" {
-		// Recover before listening: devices must carry their pre-crash
-		// monitor state before their connections come back.
-		if _, err := recoverJournal(journalDir, suo, pool, factory); err != nil {
-			return fmt.Errorf("recovering journal %s: %w", journalDir, err)
-		}
-		// One journal stream per pool shard: each stream group-commits on
-		// its own fsync pipeline, so the fleet's append traffic no longer
-		// serialises behind a single queue. Any flat pre-sharding segments
-		// in the directory root were replayed above and stay readable.
-		if jw, err = journal.CreateSharded(journalDir, pool.Shards(), journal.Options{}); err != nil {
-			return err
-		}
-		defer jw.Close()
-		if err := jw.AppendShard(0, profileMarker(suo)); err != nil {
-			return err
-		}
-		srv.Journal = jw
-		slog.Info("journaling accepted frames", "component", "journal",
-			"dir", journalDir, "streams", jw.Shards())
+		planeJournal = sink
 	}
-	if verbose {
-		srv.Logf = logfAdapter("ingest")
-		pool.OnReport(func(device string, r wire.ErrorReport) {
-			slog.Info("error report", "component", "fleet", "device", device, "report", r.String())
-		})
-	}
-	var eng *diagnose.Engine
+	// Deferred ahead of the planes' own Close calls, so on the way out the
+	// journal closes after the planes that append to it have stopped.
+	var jw *journal.Sharded
+	defer func() {
+		if jw != nil {
+			jw.Close()
+		}
+	}()
+	var onEscalate func(control.Action)
+	topSuspects := func() []trace.TopSuspect { return nil }
 	if diag.Coeff != "" {
 		coeff, ok := spectrum.CoefficientByName(diag.Coeff)
 		if !ok {
 			return fmt.Errorf("unknown coefficient %q", diag.Coeff)
 		}
-		opts := diagnose.Options{Requester: srv, Coeff: coeff, Blocks: diag.Blocks,
+		opts := diagnose.Options{Requester: srv, Journal: planeJournal, Coeff: coeff, Blocks: diag.Blocks,
 			Cohort: diag.Cohort, Continuous: diag.Continuous, Tracer: tracer}
-		if jw != nil {
-			opts.Journal = jw
-		}
 		if verbose {
 			opts.Logf = logfAdapter("diagnosis")
 		}
-		eng = diagnose.Attach(pool, opts)
+		eng := diagnose.Attach(pool, opts)
 		defer eng.Close()
 		srv.OnSnapshot = eng.HandleSnapshot
 		mode := "episodic pulls"
@@ -499,28 +411,85 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		}
 		slog.Info("fleet diagnosis on", "component", "diagnosis",
 			"coeff", coeff.Name, "blocks", diag.Blocks, "cohort", diag.Cohort, "mode", mode)
-		if journalDir != "" {
-			// Warm-start from the journal's labeled evidence, so the live
-			// ranking resumes where the pre-restart engine stopped and a
-			// later -replay -diagnose still matches it byte for byte.
-			r, err := journal.OpenReader(journalDir)
-			if err != nil {
-				return err
+		planes = append(planes, eng)
+		onEscalate = eng.HandleAction
+		topSuspects = func() (top []trace.TopSuspect) {
+			for _, rb := range eng.Result(5).Ranking {
+				top = append(top, trace.TopSuspect{Block: rb.Block, Component: rb.Component, Score: rb.Score})
 			}
-			n, err := eng.Recover(r)
-			r.Close()
-			if err != nil {
-				return err
+			return top
+		}
+	}
+	if recoverPol != "" {
+		pol, err := control.PolicyByName(recoverPol)
+		if err != nil {
+			return err
+		}
+		opts := control.Options{Actuator: srv, Journal: planeJournal, Policy: pol, OnEscalate: onEscalate}
+		if verbose {
+			opts.Logf = logfAdapter("recovery")
+		}
+		if obs.IncidentDir != "" {
+			opts.OnIncident = incidentRecorder(obs.IncidentDir, journalDir, tracer, pool, srv, topSuspects, planeCounters)
+			slog.Info("incident bundles on", "component", "trace", "dir", obs.IncidentDir)
+		}
+		// New, not Attach: the controller subscribes to the pool's reports
+		// when the boot pass settles, never during it.
+		ctl := control.New(pool, opts)
+		defer ctl.Close()
+		srv.OnAck = ctl.HandleAck
+		slog.Info("recovery controller on", "component", "recovery",
+			"policy", pol.Name, "tolerate", pol.Tolerate, "resets", pol.Resets,
+			"restarts", pol.Restarts, "restart_latency", pol.RestartLatency.String())
+		planes = append(planes, ctl)
+	}
+
+	// Recover before listening: devices must carry their pre-crash monitor
+	// state — and the planes their ladders and spectra — before connections
+	// come back. One pass over the journal serves them all.
+	if journalDir != "" {
+		riders := make([]journal.Plane, len(planes))
+		for i, p := range planes {
+			riders[i] = p
+		}
+		if _, err := recoverJournal(journalDir, suo, pool, factory, riders...); err != nil {
+			return fmt.Errorf("recovering journal %s: %w", journalDir, err)
+		}
+		for _, p := range planes {
+			if n := p.Recovered(); n > 0 {
+				slog.Info("plane recovered", append(p.Summary(false), "records", n, "dir", journalDir)...)
 			}
-			if n > 0 {
-				slog.Info("recovered diagnosis evidence", "component", "diagnosis",
-					"records", n, "dir", journalDir)
+		}
+		// One journal stream per pool shard: each stream group-commits on
+		// its own fsync pipeline, so the fleet's append traffic no longer
+		// serialises behind a single queue. Any flat pre-sharding segments
+		// in the directory root were replayed above and stay readable.
+		if jw, err = journal.CreateSharded(journalDir, pool.Shards(), journal.Options{}); err != nil {
+			return err
+		}
+		if err := jw.AppendShard(0, profileMarker(suo)); err != nil {
+			return err
+		}
+		srv.Journal, sink.w = jw, jw
+		slog.Info("journaling accepted frames", "component", "journal",
+			"dir", journalDir, "streams", jw.Shards())
+	} else {
+		// Nothing to replay: settling alone takes the planes live.
+		for _, p := range planes {
+			if err := p.Settle(); err != nil {
+				return err
 			}
 		}
 	}
+	if verbose {
+		srv.Logf = logfAdapter("ingest")
+		pool.OnReport(func(device string, r wire.ErrorReport) {
+			slog.Info("error report", "component", "fleet", "device", device, "report", r.String())
+		})
+	}
 	if over.MetricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", metricsHandler(pool, srv, jw, eng, tracer))
+		mux.Handle("/metrics", metricsHandler(pool, srv, jw, planes, tracer))
 		registerObservability(mux, tracer, obs.Pprof)
 		msrv := &http.Server{Addr: over.MetricsAddr, Handler: mux}
 		go func() {
@@ -532,57 +501,10 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		slog.Info("serving metrics and traces", "component", "metrics",
 			"addr", over.MetricsAddr, "pprof", obs.Pprof)
 	}
-	var ctl *control.Controller
-	if recoverPol != "" {
-		pol, err := control.PolicyByName(recoverPol)
-		if err != nil {
-			return err
-		}
-		opts := control.Options{Actuator: srv, Policy: pol}
-		if jw != nil {
-			opts.Journal = jw
-		}
-		if verbose {
-			opts.Logf = logfAdapter("recovery")
-		}
-		if eng != nil {
-			opts.OnEscalate = eng.HandleAction
-		}
-		if obs.IncidentDir != "" {
-			opts.OnIncident = incidentRecorder(obs.IncidentDir, journalDir, tracer, pool, srv, eng)
-			slog.Info("incident bundles on", "component", "trace", "dir", obs.IncidentDir)
-		}
-		ctl = control.Attach(pool, opts)
-		defer ctl.Close()
-		srv.OnAck = ctl.HandleAck
-		slog.Info("recovery controller on", "component", "recovery",
-			"policy", pol.Name, "tolerate", pol.Tolerate, "resets", pol.Resets,
-			"restarts", pol.Restarts, "restart_latency", pol.RestartLatency.String())
-		if journalDir != "" {
-			// Resume the ladder from the journal's newest control-plane
-			// checkpoint, so escalation history survives the restart.
-			r, err := journal.OpenReader(journalDir)
-			if err != nil {
-				return err
-			}
-			found, err := ctl.Recover(r)
-			r.Close()
-			if err != nil {
-				return err
-			}
-			if found {
-				slog.Info("recovered controller checkpoint", "component", "recovery",
-					"dir", journalDir, "rollup", fmt.Sprint(ctl.Rollup()))
-			}
-		}
-	}
 	if cpSecs > 0 && jw != nil {
 		cper := &fleet.Checkpointer{Pool: pool, Journal: jw, Profile: suo}
-		if ctl != nil {
-			cper.Planes = append(cper.Planes, ctl.Checkpoint)
-		}
-		if eng != nil {
-			cper.Planes = append(cper.Planes, eng.Checkpoint)
+		for _, p := range planes {
+			cper.Planes = append(cper.Planes, p.Checkpoint)
 		}
 		if verbose {
 			cper.Logf = logfAdapter("checkpoint")
@@ -593,8 +515,10 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		slog.Info("checkpointing fleet state", "component", "checkpoint", "every_seconds", cpSecs)
 	}
 	if edgeSpec != "" {
+		// The delta carries every plane's rollup next to the fleet counters
+		// — all order-independent folds, so the aggregator's sums stay exact.
 		e := &federate.Edge{
-			Sample:  federate.PoolSampler(pool, srv),
+			Sample:  federate.PoolSampler(pool, srv, planeCounters),
 			Pool:    pool,
 			Factory: factory,
 			Tracer:  tracer,
@@ -602,7 +526,7 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		if jw != nil {
 			e.Journal = jw
 		}
-		stopEdge, err := startEdge(edgeSpec, journalDir, e, ctl, eng)
+		stopEdge, err := startEdge(edgeSpec, journalDir, e)
 		if err != nil {
 			return err
 		}
@@ -629,6 +553,30 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		go func() { errc <- srv.Serve(ln) }()
 	}
 
+	// logRollups writes the periodic (or final) rollup: the fleet's own
+	// line, the overload line once anything was shed or granted, then one
+	// record per registered plane.
+	logRollups := func(prefix string, final bool) {
+		ro := pool.Rollup()
+		cs := srv.Stats()
+		slog.Info(prefix+"fleet rollup", "component", "fleet",
+			"devices", ro.Devices, "frames", cs.Frames, "dispatched", ro.Dispatched,
+			"comparisons", ro.Monitor.Comparisons, "deviations", ro.Monitor.Deviations,
+			"reports", ro.Reports, "accepted", cs.Accepted, "rejected", cs.Rejected,
+			"disconnected", cs.Disconnected)
+		if ro.ShedObservations+ro.ShedHeartbeats+cs.CreditGrants+cs.CreditViolations > 0 {
+			lat := pool.Latency()
+			slog.Info(prefix+"overload rollup", "component", "ingest",
+				"shed_observations", ro.ShedObservations, "shed_heartbeats", ro.ShedHeartbeats,
+				"shed_control", ro.ShedControl, "credit_grants", cs.CreditGrants,
+				"credit_violations", cs.CreditViolations,
+				"latency_p50", lat.Quantile(0.5).String(), "latency_p99", lat.Quantile(0.99).String(),
+				"latency_p999", lat.Quantile(0.999).String())
+		}
+		for _, p := range planes {
+			slog.Info(prefix+"plane rollup", p.Summary(final)...)
+		}
+	}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(time.Duration(max(statsEvery, 1)) * time.Second)
@@ -639,70 +587,14 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 	for {
 		select {
 		case <-ticker.C:
-			ro := pool.Rollup()
-			cs := srv.Stats()
-			slog.Info("fleet rollup", "component", "fleet",
-				"devices", ro.Devices, "frames", cs.Frames, "dispatched", ro.Dispatched,
-				"comparisons", ro.Monitor.Comparisons, "deviations", ro.Monitor.Deviations,
-				"reports", ro.Reports, "accepted", cs.Accepted, "rejected", cs.Rejected,
-				"disconnected", cs.Disconnected)
-			if ro.ShedObservations+ro.ShedHeartbeats+cs.CreditGrants+cs.CreditViolations > 0 {
-				lat := pool.Latency()
-				slog.Info("overload rollup", "component", "ingest",
-					"shed_observations", ro.ShedObservations, "shed_heartbeats", ro.ShedHeartbeats,
-					"credit_grants", cs.CreditGrants, "credit_violations", cs.CreditViolations,
-					"latency_p50", lat.Quantile(0.5).String(), "latency_p99", lat.Quantile(0.99).String(),
-					"latency_p999", lat.Quantile(0.999).String())
-			}
-			if ctl != nil {
-				cro := ctl.Rollup()
-				slog.Info("recovery rollup", "component", "recovery", "rollup", fmt.Sprint(cro))
-				if crit := control.Criticality(cro); len(crit) > 0 {
-					slog.Info("most critical failure class", "component", "recovery",
-						"class", crit[0].Component, "rpn", crit[0].RPN)
-				}
-			}
-			if eng != nil {
-				dro := eng.Rollup()
-				slog.Info("diagnosis rollup", "component", "diagnosis", "rollup", fmt.Sprint(dro))
-				if dro.Failures > 0 {
-					if res := eng.Result(3); len(res.Ranking) > 0 && len(res.Verdict) > 0 {
-						top := res.Ranking[0]
-						slog.Info("top suspect", "component", "diagnosis",
-							"block", top.Block, "suspect_component", top.Component,
-							"score", top.Score, "verdict", res.Verdict[0].Component)
-					}
-				}
-			}
+			logRollups("", false)
 		case sig := <-sigc:
 			slog.Info("draining fleet", "component", "ingest", "signal", sig.String())
 			srv.Close()
 			for _, ln := range listeners {
 				ln.Close()
 			}
-			ro := pool.Rollup()
-			cs := srv.Stats()
-			slog.Info("final fleet rollup", "component", "fleet",
-				"frames", cs.Frames, "comparisons", ro.Monitor.Comparisons,
-				"reports", ro.Reports, "connections", cs.Accepted)
-			if ro.ShedObservations+ro.ShedHeartbeats+cs.CreditGrants+cs.CreditViolations > 0 {
-				lat := pool.Latency()
-				slog.Info("final overload rollup", "component", "ingest",
-					"shed_observations", ro.ShedObservations, "shed_heartbeats", ro.ShedHeartbeats,
-					"shed_control", ro.ShedControl, "credit_grants", cs.CreditGrants,
-					"credit_violations", cs.CreditViolations,
-					"latency_p50", lat.Quantile(0.5).String(), "latency_p99", lat.Quantile(0.99).String(),
-					"latency_p999", lat.Quantile(0.999).String())
-			}
-			if ctl != nil {
-				slog.Info("final recovery rollup", "component", "recovery", "rollup", fmt.Sprint(ctl.Rollup()))
-			}
-			if eng != nil {
-				slog.Info("final diagnosis rollup", "component", "diagnosis", "rollup", fmt.Sprint(eng.Rollup()))
-				if res := eng.Result(10); res.Failures > 0 {
-					slog.Info("final diagnosis ranking", "component", "diagnosis", "ranking", res.String())
-				}
-			}
+			logRollups("final ", true)
 			if jw != nil {
 				js := jw.Stats()
 				slog.Info("journal totals", "component", "journal",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"trader/internal/diagnose"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/trace"
@@ -14,11 +13,12 @@ import (
 // (exposition format 0.0.4, stdlib only): the ingest-to-dispatch latency
 // histogram — aggregate and per shard, with the p50/p99/p999 the SLO is
 // stated over — next to the shed tiers, the flow-control counters, the
-// fleet rollup, the diagnosis plane (when -diagnose is on), the journal's
-// group-commit ratio, the trace plane's health (forced-ring overflow,
-// latency exemplars) and the process self-metrics. One scrape answers "is
-// the fleet inside its SLO, and if not, what is it shedding?".
-func metricsHandler(pool *fleet.Pool, srv *fleet.Server, jw *journal.Sharded, eng *diagnose.Engine, tr *trace.Tracer) http.Handler {
+// fleet rollup, every registered plane's own families (recovery,
+// diagnosis), the journal's group-commit ratio, the trace plane's health
+// (forced-ring overflow, latency exemplars) and the process self-metrics.
+// One scrape answers "is the fleet inside its SLO, and if not, what is it
+// shedding?".
+func metricsHandler(pool *fleet.Pool, srv *fleet.Server, jw *journal.Sharded, planes []plane, tr *trace.Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -60,19 +60,8 @@ func metricsHandler(pool *fleet.Pool, srv *fleet.Server, jw *journal.Sharded, en
 		fmt.Fprintf(w, "trader_conns_rejected_total %d\n", cs.Rejected)
 		fmt.Fprintf(w, "trader_conns_disconnected_total %d\n", cs.Disconnected)
 
-		if eng != nil {
-			dro := eng.Rollup()
-			fmt.Fprintln(w, "# HELP trader_diagnose_dropped_total Diagnosis items shed on engine-inbox overflow. Nonzero means evidence was lost before folding.")
-			fmt.Fprintln(w, "# TYPE trader_diagnose_dropped_total counter")
-			fmt.Fprintf(w, "trader_diagnose_dropped_total %d\n", dro.Dropped)
-			fmt.Fprintf(w, "trader_diagnose_episodes_total %d\n", dro.Episodes)
-			fmt.Fprintf(w, "trader_diagnose_snapshots_total %d\n", dro.Snapshots)
-			fmt.Fprintf(w, "trader_diagnose_deltas_total %d\n", dro.Deltas)
-			fmt.Fprintln(w, "# TYPE trader_diagnose_windows_total counter")
-			fmt.Fprintf(w, "trader_diagnose_windows_total{label=\"fail\"} %d\n", dro.FailWindows)
-			fmt.Fprintf(w, "trader_diagnose_windows_total{label=\"pass\"} %d\n", dro.PassWindows)
-			fmt.Fprintf(w, "trader_diagnose_malformed_total %d\n", dro.Malformed)
-			fmt.Fprintf(w, "trader_diagnose_journal_errors_total %d\n", dro.JournalErrors)
+		for _, p := range planes {
+			p.WriteMetrics(w)
 		}
 
 		if jw != nil {

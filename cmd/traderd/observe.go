@@ -18,7 +18,7 @@ import (
 	"runtime"
 
 	"trader/internal/control"
-	"trader/internal/diagnose"
+	"trader/internal/federate"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/trace"
@@ -187,7 +187,7 @@ func writeTraceMetrics(w io.Writer, tr *trace.Tracer, pool *fleet.Pool) {
 // all cheap reads — then rebuilds the deterministic half from the journal
 // and writes the bundle directory off-thread. Incidents are numbered per
 // device in trigger order, matching BuildIncident's journal scan.
-func incidentRecorder(root, journalDir string, tr *trace.Tracer, pool *fleet.Pool, srv *fleet.Server, eng *diagnose.Engine) func(control.Action) {
+func incidentRecorder(root, journalDir string, tr *trace.Tracer, pool *fleet.Pool, srv *fleet.Server, topSuspects func() []trace.TopSuspect, planeCounters func(federate.Counters)) func(control.Action) {
 	var mu sync.Mutex
 	seqs := make(map[string]int)
 	return func(act control.Action) {
@@ -210,14 +210,7 @@ func incidentRecorder(root, journalDir string, tr *trace.Tracer, pool *fleet.Poo
 				"credit_violations": int64(cs.CreditViolations),
 			},
 		}
-		if eng != nil {
-			if res := eng.Result(5); res != nil {
-				for _, rb := range res.Ranking {
-					live.TopK = append(live.TopK, trace.TopSuspect{
-						Block: rb.Block, Component: rb.Component, Score: rb.Score})
-				}
-			}
-		}
+		live.TopK = topSuspects()
 		if tr != nil {
 			// The device's recent spans plus every retained forced span —
 			// the forced ring is fleet-wide, so keep foreign-device forced
@@ -230,6 +223,10 @@ func incidentRecorder(root, journalDir string, tr *trace.Tracer, pool *fleet.Poo
 		}
 
 		go func() {
+			// Plane rollups are barriers through the planes' own loops — the
+			// controller's included, which is why they are read here and not
+			// on its goroutine above.
+			planeCounters(live.Counters)
 			inc := &trace.Incident{Device: act.Device, Seq: seq}
 			if journalDir != "" {
 				// The triggering action is journaled before this hook runs,

@@ -2,10 +2,9 @@ package control
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
-	"trader/internal/journal"
+	"trader/internal/fleet"
 	"trader/internal/sim"
 	"trader/internal/wire"
 )
@@ -14,8 +13,8 @@ import (
 // every device's ladder position, and the recovery manager's restart
 // accounting, flattened into one PlaneControl record. The fleet
 // Checkpointer calls Checkpoint for each global checkpoint (the record
-// rides in shard 0's batch); Recover finds the newest such record in a
-// journal and plays it back on boot.
+// rides in shard 0's batch); on boot the replay pass hands every record to
+// Apply, and Settle plays the newest such record back.
 //
 // Capture happens through the controller's own loop — NOT under the
 // journal's stream locks, since this loop appends to that journal — so a
@@ -23,14 +22,26 @@ import (
 // That divergence is bounded by one inbox drain and self-heals at the next
 // checkpoint; the ladder tolerates re-seen evidence by design.
 
-// ctlCounters fixes the Counters layout of a PlaneControl record.
-var ctlCounters = [...]string{
-	"Reports", "Dropped",
-	"class.deviation", "class.silence", "class.runaway",
-	"rung.tolerate", "rung.reset", "rung.restart", "rung.quarantine",
-	"Absorbed", "AfterQuarantine", "Deescalations",
-	"Acks", "PushFailures", "JournalErrors",
-	"RestartsCompleted",
+// counterTable fixes the Counters layout of a PlaneControl record: each
+// name next to the word it is captured from and restored into. dropped
+// stands in for the atomic inbox-shed counter. Controller-goroutine only.
+func (c *Controller) counterTable(dropped *uint64) []fleet.CounterRef {
+	t := &c.tally
+	return []fleet.CounterRef{
+		{Name: "Reports", V: &t.Reports}, {Name: "Dropped", V: dropped},
+		{Name: "class.deviation", V: &t.Classes[ClassDeviation]},
+		{Name: "class.silence", V: &t.Classes[ClassSilence]},
+		{Name: "class.runaway", V: &t.Classes[ClassRunaway]},
+		{Name: "rung.tolerate", V: &t.Rungs[RungTolerate]},
+		{Name: "rung.reset", V: &t.Rungs[RungReset]},
+		{Name: "rung.restart", V: &t.Rungs[RungRestart]},
+		{Name: "rung.quarantine", V: &t.Rungs[RungQuarantine]},
+		{Name: "Absorbed", V: &t.Absorbed}, {Name: "AfterQuarantine", V: &t.AfterQuarantine},
+		{Name: "Deescalations", V: &t.Deescalations},
+		{Name: "Acks", V: &t.Acks}, {Name: "PushFailures", V: &t.PushFailures},
+		{Name: "JournalErrors", V: &t.JournalErrors},
+		{Name: "RestartsCompleted", V: &c.mgr.RecoveriesCompleted},
+	}
 }
 
 // Checkpoint snapshots the controller into a PlaneControl checkpoint
@@ -49,46 +60,8 @@ func (c *Controller) Checkpoint() wire.Message {
 // checkpoint builds the record. Controller-goroutine only (or post-Close).
 func (c *Controller) checkpoint() wire.Message {
 	cp := &wire.Checkpoint{Plane: wire.PlaneControl, At: c.kernel.Now()}
-	val := func(name string) uint64 {
-		switch name {
-		case "Reports":
-			return c.tally.Reports
-		case "Dropped":
-			return c.dropped.Load()
-		case "class.deviation":
-			return c.tally.Classes[ClassDeviation]
-		case "class.silence":
-			return c.tally.Classes[ClassSilence]
-		case "class.runaway":
-			return c.tally.Classes[ClassRunaway]
-		case "rung.tolerate":
-			return c.tally.Rungs[RungTolerate]
-		case "rung.reset":
-			return c.tally.Rungs[RungReset]
-		case "rung.restart":
-			return c.tally.Rungs[RungRestart]
-		case "rung.quarantine":
-			return c.tally.Rungs[RungQuarantine]
-		case "Absorbed":
-			return c.tally.Absorbed
-		case "AfterQuarantine":
-			return c.tally.AfterQuarantine
-		case "Deescalations":
-			return c.tally.Deescalations
-		case "Acks":
-			return c.tally.Acks
-		case "PushFailures":
-			return c.tally.PushFailures
-		case "JournalErrors":
-			return c.tally.JournalErrors
-		case "RestartsCompleted":
-			return c.mgr.RecoveriesCompleted
-		}
-		return 0
-	}
-	for _, name := range ctlCounters {
-		cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: name, V: val(name)})
-	}
+	dropped := c.dropped.Load()
+	cp.Counters = fleet.CaptureCounters(c.counterTable(&dropped))
 	ids := make([]string, 0, len(c.devs))
 	for id := range c.devs {
 		ids = append(ids, id)
@@ -131,45 +104,13 @@ func (c *Controller) Restore(cp *wire.Checkpoint) error {
 
 // restore plays cp back. Controller-goroutine only.
 func (c *Controller) restore(cp *wire.Checkpoint) error {
-	for _, ct := range cp.Counters {
-		switch ct.Name {
-		case "Reports":
-			c.tally.Reports = ct.V
-		case "Dropped":
-			c.dropped.Store(ct.V)
-		case "class.deviation":
-			c.tally.Classes[ClassDeviation] = ct.V
-		case "class.silence":
-			c.tally.Classes[ClassSilence] = ct.V
-		case "class.runaway":
-			c.tally.Classes[ClassRunaway] = ct.V
-		case "rung.tolerate":
-			c.tally.Rungs[RungTolerate] = ct.V
-		case "rung.reset":
-			c.tally.Rungs[RungReset] = ct.V
-		case "rung.restart":
-			c.tally.Rungs[RungRestart] = ct.V
-		case "rung.quarantine":
-			c.tally.Rungs[RungQuarantine] = ct.V
-		case "Absorbed":
-			c.tally.Absorbed = ct.V
-		case "AfterQuarantine":
-			c.tally.AfterQuarantine = ct.V
-		case "Deescalations":
-			c.tally.Deescalations = ct.V
-		case "Acks":
-			c.tally.Acks = ct.V
-		case "PushFailures":
-			c.tally.PushFailures = ct.V
-		case "JournalErrors":
-			c.tally.JournalErrors = ct.V
-		case "RestartsCompleted":
-			c.mgr.RecoveriesCompleted = ct.V
-			c.mgr.RecoveriesStarted = ct.V
-		default:
-			return fmt.Errorf("control: unknown checkpoint counter %q", ct.Name)
-		}
+	dropped := c.dropped.Load()
+	if err := fleet.RestoreCounters(c.counterTable(&dropped), cp.Counters); err != nil {
+		return fmt.Errorf("control: %w", err)
 	}
+	c.dropped.Store(dropped)
+	// Restarts in flight at capture time are cut short (see Restore).
+	c.mgr.RecoveriesStarted = c.mgr.RecoveriesCompleted
 	for _, dev := range cp.Devices {
 		if len(dev.Stats) != 6 {
 			return fmt.Errorf("control: device %q checkpoint has %d stats, want 6", dev.ID, len(dev.Stats))
@@ -187,30 +128,35 @@ func (c *Controller) restore(cp *wire.Checkpoint) error {
 	return nil
 }
 
-// Recover scans a journal for control-plane checkpoints and restores the
-// newest one, reporting whether one was found. Call it on boot, after (or
-// instead of) the pool replay — the reader already resumes each stream at
-// its checkpoint batch, so the scan reads only the delta. Post-checkpoint
-// TypeControl action records are not re-applied to the ladder (their
-// pool-side effects replay through fleet.Pool.Replay); the ladder resumes
-// from the snapshot and climbs again on fresh evidence.
-func (c *Controller) Recover(r *journal.Reader) (bool, error) {
-	var last *wire.Checkpoint
-	for {
-		m, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return false, fmt.Errorf("control: recover: %w", err)
-		}
-		if m.Type == wire.TypeCheckpoint && m.Checkpoint != nil && m.Checkpoint.Plane == wire.PlaneControl {
-			cp := *m.Checkpoint
-			last = &cp
-		}
+// Apply is the controller's side of a journal replay (journal.Plane): it
+// notes each control-plane checkpoint record, and Settle restores the
+// newest. Post-checkpoint TypeControl action records are not re-applied to
+// the ladder (their pool-side effects replay through fleet.Replayer); the
+// ladder resumes from the snapshot and climbs again on fresh evidence.
+func (c *Controller) Apply(m wire.Message) error {
+	if cp := m.Checkpoint; m.Type == wire.TypeCheckpoint && cp != nil && cp.Plane == wire.PlaneControl {
+		c.newest = cp
 	}
-	if last == nil {
-		return false, nil
-	}
-	return true, c.Restore(last)
+	return nil
 }
+
+// Settle ends a replay: the newest control-plane checkpoint the pass saw is
+// restored, and only then does the controller subscribe to the pool's error
+// reports — the reports the replayed frames raised on the way are history
+// the restored ladder already accounts for, not fresh evidence to act on
+// (or journal) a second time.
+func (c *Controller) Settle() error {
+	if cp := c.newest; cp != nil {
+		c.newest = nil
+		if err := c.Restore(cp); err != nil {
+			return err
+		}
+		c.recovered = 1
+	}
+	c.subscribe.Do(func() { c.pool.OnReport(c.Report) })
+	return nil
+}
+
+// Recovered reports how many journal records the last replay restored from:
+// 1 when a control-plane checkpoint was found, else 0.
+func (c *Controller) Recovered() int { return c.recovered }

@@ -62,7 +62,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	found, err := c2.Recover(r)
+	err = journal.Replay(r, c2)
+	found := c2.Recovered() > 0
 	if err != nil || !found {
 		t.Fatalf("Recover: found=%v err=%v", found, err)
 	}
@@ -106,7 +107,8 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if found, err := c.Recover(r); err != nil || found {
+	err = journal.Replay(r, c)
+	if found := c.Recovered() > 0; err != nil || found {
 		t.Fatalf("Recover on checkpoint-less journal: found=%v err=%v", found, err)
 	}
 }

@@ -150,13 +150,28 @@ type Controller struct {
 	closed bool
 
 	dropped atomic.Uint64
+
+	// Replay state (see Apply/Settle): the newest control-plane checkpoint
+	// of the pass in progress, how many records the last pass restored
+	// from, and the guard that subscribes to the pool exactly once.
+	newest    *wire.Checkpoint
+	recovered int
+	subscribe sync.Once
 }
 
 // Attach builds a controller over the pool, subscribes it to the pool's
 // error-report fan-in and starts its goroutine. Close stops it.
 func Attach(pool *fleet.Pool, opts Options) *Controller {
+	c := New(pool, opts)
+	c.subscribe.Do(func() { pool.OnReport(c.Report) })
+	return c
+}
+
+// New is Attach without the subscription: the controller runs but sees no
+// report until Settle subscribes it — how a daemon booting from a journal
+// builds it, so the reports the replay re-raises never reach the ladder.
+func New(pool *fleet.Pool, opts Options) *Controller {
 	c := newController(pool, opts)
-	pool.OnReport(c.Report)
 	go c.loop()
 	return c
 }

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"io"
 
 	"trader/internal/fmea"
 	"trader/internal/sim"
@@ -98,6 +99,55 @@ func (c *Controller) rollup() Rollup {
 		ro.Downtime += c.mgr.Unit(name).Downtime
 	}
 	return ro
+}
+
+// The reporting half of the plane contract (ARCHITECTURE.md §3.6): the
+// controller's rollup as upstream counters, /metrics families and a log
+// summary. Each takes its own Rollup barrier.
+
+// Counters adds the rollup counters an edge streams upstream (§7.2) to out.
+func (c *Controller) Counters(out map[string]int64) {
+	ro := c.Rollup()
+	out["recovery_reports"] = int64(ro.Reports)
+	out["recovery_resets"] = int64(ro.Resets)
+	out["recovery_restarts"] = int64(ro.Restarts)
+	out["recovery_quarantines"] = int64(ro.Quarantines)
+}
+
+// WriteMetrics writes the control plane's /metrics families (§6.1).
+func (c *Controller) WriteMetrics(w io.Writer) {
+	ro := c.Rollup()
+	fmt.Fprintln(w, "# HELP trader_recovery_reports_total Error reports the recovery controller processed, by fault class.")
+	fmt.Fprintln(w, "# TYPE trader_recovery_reports_total counter")
+	fmt.Fprintf(w, "trader_recovery_reports_total{class=%q} %d\n", ClassDeviation.String(), ro.Deviations)
+	fmt.Fprintf(w, "trader_recovery_reports_total{class=%q} %d\n", ClassSilence.String(), ro.Silences)
+	fmt.Fprintf(w, "trader_recovery_reports_total{class=%q} %d\n", ClassRunaway.String(), ro.Runaways)
+	fmt.Fprintln(w, "# HELP trader_recovery_actions_total Escalation-ladder actions taken, by rung.")
+	fmt.Fprintln(w, "# TYPE trader_recovery_actions_total counter")
+	fmt.Fprintf(w, "trader_recovery_actions_total{rung=%q} %d\n", RungTolerate.String(), ro.Tolerated)
+	fmt.Fprintf(w, "trader_recovery_actions_total{rung=%q} %d\n", RungReset.String(), ro.Resets)
+	fmt.Fprintf(w, "trader_recovery_actions_total{rung=%q} %d\n", RungRestart.String(), ro.Restarts)
+	fmt.Fprintf(w, "trader_recovery_actions_total{rung=%q} %d\n", RungQuarantine.String(), ro.Quarantines)
+	fmt.Fprintln(w, "# TYPE trader_recovery_quarantined gauge")
+	fmt.Fprintf(w, "trader_recovery_quarantined %d\n", ro.Quarantined)
+	fmt.Fprintln(w, "# HELP trader_recovery_dropped_total Error reports shed on controller-inbox overflow.")
+	fmt.Fprintln(w, "# TYPE trader_recovery_dropped_total counter")
+	fmt.Fprintf(w, "trader_recovery_dropped_total %d\n", ro.Dropped)
+	fmt.Fprintln(w, "# TYPE trader_recovery_journal_errors_total counter")
+	fmt.Fprintf(w, "trader_recovery_journal_errors_total %d\n", ro.JournalErrors)
+}
+
+// Summary renders the rollup as the key/value pairs of one structured log
+// record: the rollup line plus, once anything has been reported, the FMEA
+// class currently threatening user-perceived reliability most. The final
+// summary of a draining daemon is no different.
+func (c *Controller) Summary(final bool) []any {
+	ro := c.Rollup()
+	kv := []any{"component", "recovery", "rollup", ro.String()}
+	if crit := Criticality(ro); len(crit) > 0 {
+		kv = append(kv, "critical_class", crit[0].Component, "rpn", crit[0].RPN)
+	}
+	return kv
 }
 
 // Criticality builds an FMEA worksheet over the fault classes the fleet has

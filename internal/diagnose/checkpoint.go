@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"trader/internal/fleet"
 	"trader/internal/spectrum"
 	"trader/internal/wire"
 )
@@ -18,12 +19,22 @@ import (
 // twice as far as the tally is concerned but never into the spectrum (the
 // high-water marks gate it); the next checkpoint squares the books.
 
-// diagCounters fixes the Counters layout of a PlaneDiagnose record.
-var diagCounters = [...]string{
-	"Escalations", "Episodes", "Coalesced",
-	"Requests", "RequestFailures",
-	"Snapshots", "Deltas", "FailWindows", "PassWindows", "SkippedWindows",
-	"Unsolicited", "Malformed", "Expired", "JournalErrors", "Dropped",
+// counterTable fixes the Counters layout of a PlaneDiagnose record: each
+// name next to the word it is captured from and restored into. dropped
+// stands in for the atomic inbox-shed counter. Engine-goroutine only.
+func (e *Engine) counterTable(dropped *uint64) []fleet.CounterRef {
+	t := &e.tally
+	return []fleet.CounterRef{
+		{Name: "Escalations", V: &t.Escalations}, {Name: "Episodes", V: &t.Episodes},
+		{Name: "Coalesced", V: &t.Coalesced},
+		{Name: "Requests", V: &t.Requests}, {Name: "RequestFailures", V: &t.RequestFailures},
+		{Name: "Snapshots", V: &t.Snapshots}, {Name: "Deltas", V: &t.Deltas},
+		{Name: "FailWindows", V: &t.FailWindows}, {Name: "PassWindows", V: &t.PassWindows},
+		{Name: "SkippedWindows", V: &t.SkippedWindows},
+		{Name: "Unsolicited", V: &t.Unsolicited}, {Name: "Malformed", V: &t.Malformed},
+		{Name: "Expired", V: &t.Expired}, {Name: "JournalErrors", V: &t.JournalErrors},
+		{Name: "Dropped", V: dropped},
+	}
 }
 
 // Checkpoint snapshots the engine into a PlaneDiagnose checkpoint record.
@@ -46,44 +57,8 @@ func (e *Engine) checkpoint() wire.Message {
 	for _, c := range cells {
 		cp.Cells = append(cp.Cells, wire.CheckpointCell{Block: c.Block, Fail: c.Fail, Pass: c.Pass})
 	}
-	val := func(name string) uint64 {
-		switch name {
-		case "Escalations":
-			return e.tally.Escalations
-		case "Episodes":
-			return e.tally.Episodes
-		case "Coalesced":
-			return e.tally.Coalesced
-		case "Requests":
-			return e.tally.Requests
-		case "RequestFailures":
-			return e.tally.RequestFailures
-		case "Snapshots":
-			return e.tally.Snapshots
-		case "Deltas":
-			return e.tally.Deltas
-		case "FailWindows":
-			return e.tally.FailWindows
-		case "PassWindows":
-			return e.tally.PassWindows
-		case "SkippedWindows":
-			return e.tally.SkippedWindows
-		case "Unsolicited":
-			return e.tally.Unsolicited
-		case "Malformed":
-			return e.tally.Malformed
-		case "Expired":
-			return e.tally.Expired
-		case "JournalErrors":
-			return e.tally.JournalErrors
-		case "Dropped":
-			return e.dropped.Load()
-		}
-		return 0
-	}
-	for _, name := range diagCounters {
-		cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: name, V: val(name)})
-	}
+	dropped := e.dropped.Load()
+	cp.Counters = fleet.CaptureCounters(e.counterTable(&dropped))
 	// Per-device stats: the fold high-water mark, plus a flags word (bit 0:
 	// the device is in the continuous-mode suspect set). The union with the
 	// suspect set matters: a device escalated before any of its evidence
@@ -166,41 +141,10 @@ func (e *Engine) restoreCheckpoint(cp *wire.Checkpoint) error {
 			return fmt.Errorf("diagnose: partition %q: %w", p.ID, err)
 		}
 	}
-	for _, ct := range cp.Counters {
-		switch ct.Name {
-		case "Escalations":
-			e.tally.Escalations = ct.V
-		case "Episodes":
-			e.tally.Episodes = ct.V
-		case "Coalesced":
-			e.tally.Coalesced = ct.V
-		case "Requests":
-			e.tally.Requests = ct.V
-		case "RequestFailures":
-			e.tally.RequestFailures = ct.V
-		case "Snapshots":
-			e.tally.Snapshots = ct.V
-		case "Deltas":
-			e.tally.Deltas = ct.V
-		case "FailWindows":
-			e.tally.FailWindows = ct.V
-		case "PassWindows":
-			e.tally.PassWindows = ct.V
-		case "SkippedWindows":
-			e.tally.SkippedWindows = ct.V
-		case "Unsolicited":
-			e.tally.Unsolicited = ct.V
-		case "Malformed":
-			e.tally.Malformed = ct.V
-		case "Expired":
-			e.tally.Expired = ct.V
-		case "JournalErrors":
-			e.tally.JournalErrors = ct.V
-		case "Dropped":
-			e.dropped.Store(ct.V)
-		default:
-			return fmt.Errorf("diagnose: unknown checkpoint counter %q", ct.Name)
-		}
+	dropped := e.dropped.Load()
+	if err := fleet.RestoreCounters(e.counterTable(&dropped), cp.Counters); err != nil {
+		return fmt.Errorf("diagnose: %w", err)
 	}
+	e.dropped.Store(dropped)
 	return nil
 }

@@ -80,7 +80,8 @@ func TestCheckpointSupersedesReplayedEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := second.Recover(jr)
+	err = journal.Replay(jr, second)
+	n := second.Recovered()
 	jr.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,88 @@ func TestRestoreRefusesForeignLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jr.Close()
-	if _, err := e.Recover(jr); err == nil {
+	if err := journal.Replay(jr, e); err == nil {
 		t.Fatal("recover accepted a checkpoint with a foreign block count")
+	}
+}
+
+// TestOfflineReplayResumesFromCheckpoint pins the §5.4 byte-identity on a
+// checkpointed journal: fold evidence, write a global checkpoint (which
+// truncates the segments holding that evidence), fold more — and the
+// offline Replay, which can only read [checkpoint batch, later evidence],
+// must still format the live engine's exact Result. It does so only by
+// restoring the PlaneDiagnose record the way a booting engine does; a
+// replay that skipped it would rank the post-checkpoint evidence alone.
+func TestOfflineReplayResumesFromCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	jw, err := journal.CreateSharded(dir, 1, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := fleet.NewPool(fleet.Options{Shards: 1})
+	defer pool.Stop()
+	ids := make([]string, 4)
+	recorders := make([]*Recorder, len(ids))
+	for i := range ids {
+		ids[i] = fleet.DeviceID(i)
+		recorders[i] = testRecorder(i)
+		if err := pool.AddDevice(ids[i], 1, fleet.LightFactory(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorders[0].InjectFault("menu")
+	live := Attach(pool, Options{Journal: jw, Blocks: testBlocks, Cohort: 3, Requery: -1, Continuous: true})
+	defer live.Close()
+
+	// One round: every device volunteers a heartbeat delta, then device 0
+	// escalates and the episode pulls the whole cohort's snapshots.
+	round := func(at sim.Time, features ...string) {
+		for i, r := range recorders {
+			for _, f := range features {
+				r.Press(f)
+			}
+			live.HandleSpectrumDelta(ids[i], deltaMsg(ids[i], at, r.RotateDelta(at)))
+		}
+		live.HandleAction(control.Action{Device: ids[0], Rung: control.RungReset, At: at})
+		live.Sync()
+		for i, r := range recorders {
+			r.Press("volume")
+			r.Rotate(at + sim.Millisecond)
+			live.HandleSnapshot(ids[i], wire.Message{Type: wire.TypeSnapshot, At: at + sim.Millisecond, Snapshot: r.Snapshot()})
+		}
+		live.Sync()
+	}
+	round(1*sim.Second, "menu")
+	cper := &fleet.Checkpointer{Pool: pool, Journal: jw, Planes: []func() wire.Message{live.Checkpoint}}
+	if err := cper.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	round(2*sim.Second, "menu", "zapping")
+	want, wantRo := live.Result(8).String(), live.Rollup()
+	if wantRo.FailWindows == 0 || len(live.Result(8).Parts) == 0 {
+		t.Fatalf("drive folded no failing evidence: %s", wantRo)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jr, err := journal.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	got, st, err := Replay(jr, live.coeff, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatalf("replay found no evidence in %d records", jr.Records())
+	}
+	if got.String() != want {
+		t.Fatalf("offline replay diverged from the live engine after a checkpoint:\nlive:\n%s\noffline:\n%s", want, got)
+	}
+	if st.Snapshots != int(wantRo.Snapshots) || st.Deltas != int(wantRo.Deltas) ||
+		st.Windows != int(wantRo.FailWindows+wantRo.PassWindows) {
+		t.Fatalf("offline stats %+v diverge from the live rollup %s", st, wantRo)
 	}
 }

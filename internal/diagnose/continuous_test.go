@@ -305,7 +305,7 @@ func TestCheckpointCarriesPartitionsAndSuspects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := second.Recover(jr); err != nil {
+	if err := journal.Replay(jr, second); err != nil {
 		jr.Close()
 		t.Fatal(err)
 	}

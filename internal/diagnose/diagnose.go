@@ -22,22 +22,19 @@ package diagnose
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"trader/internal/control"
 	"trader/internal/fleet"
-	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
 	"trader/internal/trace"
 	"trader/internal/wire"
 )
 
-// ErrClosed is returned by Recover when the engine is closed mid-recovery.
+// ErrClosed is returned by Apply when the engine is closed mid-replay.
 var ErrClosed = errors.New("diagnose: engine closed")
 
 // Requester pulls a coverage snapshot from one device. fleet.Server
@@ -110,12 +107,11 @@ const (
 	itemAction itemKind = iota
 	itemSnapshot
 	itemDelta
-	itemEvidence
+	itemApply
 	itemResult
 	itemRollup
 	itemSync
 	itemCheckpoint
-	itemRestore
 	itemStop
 )
 
@@ -130,7 +126,6 @@ type item struct {
 	rollup  chan Rollup
 	sync    chan struct{}
 	cpReply chan wire.Message
-	restore *wire.Checkpoint
 	errc    chan error
 }
 
@@ -187,12 +182,22 @@ type Engine struct {
 	closed bool
 
 	dropped atomic.Uint64
+
+	recovered int // evidence records the replay pass folded (see Apply)
 }
 
 // Attach builds the diagnosis engine over the pool and starts its
 // goroutine. Wire HandleAction to control.Options.OnEscalate and
 // HandleSnapshot to fleet.Server.OnSnapshot; Close stops it.
 func Attach(pool *fleet.Pool, opts Options) *Engine {
+	e := newEngine(pool, opts)
+	go e.loop()
+	return e
+}
+
+// newEngine builds the engine without starting its goroutine — the seam
+// the offline replay folds through synchronously (see Offline).
+func newEngine(pool *fleet.Pool, opts Options) *Engine {
 	if opts.Coeff.F == nil {
 		opts.Coeff = spectrum.Ochiai
 	}
@@ -224,7 +229,6 @@ func Attach(pool *fleet.Pool, opts Options) *Engine {
 		done:     make(chan struct{}),
 	}
 	e.fold = newFolder(e.spectra, opts.TrackTop)
-	go e.loop()
 	return e
 }
 
@@ -327,16 +331,17 @@ func (e *Engine) loop() {
 			it.rollup <- e.rollup()
 		case itemCheckpoint:
 			it.cpReply <- e.checkpoint()
-		case itemRestore:
-			it.errc <- e.restoreCheckpoint(it.restore)
 		case itemAction:
 			e.handleAction(it.action)
 		case itemSnapshot:
 			e.handleSnapshot(it.device, it.msg)
 		case itemDelta:
 			e.handleDelta(it.device, it.msg)
-		case itemEvidence:
-			e.foldEvidence(it.msg)
+		case itemApply:
+			err := e.apply(it.msg)
+			if it.errc != nil {
+				it.errc <- err
+			}
 		}
 	}
 }
@@ -521,7 +526,7 @@ func (e *Engine) handleDelta(id string, m wire.Message) {
 // foldEvidence folds one already-labeled evidence frame (Target carries the
 // label, SUO the device; the payload is a pulled snapshot or a heartbeat
 // delta) into the accumulator and updates the tallies. Shared by the live
-// path and Recover's boot-time warm start.
+// path and the replay pass (apply).
 func (e *Engine) foldEvidence(m wire.Message) int {
 	failed := m.Target == LabelFail
 	if failed {
@@ -554,61 +559,74 @@ func (e *Engine) foldEvidence(m wire.Message) int {
 	return folded
 }
 
-// Recover warm-starts the engine from an existing journal's labeled
-// evidence records: a daemon resuming a journal folds what the pre-crash
-// engine had folded, so its live ranking continues where the old one
-// stopped — and a later offline Replay over the grown journal still
-// matches the live engine byte for byte. Call it before serving traffic;
-// recovered evidence is not re-journaled. It returns the number of
-// evidence records folded.
+// replayBlocks classifies a journal record for the diagnosis plane: whether
+// the plane owns it at all — a PlaneDiagnose checkpoint or a labeled
+// evidence frame (a TypeSnapshot or TypeSpectrumDelta whose Target is "fail"
+// or "pass"; only the engine journals those) — and the block count of the
+// layout it was produced under.
+func replayBlocks(m wire.Message) (blocks int, mine bool) {
+	switch {
+	case m.Type == wire.TypeCheckpoint:
+		if cp := m.Checkpoint; cp != nil && cp.Plane == wire.PlaneDiagnose {
+			return cp.Blocks, true
+		}
+	case m.Target != LabelFail && m.Target != LabelPass:
+		// an unlabeled frame is not engine evidence
+	case m.Type == wire.TypeSnapshot && m.Snapshot != nil:
+		return m.Snapshot.Blocks, true
+	case m.Type == wire.TypeSpectrumDelta && m.Delta != nil:
+		return m.Delta.Blocks, true
+	}
+	return 0, false
+}
+
+// Apply is the engine's side of a journal replay (journal.Plane): a daemon
+// resuming a journal folds what the pre-crash engine had folded, so its
+// live ranking continues where the old one stopped — and a later offline
+// Replay over the grown journal still matches the live engine byte for
+// byte. Replayed evidence is not re-journaled.
 //
 // A PlaneDiagnose checkpoint record restores the engine absolutely —
 // spectrum, fold marks and tally — superseding evidence replayed before it
 // (the pre-checkpoint history of older streams); the records after it are
-// exactly the delta the checkpoint does not cover. A checkpoint with a
-// foreign block count is an error, mirroring the live engine's layout
-// guard.
-func (e *Engine) Recover(r *journal.Reader) (int, error) {
-	n := 0
-	for {
-		m, err := r.Next()
-		if err == io.EOF {
-			break
+// exactly the delta the checkpoint does not cover. Both go through the
+// engine's own inbox, in journal order. A checkpoint with a foreign block
+// count is an error, mirroring the live engine's layout guard; foreign
+// evidence cannot fold into this engine and is passed over.
+func (e *Engine) Apply(m wire.Message) error {
+	blocks, mine := replayBlocks(m)
+	switch {
+	case !mine:
+	case m.Type == wire.TypeCheckpoint:
+		errc := make(chan error, 1)
+		if !e.put(item{kind: itemApply, msg: m, errc: errc}, true) {
+			return ErrClosed
 		}
-		if err != nil {
-			return n, fmt.Errorf("diagnose: recover: %w", err)
+		return <-errc
+	case blocks == e.opts.Blocks:
+		if !e.put(item{kind: itemApply, msg: m}, true) {
+			return ErrClosed
 		}
-		if m.Type == wire.TypeCheckpoint && m.Checkpoint != nil && m.Checkpoint.Plane == wire.PlaneDiagnose {
-			cp := *m.Checkpoint
-			errc := make(chan error, 1)
-			if !e.put(item{kind: itemRestore, restore: &cp, errc: errc}, true) {
-				return n, ErrClosed
-			}
-			if err := <-errc; err != nil {
-				return n, err
-			}
-			continue
-		}
-		blocks := -1
-		switch {
-		case m.Type == wire.TypeSnapshot && m.Snapshot != nil:
-			blocks = m.Snapshot.Blocks
-		case m.Type == wire.TypeSpectrumDelta && m.Delta != nil:
-			blocks = m.Delta.Blocks
-		default:
-			continue
-		}
-		if m.Target != LabelFail && m.Target != LabelPass {
-			continue
-		}
-		if blocks != e.opts.Blocks {
-			continue // a foreign layout cannot fold into this engine
-		}
-		if !e.put(item{kind: itemEvidence, msg: m}, true) {
-			return n, ErrClosed
-		}
-		n++
+		e.recovered++
 	}
-	e.Sync()
-	return n, nil
+	return nil
 }
+
+// apply is Apply's engine-side half, for a record replayBlocks has vetted.
+// Engine-goroutine only.
+func (e *Engine) apply(m wire.Message) error {
+	if m.Type == wire.TypeCheckpoint {
+		return e.restoreCheckpoint(m.Checkpoint)
+	}
+	e.foldEvidence(m)
+	return nil
+}
+
+// Settle ends a replay: a barrier behind the last record Apply enqueued.
+func (e *Engine) Settle() error {
+	e.Sync()
+	return nil
+}
+
+// Recovered reports how many evidence records the replay pass folded.
+func (e *Engine) Recovered() int { return e.recovered }

@@ -401,7 +401,8 @@ func TestEngineRecoverWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := second.Recover(jr)
+	err = journal.Replay(jr, second)
+	n := second.Recovered()
 	jr.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -2,14 +2,15 @@ package diagnose
 
 import (
 	"fmt"
-	"io"
 
 	"trader/internal/journal"
 	"trader/internal/spectrum"
 	"trader/internal/wire"
 )
 
-// ReplayStats summarises one evidence replay.
+// ReplayStats summarises one evidence replay. The counts are the replayed
+// engine's own tallies, so after a checkpoint resume they include what the
+// checkpoint record carried — they equal the live engine's Rollup.
 type ReplayStats struct {
 	Snapshots int // labeled snapshot records folded
 	Deltas    int // labeled heartbeat-delta records folded
@@ -17,73 +18,68 @@ type ReplayStats struct {
 	Skipped   int // evidence with a foreign block count
 }
 
-// Replay reconstructs a fleet diagnosis offline from a journal: every
-// labeled evidence record (a TypeSnapshot or TypeSpectrumDelta frame whose
-// Target is "fail" or "pass" — only the diagnosis engine journals those)
-// folds exactly as it did live, through the same fold path — including the
-// per-device high-water marks that keep deltas and pulled snapshots from
-// double-counting a window, and the per-verdict partitions the fail labels
-// carve out. Because folding is an order-independent counter sum and the
-// ranking is a pure function of the counters, the returned Result —
-// partitions included — formats byte-identically to the live engine's at
-// the moment the journal closed.
+// Offline is the diagnosis plane of an offline replay (journal.Plane): it
+// reconstructs a fleet diagnosis from a journal alone, with no fleet
+// attached. Every record goes through the same apply path as a live
+// engine's boot-time warm start — a PlaneDiagnose checkpoint restores the
+// spectrum, the per-device high-water marks and the per-verdict partitions
+// absolutely; labeled evidence folds after it, the marks keeping deltas and
+// pulled snapshots from double-counting a window. Because folding is an
+// order-independent counter sum and the ranking is a pure function of the
+// counters, Result — partitions included — formats byte-identically to the
+// live engine's at the moment the journal closed.
 //
-// The block count is taken from the evidence itself (the engine only
-// journals evidence matching its configured layout); records with a
-// different count than the first are counted in Skipped. coeff.F == nil
-// picks Ochiai. A journal with no evidence yields (nil, nil).
+// The block count is taken from the first record the plane owns (the engine
+// only journals evidence and checkpoints matching its configured layout);
+// evidence with a different count is counted in Skipped. A zero Coeff picks
+// Ochiai.
+type Offline struct {
+	Coeff spectrum.Coefficient
+
+	eng     *Engine // loop-less: folded synchronously on the replay goroutine
+	skipped int
+}
+
+// Apply folds one journal record.
+func (o *Offline) Apply(m wire.Message) error {
+	blocks, mine := replayBlocks(m)
+	if !mine {
+		return nil
+	}
+	if o.eng == nil && blocks > 0 {
+		o.eng = newEngine(nil, Options{Coeff: o.Coeff, Blocks: blocks})
+	}
+	if o.eng == nil || (blocks != o.eng.opts.Blocks && m.Type != wire.TypeCheckpoint) {
+		o.skipped++
+		return nil
+	}
+	return o.eng.apply(m)
+}
+
+// Settle has nothing to drain: Apply folds synchronously.
+func (o *Offline) Settle() error { return nil }
+
+// Result returns the reconstructed diagnosis with the top n suspects, or
+// nil when the journal held no diagnosis evidence.
+func (o *Offline) Result(n int) (*Result, ReplayStats) {
+	st := ReplayStats{Skipped: o.skipped}
+	if o.eng == nil {
+		return nil, st
+	}
+	ro := o.eng.rollup()
+	st.Snapshots, st.Deltas = int(ro.Snapshots), int(ro.Deltas)
+	st.Windows = int(ro.FailWindows + ro.PassWindows)
+	return buildFolderResult(o.eng.fold, o.eng.layout, o.eng.coeff, n), st
+}
+
+// Replay reconstructs a fleet diagnosis offline from a journal: the replay
+// driver run with an Offline plane as its only plane. A journal with no
+// evidence yields (nil, nil).
 func Replay(r *journal.Reader, coeff spectrum.Coefficient, topN int) (*Result, ReplayStats, error) {
-	if coeff.F == nil {
-		coeff = spectrum.Ochiai
+	o := &Offline{Coeff: coeff}
+	if err := journal.Replay(r, o); err != nil {
+		return nil, ReplayStats{}, fmt.Errorf("diagnose: replay: %w", err)
 	}
-	var st ReplayStats
-	var fold *folder
-	blocks := 0
-	for {
-		m, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, st, fmt.Errorf("diagnose: replay: %w", err)
-		}
-		evBlocks := -1
-		switch {
-		case m.Type == wire.TypeSnapshot && m.Snapshot != nil:
-			evBlocks = m.Snapshot.Blocks
-		case m.Type == wire.TypeSpectrumDelta && m.Delta != nil:
-			evBlocks = m.Delta.Blocks
-		default:
-			continue
-		}
-		if m.Target != LabelFail && m.Target != LabelPass {
-			continue // an unlabeled frame is not engine evidence
-		}
-		if fold == nil {
-			if evBlocks <= 0 {
-				st.Skipped++
-				continue
-			}
-			blocks = evBlocks
-			fold = newFolder(spectrum.NewSpectra(blocks, 0), 0)
-		}
-		if evBlocks != blocks {
-			st.Skipped++
-			continue
-		}
-		failed := m.Target == LabelFail
-		if m.Type == wire.TypeSpectrumDelta {
-			if fold.foldDelta(m.SUO, m.Delta, failed) {
-				st.Windows++
-			}
-			st.Deltas++
-		} else {
-			st.Windows += fold.fold(m.SUO, m.Snapshot, failed)
-			st.Snapshots++
-		}
-	}
-	if fold == nil {
-		return nil, st, nil
-	}
-	return buildFolderResult(fold, NewLayout(blocks), coeff, topN), st, nil
+	res, st := o.Result(topN)
+	return res, st, nil
 }

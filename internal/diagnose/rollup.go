@@ -1,6 +1,9 @@
 package diagnose
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Rollup is the diagnosis plane's accounting: what escalated, what was
 // pulled, what evidence arrived and how it folded.
@@ -79,4 +82,53 @@ func (e *Engine) rollup() Rollup {
 		Transactions:    e.spectra.Transactions(),
 		Failures:        e.spectra.Failures(),
 	}
+}
+
+// The reporting half of the plane contract (ARCHITECTURE.md §3.6): the
+// engine's rollup as upstream counters, /metrics families and a log
+// summary. Each takes its own barrier.
+
+// Counters adds the rollup counters an edge streams upstream (§7.2) to out.
+func (e *Engine) Counters(out map[string]int64) {
+	ro := e.Rollup()
+	out["diagnosis_snapshots"] = int64(ro.Snapshots)
+	out["diagnosis_fail_windows"] = int64(ro.FailWindows)
+	out["diagnosis_pass_windows"] = int64(ro.PassWindows)
+}
+
+// WriteMetrics writes the diagnosis plane's /metrics families (§6.1).
+func (e *Engine) WriteMetrics(w io.Writer) {
+	ro := e.Rollup()
+	fmt.Fprintln(w, "# HELP trader_diagnose_dropped_total Diagnosis items shed on engine-inbox overflow. Nonzero means evidence was lost before folding.")
+	fmt.Fprintln(w, "# TYPE trader_diagnose_dropped_total counter")
+	fmt.Fprintf(w, "trader_diagnose_dropped_total %d\n", ro.Dropped)
+	fmt.Fprintf(w, "trader_diagnose_episodes_total %d\n", ro.Episodes)
+	fmt.Fprintf(w, "trader_diagnose_snapshots_total %d\n", ro.Snapshots)
+	fmt.Fprintf(w, "trader_diagnose_deltas_total %d\n", ro.Deltas)
+	fmt.Fprintln(w, "# TYPE trader_diagnose_windows_total counter")
+	fmt.Fprintf(w, "trader_diagnose_windows_total{label=\"fail\"} %d\n", ro.FailWindows)
+	fmt.Fprintf(w, "trader_diagnose_windows_total{label=\"pass\"} %d\n", ro.PassWindows)
+	fmt.Fprintf(w, "trader_diagnose_malformed_total %d\n", ro.Malformed)
+	fmt.Fprintf(w, "trader_diagnose_journal_errors_total %d\n", ro.JournalErrors)
+}
+
+// Summary renders the rollup as the key/value pairs of one structured log
+// record: the rollup line plus, once a failure has folded, the top suspect
+// block and the FMEA component verdict — or, in the final summary of a
+// draining daemon, the full ranking.
+func (e *Engine) Summary(final bool) []any {
+	ro := e.Rollup()
+	kv := []any{"component", "diagnosis", "rollup", ro.String()}
+	if ro.Failures == 0 {
+		return kv
+	}
+	if final {
+		return append(kv, "ranking", e.Result(10).String())
+	}
+	if res := e.Result(3); len(res.Ranking) > 0 && len(res.Verdict) > 0 {
+		top := res.Ranking[0]
+		kv = append(kv, "block", top.Block, "suspect_component", top.Component,
+			"score", top.Score, "verdict", res.Verdict[0].Component)
+	}
+	return kv
 }

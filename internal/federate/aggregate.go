@@ -2,14 +2,12 @@ package federate
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
 	"trader/internal/fleet"
-	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/trace"
 	"trader/internal/wire"
@@ -26,8 +24,8 @@ type Aggregator struct {
 	// (fleet.RangeOf(id, Ranges)). Required, must match every edge's Of.
 	Ranges int
 	// Journal, when non-nil, receives every ownership change write-ahead —
-	// range claims, per-device moves, failover repoints — so Recover
-	// rebuilds the range map after an aggregator restart. Credited rollup
+	// range claims, per-device moves, failover repoints — so a replay
+	// (Apply) rebuilds the range map after an aggregator restart. Credited rollup
 	// totals are deliberately NOT journaled: a restarted aggregator's empty
 	// resume baselines make each edge re-send its full cumulative state.
 	Journal fleet.FrameJournal
@@ -57,6 +55,7 @@ type Aggregator struct {
 	migrations uint64
 	adoptions  uint64
 	handoffs   uint64
+	recovered  int // ownership records applied by the replay pass
 }
 
 // edgeState is one edge's credited account: the cumulative totals the
@@ -518,48 +517,47 @@ func (a *Aggregator) OwnerOf(device string) string {
 	return m.OwnerOf(device)
 }
 
-// Recover rebuilds the range map from an ownership journal written by a
-// previous aggregator run: claims re-assign ranges, per-device moves
-// re-apply, failover records repoint. Credited totals are NOT recovered —
-// they come back through resume baselines as edges reconnect. Call before
-// Serve.
-func (a *Aggregator) Recover(r *journal.Reader) (int, error) {
-	a.mu.Lock()
-	a.init()
-	a.mu.Unlock()
-	n := 0
-	for {
-		m, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		if m.Type != wire.TypeHandoff || m.Handoff == nil {
-			continue
-		}
-		h := m.Handoff
-		a.mu.Lock()
-		switch {
-		case m.SUO != "":
-			a.rmap.Move(m.SUO, h.To)
-		case h.From == "" && h.To != "":
-			a.rmap.Assign(h.Range, h.To)
-			if h.Dir != "" {
-				st := a.state[h.To]
-				if st == nil {
-					st = &edgeState{counters: Counters{}}
-					a.state[h.To] = st
-				}
-				st.rng, st.dir = h.Range, h.Dir
-			}
-		case h.From != "" && h.To != "":
-			a.rmap.Repoint(h.From, h.To)
-			delete(a.state, h.From)
-		}
-		a.mu.Unlock()
-		n++
+// Apply is the aggregator's side of a journal replay (journal.Plane): it
+// rebuilds the range map from an ownership journal written by a previous
+// aggregator run — claims re-assign ranges, per-device moves re-apply,
+// failover records repoint. Credited totals are NOT recovered — they come
+// back through resume baselines as edges reconnect. Replay before Serve.
+func (a *Aggregator) Apply(m wire.Message) error {
+	if m.Type != wire.TypeHandoff || m.Handoff == nil {
+		return nil
 	}
-	return n, nil
+	h := m.Handoff
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.init()
+	switch {
+	case m.SUO != "":
+		a.rmap.Move(m.SUO, h.To)
+	case h.From == "" && h.To != "":
+		a.rmap.Assign(h.Range, h.To)
+		if h.Dir != "" {
+			st := a.state[h.To]
+			if st == nil {
+				st = &edgeState{counters: Counters{}}
+				a.state[h.To] = st
+			}
+			st.rng, st.dir = h.Range, h.Dir
+		}
+	case h.From != "" && h.To != "":
+		a.rmap.Repoint(h.From, h.To)
+		delete(a.state, h.From)
+	}
+	a.recovered++
+	return nil
+}
+
+// Settle ends a replay; ownership records apply as they are read, so there
+// is nothing left to drain.
+func (a *Aggregator) Settle() error { return nil }
+
+// Recovered reports how many ownership records the replay applied.
+func (a *Aggregator) Recovered() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.recovered
 }

@@ -444,7 +444,8 @@ func TestAggregatorRecover(t *testing.T) {
 	}
 	defer r.Close()
 	fresh := &Aggregator{Ranges: 2, Logf: t.Logf}
-	n, err := fresh.Recover(r)
+	err = journal.Replay(r, fresh)
+	n := fresh.Recovered()
 	if err != nil {
 		t.Fatal(err)
 	}

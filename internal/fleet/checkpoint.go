@@ -248,3 +248,38 @@ func (c *Checkpointer) Run(every time.Duration, done <-chan struct{}) {
 		}
 	}
 }
+
+// CounterRef binds one checkpoint counter name to the word it is captured
+// from and restored into. A plane spells its record's Counters layout once,
+// as a []CounterRef; capture, restore and the unknown-name check all read
+// that one table.
+type CounterRef struct {
+	Name string
+	V    *uint64
+}
+
+// CaptureCounters renders the table as checkpoint counters, in table order.
+func CaptureCounters(table []CounterRef) []wire.CheckpointCounter {
+	out := make([]wire.CheckpointCounter, len(table))
+	for i, ref := range table {
+		out[i] = wire.CheckpointCounter{Name: ref.Name, V: *ref.V}
+	}
+	return out
+}
+
+// RestoreCounters assigns each recorded counter to its table slot. A name
+// the table does not hold is an error: the record is on-disk input, and a
+// counter this build cannot place means it cannot restore the plane.
+func RestoreCounters(table []CounterRef, counters []wire.CheckpointCounter) error {
+next:
+	for _, ct := range counters {
+		for _, ref := range table {
+			if ref.Name == ct.Name {
+				*ref.V = ct.V
+				continue next
+			}
+		}
+		return fmt.Errorf("unknown checkpoint counter %q", ct.Name)
+	}
+	return nil
+}

@@ -11,21 +11,31 @@ import (
 )
 
 // TestShardRoutingParityWithJournal pins the invariant the sharded journal
-// layout rests on: journal.ShardOf and Pool.ShardOf agree for every ID and
-// shard count, so a device's records land in the stream owned by the shard
-// that runs its monitor.
+// layout rests on — journal.ShardOf, fleet.RangeOf and Pool.ShardOf agree,
+// so a device's records land in the stream owned by the shard that runs its
+// monitor — as golden vectors: the three are one function now, and the
+// mapping is on disk in every sharded journal, so what must not drift is
+// the hash itself. Each ID's FNV-1a fold is spelled out; its bucket under
+// every shard count follows.
 func TestShardRoutingParityWithJournal(t *testing.T) {
+	golden := []struct {
+		id   string
+		hash uint32
+	}{
+		{"", 0x811c9dc5},
+		{"a", 0xe40c292c},
+		{"tv-SN-0x99", 0xb4379d58},
+		{"€-unicode-id", 0xa4bba55d},
+		{fleet.DeviceID(0), 0x4d98ccab},
+		{fleet.DeviceID(499), 0xfc1d5a51},
+	}
 	for _, shards := range []int{1, 2, 3, 4, 7, 8, 16} {
 		p := fleet.NewPool(fleet.Options{Shards: shards})
-		for i := 0; i < 500; i++ {
-			id := fleet.DeviceID(i)
-			if got, want := journal.ShardOf(id, shards), p.ShardOf(id); got != want {
-				t.Fatalf("shards=%d id=%q: journal.ShardOf=%d, pool.ShardOf=%d", shards, id, got, want)
-			}
-		}
-		for _, id := range []string{"", "a", "tv-SN-0x99", "€-unicode-id"} {
-			if got, want := journal.ShardOf(id, shards), p.ShardOf(id); got != want {
-				t.Fatalf("shards=%d id=%q: journal.ShardOf=%d, pool.ShardOf=%d", shards, id, got, want)
+		for _, g := range golden {
+			want := int(g.hash % uint32(shards))
+			if j, r, s := journal.ShardOf(g.id, shards), fleet.RangeOf(g.id, shards), p.ShardOf(g.id); j != want || r != want || s != want {
+				t.Fatalf("shards=%d id=%q: journal.ShardOf=%d, fleet.RangeOf=%d, pool.ShardOf=%d, golden %d",
+					shards, g.id, j, r, s, want)
 			}
 		}
 		p.Stop()

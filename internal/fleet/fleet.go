@@ -27,6 +27,7 @@ import (
 
 	"trader/internal/core"
 	"trader/internal/event"
+	"trader/internal/journal"
 	"trader/internal/metrics"
 	"trader/internal/sim"
 	"trader/internal/trace"
@@ -185,24 +186,16 @@ func (p *Pool) Shards() int { return p.opts.Shards }
 // Size returns the current device count.
 func (p *Pool) Size() int { return int(p.devices.Load()) }
 
-// RangeOf returns the bucket in [0,n) the device ID hashes to: the same
-// inlined FNV-1a that routes events to shards inside a pool (ShardOf), made
-// available as a pure function so the federation tier assigns device-ID
-// ranges to edge ingesters with the identical mapping. A device's edge and
-// its shard within that edge are the one hash taken modulo two different
-// counts.
-func RangeOf(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
+// RangeOf returns the bucket in [0,n) the device ID hashes to: the FNV-1a
+// fold journal.ShardOf routes records to streams with — one function, so
+// the pool's shards, the journal's streams and the federation tier's
+// device-ID ranges cannot disagree. A device's edge and its shard within
+// that edge are the one hash taken modulo two different counts.
+func RangeOf(id string, n int) int { return journal.ShardOf(id, n) }
 
 // ShardOf returns the shard index the device ID routes to. The mapping is a
 // pure function of the ID and the shard count (RangeOf over the shard
-// count). FNV-1a is inlined over the string: this sits on the per-event
+// count). The fold inlines over the string: this sits on the per-event
 // dispatch path and must not allocate.
 func (p *Pool) ShardOf(id string) int {
 	return RangeOf(id, len(p.shards))

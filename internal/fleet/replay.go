@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"trader/internal/journal"
 	"trader/internal/sim"
@@ -33,14 +32,15 @@ func (st ReplayStats) String() string {
 		st.Frames, st.Heartbeats, st.Actions, st.Evidence, st.Checkpoints, st.Sheds, st.Handoffs, st.Devices, st.Skipped)
 }
 
-// Replay rebuilds fleet state from a journal written by Server.Journal: the
-// first record naming a device builds it through factory — with SeedOf(id),
+// Replayer is the pool's side of a journal replay (journal.Plane): it
+// rebuilds fleet state from the records Server.Journal wrote. The first
+// record naming a device builds it through the factory — with SeedOf(id),
 // exactly as live registration would — and every record then re-applies in
 // journal order: observations re-dispatch through the same shard routing,
 // heartbeats re-advance the device's virtual clock (re-firing silence
-// sweeps and comparison windows). Replay returns after a pool barrier, so
-// the rebuilt state is fully settled: Rollup on the result equals Rollup on
-// a pool that ingested the same frames live.
+// sweeps and comparison windows). Settle is a pool barrier, so the rebuilt
+// state is fully settled: Rollup on the result equals Rollup on a pool that
+// ingested the same frames live.
 //
 // Replay invariants: records re-apply in journal order, which preserves
 // each device's own frame order (the only order monitoring depends on —
@@ -51,187 +51,187 @@ func (st ReplayStats) String() string {
 // re-created. Devices already present in the pool (e.g. a second replay
 // into the same pool) are reused, not rebuilt.
 //
-// Replay into a pool not yet serving traffic; it dispatches without
-// external synchronisation.
+// Replay into a pool not yet serving traffic; the Replayer dispatches
+// without external synchronisation.
+type Replayer struct {
+	// Stats summarises the records applied so far.
+	Stats ReplayStats
+
+	pool    *Pool
+	factory MonitorFactory
+	seen    map[string]bool
+}
+
+// Replayer returns the plane that replays journal records into p, building
+// devices through factory.
+func (p *Pool) Replayer(factory MonitorFactory) *Replayer {
+	return &Replayer{pool: p, factory: factory, seen: make(map[string]bool)}
+}
+
+// Replay rebuilds fleet state from a journal: the replay driver run with
+// the pool's Replayer as its only plane.
 func (p *Pool) Replay(r *journal.Reader, factory MonitorFactory) (ReplayStats, error) {
-	var st ReplayStats
-	discard := func(wire.Message) error { return nil }
-	seen := make(map[string]bool)
-	for {
-		m, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return st, err
-		}
-		id := m.SUO
-		switch m.Type {
-		case wire.TypeInput, wire.TypeOutput, wire.TypeState, wire.TypeHeartbeat, wire.TypeControl:
-			// replayable — fall through to device lookup. A TypeControl
-			// record is a recovery action the controller journaled
-			// write-ahead (see internal/control), so replay reconstructs
-			// what the controller *did*, not just what it saw.
-		case wire.TypeSnapshot, wire.TypeSpectrumDelta:
-			// Labeled diagnosis evidence the engine journaled write-ahead of
-			// folding it — pulled snapshots and continuous heartbeat deltas
-			// alike. It carries no monitor state — diagnose.Replay
-			// reconstructs the fleet ranking from these records — so the
-			// pool replay only counts it.
-			st.Evidence++
-			continue
-		case wire.TypeShed:
-			// A shed marker: the server refused these frames under queue
-			// pressure, so there is nothing to re-dispatch — only the shard
-			// shed counters to restore, keeping the replayed rollup balanced
-			// against the live one. No device is built: shed counts are
-			// shard-level, and any admitted frame for the ID builds it.
-			if id == "" || m.Shed == nil {
-				st.Skipped++
-				continue
-			}
-			p.AddShed(id, *m.Shed)
-			st.Sheds++
-			continue
-		case wire.TypeHandoff:
-			// A federation migration record (ARCHITECTURE.md §7.3/§7.4),
-			// journaled write-ahead on both sides of a device's move so
-			// replay reconstructs ownership exactly:
-			//   - departure (Out=true): the device left this edge; remove it
-			//     and let any later record rebuild it from scratch.
-			//   - arrival (Out=false, device checkpoint): the device joined
-			//     this edge mid-history; build it and assign the handed-over
-			//     state absolutely, like a PlaneDevice checkpoint.
-			//   - adopted baseline (no SUO, PlaneFleet checkpoint): a dead
-			//     peer's pool counters absorbed during failover.
-			if m.Handoff == nil {
-				st.Skipped++
-				continue
-			}
-			switch {
-			case id != "" && m.Handoff.Out:
-				if _, err := p.RemoveDevice(id); err != nil {
-					return st, err
-				}
-				delete(seen, id)
-				st.Handoffs++
-			case id != "" && m.Checkpoint != nil:
-				if err := p.RestoreHandoff(id, m.Checkpoint, factory); err != nil {
-					return st, err
-				}
-				if !seen[id] {
-					st.Devices++
-					seen[id] = true
-				}
-				st.Handoffs++
-			case id == "" && m.Checkpoint != nil && m.Checkpoint.Plane == wire.PlaneFleet && m.Handoff.From != "":
-				p.AdoptBaseline(m.Handoff.From, m.Checkpoint.Counters)
-				st.Handoffs++
-			default:
-				// Aggregator range repoints and other ownership metadata:
-				// nothing to rebuild in a pool.
-				st.Skipped++
-			}
-			continue
-		case wire.TypeCheckpoint:
-			if m.Checkpoint == nil {
-				st.Skipped++
-				continue
-			}
-			switch m.Checkpoint.Plane {
-			case wire.PlaneDevice:
-				// A device snapshot: build the device if the checkpoint is
-				// the first record naming it (the usual case — the records
-				// that built it live in the truncated prefix), then assign
-				// its state absolutely.
-				if id == "" {
-					st.Skipped++
-					continue
-				}
-				if !seen[id] {
-					err := p.AddRemoteDevice(id, factory, discard)
-					switch {
-					case err == nil:
-						st.Devices++
-					case errors.Is(err, ErrDuplicateDevice):
-					default:
-						return st, fmt.Errorf("fleet: replay device %q: %w", id, err)
-					}
-					seen[id] = true
-				}
-				if err := p.RestoreDeviceCheckpoint(id, m.Checkpoint); err != nil {
-					return st, err
-				}
-			case wire.PlaneShard:
-				p.RestoreShardBaseline(m.Checkpoint)
-			default:
-				// Control- and diagnosis-plane snapshots are restored by
-				// their own planes' Recover passes; the pool only counts
-				// them.
-			}
-			st.Checkpoints++
-			continue
-		default:
-			st.Skipped++ // meta records (e.g. traderd's profile marker)
-			continue
-		}
+	rp := p.Replayer(factory)
+	err := journal.Replay(r, rp)
+	return rp.Stats, err
+}
+
+// ensure builds the device on the first record naming it. No connection
+// exists to push error reports down; the reports still fan into the pool
+// handlers and counters, and AttachDevice re-points the sink on reconnect.
+func (rp *Replayer) ensure(id string) error {
+	if rp.seen[id] {
+		return nil
+	}
+	err := rp.pool.AddRemoteDevice(id, rp.factory, func(wire.Message) error { return nil })
+	switch {
+	case err == nil:
+		rp.Stats.Devices++
+	case errors.Is(err, ErrDuplicateDevice):
+		// already present — reuse it
+	default:
+		return fmt.Errorf("fleet: replay device %q: %w", id, err)
+	}
+	rp.seen[id] = true
+	return nil
+}
+
+// Apply re-applies one journal record to the pool.
+func (rp *Replayer) Apply(m wire.Message) error {
+	p, st, id := rp.pool, &rp.Stats, m.SUO
+	switch m.Type {
+	case wire.TypeInput, wire.TypeOutput, wire.TypeState, wire.TypeHeartbeat, wire.TypeControl:
 		if id == "" {
 			st.Skipped++
-			continue
+			return nil
 		}
-		if !seen[id] {
-			// No connection exists to push error reports down; the reports
-			// still fan into the pool handlers and counters, and
-			// AttachDevice re-points the sink on reconnect.
-			err := p.AddRemoteDevice(id, factory, discard)
-			switch {
-			case err == nil:
-				st.Devices++
-			case errors.Is(err, ErrDuplicateDevice):
-				// already present — reuse it
-			default:
-				return st, fmt.Errorf("fleet: replay device %q: %w", id, err)
-			}
-			seen[id] = true
+		if err := rp.ensure(id); err != nil {
+			return err
 		}
-		switch m.Type {
-		case wire.TypeInput, wire.TypeOutput, wire.TypeState:
-			if m.Event == nil {
-				st.Skipped++
-				continue
-			}
-			if err := p.Dispatch(id, *m.Event); err != nil {
-				return st, err
-			}
-			st.Frames++
-		case wire.TypeHeartbeat:
-			if err := p.AdvanceDevice(id, m.At); err != nil {
-				return st, err
-			}
+		switch {
+		case m.Type == wire.TypeHeartbeat:
 			st.Heartbeats++
-		case wire.TypeControl:
-			// Re-apply the action's pool-side effect at its journal
-			// position: quarantine takes the device back out of service;
-			// every other rung (tolerate, reset, restart) re-armed the
-			// comparator when it ran live, so it re-arms here too.
-			switch m.Control {
-			case wire.CtrlQuarantine:
-				if _, err := p.QuarantineDevice(id); err != nil {
-					return st, err
-				}
-			default:
-				if _, err := p.ResetDevice(id); err != nil {
-					return st, err
-				}
-			}
+			return p.AdvanceDevice(id, m.At)
+		case m.Type == wire.TypeControl:
+			// A recovery action the controller journaled write-ahead (see
+			// internal/control): replay reconstructs what the controller
+			// *did*, not just what it saw, by re-applying the action's
+			// pool-side effect at its journal position. Quarantine takes
+			// the device back out of service; every other rung (tolerate,
+			// reset, restart) re-armed the comparator when it ran live, so
+			// it re-arms here too.
 			st.Actions++
+			if m.Control == wire.CtrlQuarantine {
+				_, err := p.QuarantineDevice(id)
+				return err
+			}
+			_, err := p.ResetDevice(id)
+			return err
+		case m.Event == nil:
+			st.Skipped++
+		default:
+			st.Frames++
+			return p.Dispatch(id, *m.Event)
 		}
+	case wire.TypeSnapshot, wire.TypeSpectrumDelta:
+		// Labeled diagnosis evidence the engine journaled write-ahead of
+		// folding it — pulled snapshots and continuous heartbeat deltas
+		// alike. It carries no monitor state — the diagnosis plane folds
+		// these records in the same pass — so the pool only counts it.
+		st.Evidence++
+	case wire.TypeShed:
+		// A shed marker: the server refused these frames under queue
+		// pressure, so there is nothing to re-dispatch — only the shard
+		// shed counters to restore, keeping the replayed rollup balanced
+		// against the live one. No device is built: shed counts are
+		// shard-level, and any admitted frame for the ID builds it.
+		if id == "" || m.Shed == nil {
+			st.Skipped++
+			return nil
+		}
+		p.AddShed(id, *m.Shed)
+		st.Sheds++
+	case wire.TypeHandoff:
+		return rp.applyHandoff(m)
+	case wire.TypeCheckpoint:
+		return rp.applyCheckpoint(m)
+	default:
+		st.Skipped++ // meta records (e.g. traderd's profile marker)
 	}
-	if err := p.Sync(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return nil
 }
+
+// applyHandoff re-applies a federation migration record (ARCHITECTURE.md
+// §7.3/§7.4), journaled write-ahead on both sides of a device's move so
+// replay reconstructs ownership exactly:
+//   - departure (Out=true): the device left this edge; remove it and let
+//     any later record rebuild it from scratch.
+//   - arrival (Out=false, device checkpoint): the device joined this edge
+//     mid-history; build it and assign the handed-over state absolutely,
+//     like a PlaneDevice checkpoint.
+//   - adopted baseline (no SUO, PlaneFleet checkpoint): a dead peer's pool
+//     counters absorbed during failover.
+func (rp *Replayer) applyHandoff(m wire.Message) error {
+	p, st, id := rp.pool, &rp.Stats, m.SUO
+	switch {
+	case m.Handoff == nil:
+		st.Skipped++
+	case id != "" && m.Handoff.Out:
+		if _, err := p.RemoveDevice(id); err != nil {
+			return err
+		}
+		delete(rp.seen, id)
+		st.Handoffs++
+	case id != "" && m.Checkpoint != nil:
+		if err := p.RestoreHandoff(id, m.Checkpoint, rp.factory); err != nil {
+			return err
+		}
+		if !rp.seen[id] {
+			st.Devices++
+			rp.seen[id] = true
+		}
+		st.Handoffs++
+	case id == "" && m.Checkpoint != nil && m.Checkpoint.Plane == wire.PlaneFleet && m.Handoff.From != "":
+		p.AdoptBaseline(m.Handoff.From, m.Checkpoint.Counters)
+		st.Handoffs++
+	default:
+		// Aggregator range repoints and other ownership metadata: nothing
+		// to rebuild in a pool.
+		st.Skipped++
+	}
+	return nil
+}
+
+// applyCheckpoint restores the pool's own checkpoint records. Control- and
+// diagnosis-plane snapshots belong to those planes, which restore them in
+// the same pass; the pool only counts them.
+func (rp *Replayer) applyCheckpoint(m wire.Message) error {
+	cp := m.Checkpoint
+	if cp == nil || (cp.Plane == wire.PlaneDevice && m.SUO == "") {
+		rp.Stats.Skipped++
+		return nil
+	}
+	switch cp.Plane {
+	case wire.PlaneDevice:
+		// A device snapshot: build the device if the checkpoint is the
+		// first record naming it (the usual case — the records that built
+		// it live in the truncated prefix), then assign its state
+		// absolutely.
+		if err := rp.ensure(m.SUO); err != nil {
+			return err
+		}
+		if err := rp.pool.RestoreDeviceCheckpoint(m.SUO, cp); err != nil {
+			return err
+		}
+	case wire.PlaneShard:
+		rp.pool.RestoreShardBaseline(cp)
+	}
+	rp.Stats.Checkpoints++
+	return nil
+}
+
+// Settle is the pool barrier that ends a replay.
+func (rp *Replayer) Settle() error { return rp.pool.Sync() }
 
 // AddRemoteDevice registers a connection-backed device: the factory's
 // kernel and monitor wrapped by RemoteDevice with the given sink, seeded by

@@ -77,10 +77,10 @@ func shardDirs(dir string) ([]string, error) {
 }
 
 // ShardOf routes a device ID to a shard: FNV-1a over the ID, modulo the
-// shard count. It MUST stay in lock-step with fleet.Pool's routing (a
-// parity test in that package pins it): the whole per-stream ordering
-// argument rests on the journal and the pool agreeing on which shard owns a
-// device.
+// shard count. fleet.Pool routes through this same function (fleet.RangeOf):
+// the whole per-stream ordering argument rests on the journal and the pool
+// agreeing on which shard owns a device. The mapping is on disk — a golden-
+// vector test in internal/fleet pins it.
 func ShardOf(id string, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
