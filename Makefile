@@ -44,8 +44,10 @@ test-race:
 # reporting the latency-SLO plane's p50/p99/p999 ingest-to-dispatch
 # quantiles),
 # BenchmarkJournalAppend, BenchmarkCheckpointReplay (cold boot with and
-# without a checkpoint resume point, and planes=all: the every-plane boot
-# from one pass of the replay driver), BenchmarkControllerReport,
+# without a checkpoint resume point, planes=all: the every-plane boot
+# from one pass of the replay driver, and devices=20000/no-checkpoint: the
+# boot BENCHMARK.json scores as fleet_recover, in records/s and B/device),
+# BenchmarkControllerReport,
 # BenchmarkFleetDiagnosis (evidence fold + parallel ranking at the paper's
 # 60 000-block scale) and BenchmarkFederationUplink (the edge→aggregator
 # rollup-delta cycle: deltas/s and bytes/delta) — and additionally emits
@@ -63,7 +65,8 @@ bench:
 
 # fuzz smoke-runs both native fuzz targets: the wire codec (FuzzDecode —
 # random frames through both codecs must be cleanly rejected or decoded,
-# never panic) and the journal reader (FuzzJournalReader — random segment
+# never panic, and the two binary decoders must agree on every payload) and
+# the journal reader (FuzzJournalReader — random segment
 # bytes must classify as torn tail or CorruptError, never panic). CI's
 # smoke job runs exactly this; raise FUZZTIME locally for a deeper hunt.
 fuzz:

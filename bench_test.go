@@ -814,6 +814,78 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 			}
 		})
 	}
+
+	// The boot the repo's benchmark scores as fleet_recover (BENCHMARK.json):
+	// 20 000 devices × 5 rounds of 10 observations and a heartbeat, no
+	// checkpoint, so every record re-dispatches and every device is built by
+	// the replay. records/s is that workload's ingest_frames_per_s without
+	// the process around it; B/device is the heap a recovered device keeps.
+	b.Run("devices=20000/no-checkpoint", func(b *testing.B) {
+		const (
+			fleetDevices = 20000
+			rounds       = 5
+			roundObs     = 10
+		)
+		dir := b.TempDir()
+		jw, err := journal.CreateSharded(dir, shards, journal.Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		records := 0
+		for r := 0; r < rounds; r++ {
+			for d := 0; d < fleetDevices; d++ {
+				id := fleet.DeviceID(d)
+				at := sim.Time(r*(roundObs+1)) * sim.Millisecond
+				for j := 0; j < roundObs; j++ {
+					at += sim.Millisecond
+					// A command, then the device echoing the commanded level.
+					ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", float64(r))
+					m := wire.Message{Type: wire.TypeOutput, SUO: id, At: at, Event: &ev}
+					if j == 0 {
+						ev.Kind, ev.Name, m.Type = event.Input, "set", wire.TypeInput
+					}
+					if err := jw.Append(m); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := jw.Append(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}); err != nil {
+					b.Fatal(err)
+				}
+				records += roundObs + 1
+			}
+		}
+		if err := jw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			pool := fleet.NewPool(fleet.Options{Shards: shards})
+			jr, err := journal.OpenReader(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := pool.Replay(jr, fleet.LightMonitorFactory())
+			jr.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.Devices != fleetDevices || st.Frames+st.Heartbeats != records {
+				b.Fatalf("replayed %v, want %d devices and %d records", st, fleetDevices, records)
+			}
+			if i == 0 {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/fleetDevices, "B/device")
+				b.StartTimer()
+			}
+			pool.Stop()
+		}
+		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
 }
 
 // BenchmarkFederationUplink measures the federation tier's steady-state

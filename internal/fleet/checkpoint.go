@@ -115,21 +115,26 @@ func (p *Pool) RestoreDeviceCheckpoint(id string, cp *wire.Checkpoint) error {
 			errc <- fmt.Errorf("fleet: checkpoint for unknown device %q", id)
 			return
 		}
-		if d.Monitor == nil {
-			errc <- fmt.Errorf("fleet: checkpoint for monitorless device %q", id)
-			return
-		}
-		d.Kernel.Jump(cp.At)
-		for _, c := range cp.Counters {
-			if c.Name == quarantineCounter {
-				d.quarantined = c.V != 0
-			}
-		}
-		errc <- d.Monitor.RestoreFrom(cp)
+		errc <- d.restore(id, cp)
 	}); err != nil {
 		return err
 	}
 	return <-errc
+}
+
+// restore assigns a PlaneDevice checkpoint to the device the shard holds
+// under id, on the shard goroutine.
+func (d *Device) restore(id string, cp *wire.Checkpoint) error {
+	if d.Monitor == nil {
+		return fmt.Errorf("fleet: checkpoint for monitorless device %q", id)
+	}
+	d.Kernel.Jump(cp.At)
+	for _, c := range cp.Counters {
+		if c.Name == quarantineCounter {
+			d.quarantined = c.V != 0
+		}
+	}
+	return d.Monitor.RestoreFrom(cp)
 }
 
 // baselineFromCounters parses the PlaneShard counter-name convention into a

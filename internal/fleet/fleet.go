@@ -287,21 +287,29 @@ func (p *Pool) AddDevice(id string, seed int64, f Factory) error {
 			errc <- fmt.Errorf("fleet: %w %q", ErrDuplicateDevice, id)
 			return
 		}
-		d, err := f(id, seed)
-		if err != nil {
-			errc <- fmt.Errorf("fleet: building device %q: %w", id, err)
-			return
-		}
-		if d.Monitor != nil {
-			d.Monitor.OnError(func(r wire.ErrorReport) { p.report(s, id, r) })
-		}
-		s.devices[id] = d
-		p.devices.Add(1)
-		errc <- nil
+		_, err := s.build(p, id, seed, f)
+		errc <- err
 	}); err != nil {
 		return err
 	}
 	return <-errc
+}
+
+// build runs the factory for a device the shard does not hold yet and wires
+// its monitor's error reports into the fleet fan-in: the one construction
+// path, shared by AddDevice and journal replay. It runs on the shard
+// goroutine.
+func (s *shard) build(p *Pool, id string, seed int64, f Factory) (*Device, error) {
+	d, err := f(id, seed)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: building device %q: %w", id, err)
+	}
+	if d.Monitor != nil {
+		d.Monitor.OnError(func(r wire.ErrorReport) { p.report(s, id, r) })
+	}
+	s.devices[id] = d
+	p.devices.Add(1)
+	return d, nil
 }
 
 // RemoveDevice stops and removes a device, reporting whether it was present.
@@ -504,6 +512,11 @@ func (s *shard) deliver(p *Pool, id string, e event.Event) {
 		s.dropped.Add(1)
 		return
 	}
+	s.feed(d, e)
+}
+
+// feed delivers one event to a device the shard holds.
+func (s *shard) feed(d *Device, e event.Event) {
 	if d.quarantined {
 		s.quarantined.Add(1)
 		return

@@ -83,11 +83,17 @@ func (p *Pool) captureDevice(id string, remove bool) (*wire.Checkpoint, error) {
 // flag. A device already present (a re-delivered handoff) is restored in
 // place rather than rejected, keeping the operation idempotent.
 func (p *Pool) RestoreHandoff(id string, cp *wire.Checkpoint, factory MonitorFactory) error {
-	discard := func(wire.Message) error { return nil }
-	if err := p.AddRemoteDevice(id, factory, discard); err != nil && !errors.Is(err, ErrDuplicateDevice) {
-		return fmt.Errorf("fleet: restore handoff %q: %w", id, err)
+	_, err := p.restoreHandoff(id, cp, remoteFactory(factory, discardSend))
+	return err
+}
+
+// restoreHandoff additionally reports whether the device had to be built.
+func (p *Pool) restoreHandoff(id string, cp *wire.Checkpoint, build Factory) (built bool, err error) {
+	err = p.AddDevice(id, SeedOf(id), build)
+	if err != nil && !errors.Is(err, ErrDuplicateDevice) {
+		return false, fmt.Errorf("fleet: restore handoff %q: %w", id, err)
 	}
-	return p.RestoreDeviceCheckpoint(id, cp)
+	return err == nil, p.RestoreDeviceCheckpoint(id, cp)
 }
 
 // AdoptBaseline adds another pool's summed traffic counters to this pool's

@@ -759,8 +759,10 @@ func (s *Server) handle(conn net.Conn) {
 					// protocol violation.
 					rep := wire.ErrorReport{Detector: "ingest", At: clock, Detail: fmt.Sprintf(
 						"credit window violated: observation sent with the %d-frame window exhausted", window)}
-					_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
+					// Count before sending: a client that reads the error
+					// frame may look at Stats next.
 					s.creditViolations.Add(1)
+					_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
 					s.logf("fleet: device %q: %s", id, rep.Detail)
 					return
 				}

@@ -1,9 +1,10 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
+	"sync/atomic"
 
+	"trader/internal/event"
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/wire"
@@ -51,21 +52,89 @@ func (st ReplayStats) String() string {
 // re-created. Devices already present in the pool (e.g. a second replay
 // into the same pool) are reused, not rebuilt.
 //
+// Buffering contract. Replay rate is the daemon's time to recover, so Apply
+// does not cross to a shard per record: the per-device records —
+// observations, heartbeats, recovery actions, PlaneDevice checkpoints —
+// append to a per-shard batch of small typed records, and a full batch
+// (replayBatch records) is one shard command. The shard builds a device the
+// first time a batch names an ID it does not hold. Batches are per shard
+// and FIFO, so every device still sees its records in journal order. Three
+// rules keep the buffering invisible:
+//   - every other record (shed marker, handoff, shard or fleet checkpoint)
+//     first submits every pending batch, then applies directly;
+//   - a factory or checkpoint-restore failure on a shard is latched, and
+//     the next Apply or Settle returns it;
+//   - Settle submits what is pending, then runs the pool barrier, then
+//     folds the shard-side device count into Stats — so when it returns,
+//     every report the replayed records provoke has fired.
+//
 // Replay into a pool not yet serving traffic; the Replayer dispatches
 // without external synchronisation.
 type Replayer struct {
-	// Stats summarises the records applied so far.
+	// Stats summarises the records applied so far. Devices is complete
+	// once Settle has returned.
 	Stats ReplayStats
 
 	pool    *Pool
-	factory MonitorFactory
-	seen    map[string]bool
+	build   Factory       // the factory behind a RemoteDevice with no connection yet
+	pending [][]replayRec // per shard, submitted at replayBatch records
+	// free holds, per shard, the batch buffers not in use: a submit takes
+	// the next pending buffer from it and the shard returns each batch it
+	// has run, so at most replayInFlight batches per shard hold decoded
+	// records in memory however far the reader could run ahead.
+	free   []chan []replayRec
+	built  atomic.Int64 // devices the shards built, folded into Stats by Settle
+	failed atomic.Pointer[error]
 }
 
+// replayBatch is how many records a shard's batch holds before it is
+// submitted: large enough that the closure and channel send per batch
+// vanish per record, small enough that the shards start working while the
+// reader is still decoding.
+const replayBatch = 256
+
+// replayInFlight bounds the batches queued per shard: enough that neither
+// the reader nor a shard waits on the other in the steady state.
+const replayInFlight = 8
+
+// replayRec is one buffered per-device record: what the shard needs of the
+// wire.Message and nothing else.
+type replayRec struct {
+	id string
+	op replayOp
+	at sim.Time         // opAdvance
+	ev *event.Event     // opFeed
+	cp *wire.Checkpoint // opRestore
+}
+
+type replayOp uint8
+
+const (
+	opFeed       replayOp = iota // observation: Device.Feed
+	opAdvance                    // heartbeat: run the virtual clock to at
+	opReset                      // recovery action below quarantine: re-arm the comparator
+	opQuarantine                 // quarantine action: take the device out of service
+	opRestore                    // PlaneDevice checkpoint: assign the state absolutely
+)
+
+// discardSend is the error sink of a device with no connection behind it.
+func discardSend(wire.Message) error { return nil }
+
 // Replayer returns the plane that replays journal records into p, building
-// devices through factory.
+// devices through factory. No connection exists to push error reports down;
+// the reports still fan into the pool handlers and counters, and
+// AttachDevice re-points the sink on reconnect.
 func (p *Pool) Replayer(factory MonitorFactory) *Replayer {
-	return &Replayer{pool: p, factory: factory, seen: make(map[string]bool)}
+	rp := &Replayer{pool: p, build: remoteFactory(factory, discardSend),
+		pending: make([][]replayRec, len(p.shards)), free: make([]chan []replayRec, len(p.shards))}
+	for i := range rp.pending {
+		rp.pending[i] = make([]replayRec, 0, replayBatch)
+		rp.free[i] = make(chan []replayRec, replayInFlight)
+		for j := 0; j < replayInFlight; j++ {
+			rp.free[i] <- make([]replayRec, 0, replayBatch)
+		}
+	}
+	return rp
 }
 
 // Replay rebuilds fleet state from a journal: the replay driver run with
@@ -76,42 +145,22 @@ func (p *Pool) Replay(r *journal.Reader, factory MonitorFactory) (ReplayStats, e
 	return rp.Stats, err
 }
 
-// ensure builds the device on the first record naming it. No connection
-// exists to push error reports down; the reports still fan into the pool
-// handlers and counters, and AttachDevice re-points the sink on reconnect.
-func (rp *Replayer) ensure(id string) error {
-	if rp.seen[id] {
-		return nil
-	}
-	err := rp.pool.AddRemoteDevice(id, rp.factory, func(wire.Message) error { return nil })
-	switch {
-	case err == nil:
-		rp.Stats.Devices++
-	case errors.Is(err, ErrDuplicateDevice):
-		// already present — reuse it
-	default:
-		return fmt.Errorf("fleet: replay device %q: %w", id, err)
-	}
-	rp.seen[id] = true
-	return nil
-}
-
 // Apply re-applies one journal record to the pool.
 func (rp *Replayer) Apply(m wire.Message) error {
+	if err := rp.failure(); err != nil {
+		return err
+	}
 	p, st, id := rp.pool, &rp.Stats, m.SUO
 	switch m.Type {
 	case wire.TypeInput, wire.TypeOutput, wire.TypeState, wire.TypeHeartbeat, wire.TypeControl:
-		if id == "" {
+		rec := replayRec{id: id}
+		switch {
+		case id == "":
 			st.Skipped++
 			return nil
-		}
-		if err := rp.ensure(id); err != nil {
-			return err
-		}
-		switch {
 		case m.Type == wire.TypeHeartbeat:
 			st.Heartbeats++
-			return p.AdvanceDevice(id, m.At)
+			rec.op, rec.at = opAdvance, m.At
 		case m.Type == wire.TypeControl:
 			// A recovery action the controller journaled write-ahead (see
 			// internal/control): replay reconstructs what the controller
@@ -121,18 +170,18 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			// reset, restart) re-armed the comparator when it ran live, so
 			// it re-arms here too.
 			st.Actions++
+			rec.op = opReset
 			if m.Control == wire.CtrlQuarantine {
-				_, err := p.QuarantineDevice(id)
-				return err
+				rec.op = opQuarantine
 			}
-			_, err := p.ResetDevice(id)
-			return err
 		case m.Event == nil:
 			st.Skipped++
+			return nil
 		default:
 			st.Frames++
-			return p.Dispatch(id, *m.Event)
+			rec.op, rec.ev = opFeed, m.Event
 		}
+		return rp.push(rec)
 	case wire.TypeSnapshot, wire.TypeSpectrumDelta:
 		// Labeled diagnosis evidence the engine journaled write-ahead of
 		// folding it — pulled snapshots and continuous heartbeat deltas
@@ -149,14 +198,108 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			st.Skipped++
 			return nil
 		}
+		if err := rp.flush(); err != nil {
+			return err
+		}
 		p.AddShed(id, *m.Shed)
 		st.Sheds++
 	case wire.TypeHandoff:
+		if err := rp.flush(); err != nil {
+			return err
+		}
 		return rp.applyHandoff(m)
 	case wire.TypeCheckpoint:
 		return rp.applyCheckpoint(m)
 	default:
 		st.Skipped++ // meta records (e.g. traderd's profile marker)
+	}
+	return nil
+}
+
+// push buffers one per-device record, submitting its shard's batch when
+// that fills.
+func (rp *Replayer) push(rec replayRec) error {
+	i := rp.pool.ShardOf(rec.id)
+	rp.pending[i] = append(rp.pending[i], rec)
+	if len(rp.pending[i]) < replayBatch {
+		return nil
+	}
+	return rp.submit(i)
+}
+
+// submit hands shard i's pending batch to the shard, which owns the slice
+// from here on.
+func (rp *Replayer) submit(i int) error {
+	recs := rp.pending[i]
+	if len(recs) == 0 {
+		return nil
+	}
+	rp.pending[i] = <-rp.free[i] // waits while the shard has replayInFlight batches queued
+	err := rp.pool.send(i, func(s *shard) {
+		rp.run(s, recs)
+		rp.free[i] <- recs[:0]
+	})
+	if err != nil {
+		rp.free[i] <- recs[:0] // a stopped pool fails every submit; none may wait for a buffer
+	}
+	return err
+}
+
+// flush submits every pending batch: what precedes a record applied
+// directly, so that record cannot overtake a buffered one.
+func (rp *Replayer) flush() error {
+	for i := range rp.pending {
+		if err := rp.submit(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run applies one batch on its shard goroutine.
+func (rp *Replayer) run(s *shard, recs []replayRec) {
+	if rp.failed.Load() != nil {
+		return // the replay is aborting
+	}
+	for i := range recs {
+		r := &recs[i]
+		d := s.devices[r.id]
+		if d == nil {
+			var err error
+			if d, err = s.build(rp.pool, r.id, SeedOf(r.id), rp.build); err != nil {
+				rp.fail(fmt.Errorf("fleet: replay device %q: %w", r.id, err))
+				return
+			}
+			rp.built.Add(1)
+		}
+		switch r.op {
+		case opFeed:
+			s.feed(d, *r.ev)
+		case opAdvance:
+			if r.at > d.Kernel.Now() {
+				d.Kernel.Run(r.at)
+			}
+		case opReset:
+			if d.Monitor != nil {
+				d.Monitor.Reset()
+			}
+		case opQuarantine:
+			d.quarantined = true
+		case opRestore:
+			if err := d.restore(r.id, r.cp); err != nil {
+				rp.fail(err)
+				return
+			}
+		}
+	}
+}
+
+// fail latches the first shard-side failure for the reader goroutine.
+func (rp *Replayer) fail(err error) { rp.failed.CompareAndSwap(nil, &err) }
+
+func (rp *Replayer) failure() error {
+	if e := rp.failed.Load(); e != nil {
+		return *e
 	}
 	return nil
 }
@@ -180,15 +323,14 @@ func (rp *Replayer) applyHandoff(m wire.Message) error {
 		if _, err := p.RemoveDevice(id); err != nil {
 			return err
 		}
-		delete(rp.seen, id)
 		st.Handoffs++
 	case id != "" && m.Checkpoint != nil:
-		if err := p.RestoreHandoff(id, m.Checkpoint, rp.factory); err != nil {
+		built, err := p.restoreHandoff(id, m.Checkpoint, rp.build)
+		if err != nil {
 			return err
 		}
-		if !rp.seen[id] {
+		if built {
 			st.Devices++
-			rp.seen[id] = true
 		}
 		st.Handoffs++
 	case id == "" && m.Checkpoint != nil && m.Checkpoint.Plane == wire.PlaneFleet && m.Handoff.From != "":
@@ -213,38 +355,52 @@ func (rp *Replayer) applyCheckpoint(m wire.Message) error {
 	}
 	switch cp.Plane {
 	case wire.PlaneDevice:
-		// A device snapshot: build the device if the checkpoint is the
-		// first record naming it (the usual case — the records that built
-		// it live in the truncated prefix), then assign its state
+		// A device snapshot: the shard builds the device if the checkpoint
+		// is the first record naming it (the usual case — the records that
+		// built it live in the truncated prefix), then assigns its state
 		// absolutely.
-		if err := rp.ensure(m.SUO); err != nil {
-			return err
-		}
-		if err := rp.pool.RestoreDeviceCheckpoint(m.SUO, cp); err != nil {
+		if err := rp.push(replayRec{id: m.SUO, op: opRestore, cp: cp}); err != nil {
 			return err
 		}
 	case wire.PlaneShard:
+		if err := rp.flush(); err != nil {
+			return err
+		}
 		rp.pool.RestoreShardBaseline(cp)
 	}
 	rp.Stats.Checkpoints++
 	return nil
 }
 
-// Settle is the pool barrier that ends a replay.
-func (rp *Replayer) Settle() error { return rp.pool.Sync() }
+// Settle ends a replay: pending batches, then the pool barrier.
+func (rp *Replayer) Settle() error {
+	if err := rp.flush(); err != nil {
+		return err
+	}
+	if err := rp.pool.Sync(); err != nil {
+		return err
+	}
+	rp.Stats.Devices += int(rp.built.Swap(0))
+	return rp.failure()
+}
 
 // AddRemoteDevice registers a connection-backed device: the factory's
 // kernel and monitor wrapped by RemoteDevice with the given sink, seeded by
 // SeedOf(id). It is the single registration path shared by live ingestion
 // (Server) and journal replay, so the two cannot diverge.
 func (p *Pool) AddRemoteDevice(id string, factory MonitorFactory, send func(wire.Message) error) error {
-	return p.AddDevice(id, SeedOf(id), func(id string, seed int64) (*Device, error) {
+	return p.AddDevice(id, SeedOf(id), remoteFactory(factory, send))
+}
+
+// remoteFactory is the device factory of a connection-backed device.
+func remoteFactory(factory MonitorFactory, send func(wire.Message) error) Factory {
+	return func(id string, seed int64) (*Device, error) {
 		k, mon, err := factory(id, seed)
 		if err != nil {
 			return nil, err
 		}
 		return RemoteDevice(id, k, mon, send), nil
-	})
+	}
 }
 
 // AttachDevice re-points a device's monitor→SUO traffic (error pushes) at a

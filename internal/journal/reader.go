@@ -45,6 +45,14 @@ type Reader struct {
 	recs    uint64 // records returned so far
 	torn    bool
 	skipped int // segments skipped via checkpoint resume points
+
+	// hdr is the record header being read; a local would escape through
+	// io.ReadFull and cost an allocation per record.
+	hdr [recordHeader]byte
+	// dec interns the strings that repeat record after record (device IDs,
+	// event and value names, sources): the same Messages wire.Binary
+	// decodes, at a fraction of the allocations.
+	dec wire.BinaryInterner
 }
 
 // stream is one segment sequence: the directory root or a shard subdir.
@@ -190,8 +198,8 @@ func (r *Reader) closeSeg() {
 
 // next reads one record from the current segment.
 func (r *Reader) next() (wire.Message, error) {
-	var hdr [recordHeader]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		switch err {
 		case io.EOF:
 			return wire.Message{}, errSegEnd // clean record boundary
@@ -222,7 +230,7 @@ func (r *Reader) next() (wire.Message, error) {
 		return wire.Message{}, r.corrupt(fmt.Sprintf("crc mismatch: stored %08x, computed %08x", want, got))
 	}
 	var m wire.Message
-	if err := wire.Binary.Unmarshal(payload, &m); err != nil {
+	if err := r.dec.Unmarshal(payload, &m); err != nil {
 		return wire.Message{}, r.corrupt(err.Error())
 	}
 	r.off += recordHeader + int64(n)

@@ -76,7 +76,8 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	pq      eventHeap
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // built from seed by the first Rand call
 	stopped bool
 
 	// Stats
@@ -86,14 +87,23 @@ type Kernel struct {
 // NewKernel returns a kernel with virtual time 0 and a deterministic RNG
 // seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Rand returns the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source. The source is
+// seeded on the first call: a math/rand source is 4.9 KB of state and several
+// microseconds of seeding, which a fleet of monitors that never draw (the
+// light monitor is deterministic without it) should not pay per device. The
+// stream is the one rand.New(rand.NewSource(seed)) yields.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -340,6 +341,40 @@ func TestTimeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int64(in), got, want)
 		}
 	}
+}
+
+// The lazily seeded source must be the one NewKernel used to build eagerly.
+func TestRandStreamMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1<<62 + 3} {
+		got, want := NewKernel(seed).Rand(), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: %d, want %d", seed, i, g, w)
+			}
+		}
+	}
+	k := NewKernel(9)
+	if k.Rand() != k.Rand() {
+		t.Fatal("Rand returned a second source")
+	}
+}
+
+// A kernel whose Rand is never called must not carry a math/rand source
+// (4.9 KB): a fleet pays per device for whatever NewKernel allocates.
+func TestKernelWithoutRandIsSmall(t *testing.T) {
+	const n = 1000
+	ks := make([]*Kernel, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range ks {
+		ks[i] = NewKernel(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 512 {
+		t.Fatalf("NewKernel allocates %d B, want < 512", per)
+	}
+	runtime.KeepAlive(ks)
 }
 
 func BenchmarkKernelScheduleFire(b *testing.B) {

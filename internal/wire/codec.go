@@ -420,6 +420,7 @@ func (binaryCodec) Append(dst []byte, m Message) ([]byte, error) {
 type binReader struct {
 	b   []byte
 	err error
+	in  *BinaryInterner // nil: every string is a fresh copy
 }
 
 func (r *binReader) fail(what string) {
@@ -472,12 +473,60 @@ func (r *binReader) str(what string) string {
 	if r.err != nil {
 		return ""
 	}
+	if n == 0 {
+		return "" // most string fields of most frames
+	}
 	if n > uint64(len(r.b)) {
 		r.fail(what)
 		return ""
 	}
-	s := string(r.b[:n])
+	raw := r.b[:n]
 	r.b = r.b[n:]
+	if r.in != nil {
+		return r.in.intern(raw)
+	}
+	return string(raw)
+}
+
+// Intern-table bounds: strings longer than internMaxLen are copied, not
+// interned, and a table that reaches internMaxEntries starts over — so
+// neither a journal naming millions of devices nor a hostile Detail can grow
+// it past ~internMaxEntries × internMaxLen bytes, and after a start-over the
+// table refills with whatever the journal is naming now.
+const (
+	internMaxEntries = 1 << 16
+	internMaxLen     = 64
+)
+
+// BinaryInterner decodes binary payloads exactly as Binary.Unmarshal does —
+// same acceptance, same Message — but hands out one shared copy of each
+// short string it has seen before. It is for long sequential reads where a
+// few names repeat in every record (a journal replay: device IDs, event and
+// value names, sources, counter names), and turns most of a record's string
+// allocations into map hits. Not safe for concurrent use; the zero value is
+// ready. The live wire.Decoder does not use it.
+type BinaryInterner struct {
+	tab map[string]string
+}
+
+// Unmarshal parses a binary payload into m. It does not retain payload.
+func (in *BinaryInterner) Unmarshal(payload []byte, m *Message) error {
+	r := binReader{b: payload, in: in}
+	return r.message(m)
+}
+
+func (in *BinaryInterner) intern(raw []byte) string {
+	if len(raw) > internMaxLen {
+		return string(raw)
+	}
+	if s, ok := in.tab[string(raw)]; ok { // no allocation: map-lookup conversion
+		return s
+	}
+	if in.tab == nil || len(in.tab) >= internMaxEntries {
+		in.tab = make(map[string]string)
+	}
+	s := string(raw)
+	in.tab[s] = s
 	return s
 }
 
@@ -496,6 +545,11 @@ func (r *binReader) f64(what string) float64 {
 
 func (binaryCodec) Unmarshal(payload []byte, m *Message) error {
 	r := binReader{b: payload}
+	return r.message(m)
+}
+
+// message parses the whole payload into m.
+func (r *binReader) message(m *Message) error {
 	tag := r.u8("type")
 	typ, ok := typeOfTag[tag]
 	if r.err == nil && !ok {

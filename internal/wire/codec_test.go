@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"trader/internal/event"
 	"trader/internal/sim"
@@ -117,6 +119,111 @@ func TestPropertyCodecsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// assertInternerAgrees is the differential check between the two binary
+// decoders: in must accept exactly the payloads Binary.Unmarshal accepts,
+// reject the rest with the same error, and decode to the same Message.
+func assertInternerAgrees(t testing.TB, in *BinaryInterner, payload []byte) {
+	t.Helper()
+	var want, got Message
+	werr, gerr := Binary.Unmarshal(payload, &want), in.Unmarshal(payload, &got)
+	if werr != nil || gerr != nil {
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+			t.Fatalf("payload %x: Binary.Unmarshal: %v, BinaryInterner: %v", payload, werr, gerr)
+		}
+		return
+	}
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	// A NaN value is not DeepEqual to itself; its encoding compares the bits.
+	wb, _ := Binary.Append(nil, want)
+	gb, _ := Binary.Append(nil, got)
+	if !bytes.Equal(wb, gb) {
+		t.Fatalf("payload %x decodes differently:\n  Binary: %+v\ninterner: %+v", payload, want, got)
+	}
+}
+
+// Every frame shape, and every truncation and one-byte corruption of it,
+// through one long-lived interner: it and Binary.Unmarshal must agree.
+func TestInternerAgreesWithBinary(t *testing.T) {
+	var in BinaryInterner
+	for round := 0; round < 2; round++ { // the second round decodes from a warm table
+		for _, m := range sampleMessages() {
+			payload, err := Binary.Append(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertInternerAgrees(t, &in, payload)
+			for cut := 0; cut < len(payload); cut++ {
+				assertInternerAgrees(t, &in, payload[:cut])
+				bad := append([]byte(nil), payload...)
+				bad[cut] ^= 0x41
+				assertInternerAgrees(t, &in, bad)
+			}
+			var out Message
+			if err := in.Unmarshal(payload, &out); err != nil || !reflect.DeepEqual(m, out) {
+				t.Fatalf("interner round trip mangled (err %v):\n in: %+v\nout: %+v", err, m, out)
+			}
+		}
+	}
+}
+
+// Repeated strings decode to one shared copy — the point of the interner.
+func TestInternerSharesRepeatedStrings(t *testing.T) {
+	ev := event.Event{Kind: event.Output, Name: "out", Source: "tv-0001"}.With("x", 1)
+	payload, err := Binary.Append(nil, Message{Type: TypeOutput, SUO: "tv-0001", Event: &ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in BinaryInterner
+	var a, b Message
+	if err := in.Unmarshal(payload, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Unmarshal(payload, &b); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(a.SUO) != unsafe.StringData(b.SUO) || unsafe.StringData(a.SUO) != unsafe.StringData(b.Event.Source) {
+		t.Error("device ID decoded into separate copies")
+	}
+	if unsafe.StringData(a.Event.Values[0].Name) != unsafe.StringData(b.Event.Values[0].Name) {
+		t.Error("value name decoded into separate copies")
+	}
+}
+
+// The intern table is bounded: more distinct IDs than it holds, or strings
+// too long to be names, decode correctly without growing it past its cap.
+func TestInternerTableIsBounded(t *testing.T) {
+	var in BinaryInterner
+	decode := func(suo string) {
+		t.Helper()
+		payload, err := Binary.Append(nil, Message{Type: TypeHeartbeat, SUO: suo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Message
+		if err := in.Unmarshal(payload, &m); err != nil || m.SUO != suo {
+			t.Fatalf("decoded SUO %q (err %v), want %q", m.SUO, err, suo)
+		}
+		if len(in.tab) > internMaxEntries {
+			t.Fatalf("intern table holds %d entries, cap %d", len(in.tab), internMaxEntries)
+		}
+	}
+	for i := 0; i < internMaxEntries+internMaxEntries/2; i++ {
+		decode(fmt.Sprintf("dev-%07d", i))
+	}
+	decode("dev-0000000") // interned before the table started over
+	n := len(in.tab)
+	decode(strings.Repeat("x", internMaxLen))
+	if len(in.tab) != n+1 {
+		t.Errorf("a %d-byte string was not interned", internMaxLen)
+	}
+	decode(strings.Repeat("y", internMaxLen+1))
+	if len(in.tab) != n+1 {
+		t.Errorf("a %d-byte string was interned", internMaxLen+1)
 	}
 }
 

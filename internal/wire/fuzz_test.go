@@ -60,7 +60,8 @@ func TestPropertyValidThenGarbage(t *testing.T) {
 // are its fixed-budget cousins): arbitrary byte streams through the framing
 // layer and both payload codecs must be decoded or cleanly rejected, never
 // panic, hang, or over-allocate — the daemon shares a process with a whole
-// fleet of other connections. CI's smoke job runs this for 10s on every
+// fleet of other connections. Binary streams are additionally walked frame
+// by frame through both binary decoders, which must agree on every payload. CI's smoke job runs this for 10s on every
 // push (`make fuzz`); `make fuzz FUZZTIME=10m` digs deeper.
 func FuzzDecode(f *testing.F) {
 	// Seed the corpus with well-formed frames in both codecs — the mutator
@@ -126,8 +127,23 @@ func FuzzDecode(f *testing.F) {
 		// input, so the loop is bounded by the input length.
 		for i := 0; i < 16; i++ {
 			if _, err := dec.Decode(); err != nil {
+				break
+			}
+		}
+		if !useBinary {
+			return
+		}
+		// The journal reader's interning decoder must accept, reject and
+		// decode every binary payload exactly as Binary.Unmarshal does.
+		var in BinaryInterner
+		for rest := raw; len(rest) >= 4; {
+			n := binary.BigEndian.Uint32(rest)
+			rest = rest[4:]
+			if n > MaxFrame || int(n) > len(rest) {
 				return
 			}
+			assertInternerAgrees(t, &in, rest[:n])
+			rest = rest[n:]
 		}
 	})
 }
