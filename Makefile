@@ -11,14 +11,16 @@
 # results to $(BENCHJSON); BENCHFLAGS threads extra `go test` flags through
 # (CI's smoke job uses `-benchtime=1x` for a fast correctness pass). `make
 # cover` writes a coverage profile to cover.out and prints the per-function
-# summary.
+# summary. `make loc` prints non-test, non-comment, non-blank Go lines per
+# package and in total, so simplicity PRs report the same number the same
+# way.
 
 GO ?= go
 TESTFLAGS ?=
 BENCHFLAGS ?=
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race bench fuzz cover docs experiments clean
+.PHONY: check build vet test test-race bench fuzz cover docs loc experiments clean
 
 check: build vet test-race
 
@@ -81,7 +83,9 @@ cover:
 # docs fails when any package lacks a godoc package comment ("// Package x"
 # for libraries, "// Command x" for mains) in any of its non-test files,
 # or when ARCHITECTURE.md §2.9's wire frame registry disagrees with the
-# binary codec's tag map (TestFrameRegistry in internal/wire).
+# binary codec's tag map (TestFrameRegistry in internal/wire) or its daemon
+# column with the ingestion server's frame-handler table
+# (TestEveryFrameTypeHasADaemonDecision in internal/fleet).
 # The failure flag is checked in its own `if` statement: chaining it as
 # `[ $fail -eq 0 ] && echo ok || exit 1` would route a failed echo into the
 # exit-1 branch and make the target's status depend on the chain's last
@@ -97,7 +101,18 @@ docs: vet
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "docs: every package has a package comment"
 	@$(GO) test ./internal/wire -run TestFrameRegistry >/dev/null
-	@echo "docs: ARCHITECTURE.md §2.9 frame registry matches the codec"
+	@$(GO) test ./internal/fleet -run TestEveryFrameTypeHasADaemonDecision >/dev/null
+	@echo "docs: ARCHITECTURE.md §2.9 frame registry matches the codec and the daemon's handler table"
+
+# loc counts, per package directory, the Go lines that are not in _test.go
+# files, not whole-line comments and not blank.
+loc:
+	@total=0; \
+	for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' -not -path './.bench_build/*' | xargs -n1 dirname | sort -u); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'); \
+		printf '%6d  %s\n' $$n $$d; total=$$((total+n)); \
+	done; \
+	printf '%6d  total\n' $$total
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -468,7 +468,7 @@ func BenchmarkFleetIngestion(b *testing.B) {
 				srv.CreditWindow = flowWindow
 			}
 			if cfg.journal {
-				var jw fleet.FrameJournal
+				var jw fleet.TieredJournal
 				if cfg.sharded {
 					sj, err := journal.CreateSharded(b.TempDir(), pool.Shards(), journal.Options{})
 					if err != nil {
@@ -521,20 +521,17 @@ func BenchmarkFleetIngestion(b *testing.B) {
 			credits := make([]*atomic.Int64, conns)
 			addr := ln.Addr().String()
 			for i := range clients {
-				var wc *wire.Conn
-				var err error
 				cr := &atomic.Int64{}
 				credits[i] = cr
+				hello := wire.Message{SUO: fmt.Sprintf("bench-%03d", i), Codec: codec}
 				switch {
 				case cfg.flow:
-					var granted uint32
-					wc, _, granted, err = wire.DialFlow("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec, wire.DurFsync)
-					cr.Store(int64(granted))
+					hello.Durability = wire.DurFsync
 				case cfg.relaxed:
-					wc, _, err = wire.DialTiered("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec, wire.DurDispatch)
-				default:
-					wc, err = wire.Dial("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec)
+					hello.Durability = wire.DurDispatch
 				}
+				wc, reply, err := wire.Dial("unix:"+addr, hello)
+				cr.Store(int64(reply.Credits))
 				if err != nil {
 					b.Fatal(err)
 				}

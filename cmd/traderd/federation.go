@@ -3,20 +3,15 @@ package main
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"trader/internal/federate"
 	"trader/internal/journal"
 	"trader/internal/metrics"
 	"trader/internal/trace"
-	"trader/internal/wire"
 )
 
 // parseEdgeSpec parses the -edge flag: "upstream=ADDR,range=N/M" — the
@@ -117,47 +112,19 @@ func runAggregate(addrs, journalDir string, ranges, failoverSecs, statsEvery int
 		slog.Info("journaling ownership changes", "component", "aggregator", "dir", journalDir)
 	}
 	if metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", federationMetricsHandler(agg, tracer))
-		registerObservability(mux, tracer, obs.Pprof)
-		msrv := &http.Server{Addr: metricsAddr, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				slog.Error("metrics listener failed", "component", "metrics", "err", err)
-			}
-		}()
-		defer msrv.Close()
+		defer serveMetrics(metricsAddr, federationMetricsHandler(agg, tracer), tracer, obs.Pprof)()
 		slog.Info("serving merged fleet view", "component", "aggregator",
 			"addr", metricsAddr, "pprof", obs.Pprof)
 	}
 
-	errc := make(chan error, 8)
-	var listeners []net.Listener
-	for _, addr := range strings.Split(addrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if network, path, err := wire.SplitAddr(addr); err == nil && network == "unix" {
-			_ = os.Remove(path)
-		}
-		ln, err := wire.Listen(addr)
-		if err != nil {
-			for _, l := range listeners {
-				l.Close()
-			}
-			return err
-		}
-		listeners = append(listeners, ln)
+	// The aggregator keeps the listeners it serves and closes them itself.
+	_, errc, err := listenAll(addrs, func(addr string) {
 		slog.Info("aggregating edge uplinks", "component", "aggregator",
 			"addr", addr, "ranges", ranges, "failover_seconds", failoverSecs)
-		go func() { errc <- agg.Serve(ln) }()
+	}, agg.Serve)
+	if err != nil {
+		return err
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(time.Duration(max(statsEvery, 1)) * time.Second)
-	if statsEvery <= 0 {
-		ticker.Stop()
-	}
-	defer ticker.Stop()
 	logView := func(msg string) {
 		v := agg.View()
 		live := 0
@@ -172,22 +139,15 @@ func runAggregate(addrs, journalDir string, ranges, failoverSecs, statsEvery int
 			"reports", v.Counters["reports"], "migrations", v.Migrations,
 			"adoptions", v.Adoptions, "handoffs", v.Handoffs)
 	}
-	for {
-		select {
-		case <-ticker.C:
-			logView("federation rollup")
-		case sig := <-sigc:
-			slog.Info("stopping aggregator", "component", "aggregator", "signal", sig.String())
-			agg.Close()
-			logView("final federation rollup")
-			return nil
-		case err := <-errc:
-			if err != nil {
-				agg.Close()
-				return err
-			}
-		}
+	sig, err := awaitStop(statsEvery, errc, func() { logView("federation rollup") })
+	if err != nil {
+		agg.Close()
+		return err
 	}
+	slog.Info("stopping aggregator", "component", "aggregator", "signal", sig.String())
+	agg.Close()
+	logView("final federation rollup")
+	return nil
 }
 
 // federationMetricsHandler renders the aggregator's merged view as

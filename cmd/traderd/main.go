@@ -1,16 +1,16 @@
 // Command traderd is the awareness-monitor daemon: the right-hand process of
-// Fig. 2. It listens on a Unix domain socket; a System Under Observation
-// (e.g. cmd/tvsim) connects and streams input/output/state events; traderd
-// executes the specification model, compares, and sends error reports back
-// on the same connection.
+// Fig. 2. A System Under Observation (e.g. cmd/tvsim) connects and streams
+// input/output/state events; traderd executes the specification model,
+// compares, and sends error reports back on the same connection.
 //
-// With -listen it becomes the fleet ingestion daemon: it accepts many
-// concurrent SUO connections (Unix socket and/or TCP, comma-separated),
-// performs the Hello handshake (negotiating the JSON or binary codec per
-// connection), registers each connection as a device in a sharded
-// fleet.Pool, and pushes control/error frames back down each connection.
-// `tvsim -connect` is the matching client. See ARCHITECTURE.md for the
-// protocol.
+// With -listen it is the fleet ingestion daemon: it accepts many concurrent
+// SUO connections (Unix socket and/or TCP, comma-separated), performs the
+// Hello handshake (negotiating the JSON or binary codec per connection),
+// registers each connection as a device in a sharded fleet.Pool — one
+// monitor per connection, built from the -suo profile — and pushes
+// control/error frames back down each connection. `tvsim -connect` is the
+// matching client; `-n 1` there is the paper's two-process deployment. See
+// ARCHITECTURE.md for the protocol.
 //
 // With -fleet N it instead runs an in-process simulated fleet of N
 // monitored TVs on a sharded monitor pool (-shards K workers), exercising
@@ -65,8 +65,7 @@
 //
 // Usage:
 //
-//	traderd [-socket /tmp/trader.sock] [-suo tv|mediaplayer] [-v]
-//	traderd -listen unix:/tmp/trader-fleet.sock,tcp:127.0.0.1:7700 [-suo tv|light] [-shards 8] [-journal DIR] [-recover default] [-diagnose ochiai] [-v]
+//	traderd -listen unix:/tmp/trader-fleet.sock,tcp:127.0.0.1:7700 [-suo tv|mediaplayer|light] [-shards 8] [-journal DIR] [-recover default] [-diagnose ochiai] [-v]
 //	traderd -fleet 1000 [-shards 8] [-fleet-seconds 5] [-v]
 //	traderd -replay DIR [-suo light] [-shards 8] [-diagnose ochiai] [-v]
 //	traderd -listen tcp:127.0.0.1:7801 -edge upstream=tcp:127.0.0.1:7800,range=0/2 [-journal DIR]
@@ -104,11 +103,10 @@ import (
 )
 
 func main() {
-	socket := flag.String("socket", "/tmp/trader.sock", "unix socket path (legacy single-SUO mode)")
 	listen := flag.String("listen", "", "fleet ingestion addresses, comma-separated (unix:/path, tcp:host:port)")
-	suo := flag.String("suo", "tv", "SUO profile: tv or mediaplayer (or light with -listen)")
+	suo := flag.String("suo", "tv", "SUO profile: tv, mediaplayer or light")
 	verbose := flag.Bool("v", false, "log every error report")
-	fleetN := flag.Int("fleet", 0, "run an in-process fleet of N monitored TVs instead of serving a socket")
+	fleetN := flag.Int("fleet", 0, "run an in-process fleet of N monitored TVs instead of serving connections")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker shards for -fleet/-listen modes")
 	fleetSecs := flag.Int("fleet-seconds", 5, "virtual seconds of fleet operation in -fleet mode")
 	statsEvery := flag.Int("stats-seconds", 10, "fleet rollup log interval in -listen mode (0: off)")
@@ -193,31 +191,16 @@ func main() {
 	if (*creditWindow != 0 || *shed || *metricsAddr != "") && *listen == "" {
 		fatal("-credit-window, -shed and -metrics require -listen (they are ingestion-server overload controls)")
 	}
-	if *listen != "" {
-		diag := diagConfig{Coeff: *diagCoeff, Blocks: *diagBlocks, Cohort: *diagCohort, Continuous: *diagCont}
-		over := overloadConfig{CreditWindow: *creditWindow, Shed: *shed, MetricsAddr: *metricsAddr}
-		obs := obsConfig{TraceSample: *traceSample, IncidentDir: *incidentDir, Pprof: *pprofOn}
-		if err := runIngest(*listen, *suo, *shards, *statsEvery, *maxAdvance, *journalDir, *recoverPol, *cpSecs, diag, over, obs, *edgeSpec, *verbose); err != nil {
-			fatal("ingest failed", "err", err)
-		}
-		return
+	if *listen == "" {
+		fmt.Fprintln(os.Stderr, "traderd: pick a mode: -listen, -fleet or -replay")
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	_ = os.Remove(*socket)
-	ln, err := net.Listen("unix", *socket)
-	if err != nil {
-		fatal("listen failed", "socket", *socket, "err", err)
-	}
-	defer ln.Close()
-	slog.Info("monitoring SUOs", "component", "monitor", "suo", *suo, "socket", *socket)
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			slog.Error("accept failed", "component", "monitor", "err", err)
-			return
-		}
-		go serve(conn, *suo, *verbose)
+	diag := diagConfig{Coeff: *diagCoeff, Blocks: *diagBlocks, Cohort: *diagCohort, Continuous: *diagCont}
+	over := overloadConfig{CreditWindow: *creditWindow, Shed: *shed, MetricsAddr: *metricsAddr}
+	obs := obsConfig{TraceSample: *traceSample, IncidentDir: *incidentDir, Pprof: *pprofOn}
+	if err := runIngest(*listen, *suo, *shards, *statsEvery, *maxAdvance, *journalDir, *recoverPol, *cpSecs, diag, over, obs, *edgeSpec, *verbose); err != nil {
+		fatal("ingest failed", "err", err)
 	}
 }
 
@@ -488,16 +471,7 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		})
 	}
 	if over.MetricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metricsHandler(pool, srv, jw, planes, tracer))
-		registerObservability(mux, tracer, obs.Pprof)
-		msrv := &http.Server{Addr: over.MetricsAddr, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				slog.Error("metrics listener failed", "component", "metrics", "err", err)
-			}
-		}()
-		defer msrv.Close()
+		defer serveMetrics(over.MetricsAddr, metricsHandler(pool, srv, jw, planes, tracer), tracer, obs.Pprof)()
 		slog.Info("serving metrics and traces", "component", "metrics",
 			"addr", over.MetricsAddr, "pprof", obs.Pprof)
 	}
@@ -533,24 +507,17 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 		defer stopEdge()
 	}
 
-	errc := make(chan error, 8)
-	var listeners []net.Listener
-	for _, addr := range strings.Split(addrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if network, path, err := wire.SplitAddr(addr); err == nil && network == "unix" {
-			_ = os.Remove(path)
-		}
-		ln, err := wire.Listen(addr)
-		if err != nil {
-			for _, l := range listeners {
-				l.Close()
-			}
-			return err
-		}
-		listeners = append(listeners, ln)
+	listeners, errc, err := listenAll(addrs, func(addr string) {
 		slog.Info("ingesting fleet SUOs", "component", "ingest",
 			"addr", addr, "shards", pool.Shards(), "suo", suo)
-		go func() { errc <- srv.Serve(ln) }()
+	}, func(ln net.Listener) error {
+		if err := srv.Serve(ln); err != fleet.ErrServerClosed {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// logRollups writes the periodic (or final) rollup: the fleet's own
@@ -577,6 +544,73 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 			slog.Info(prefix+"plane rollup", p.Summary(final)...)
 		}
 	}
+	sig, err := awaitStop(statsEvery, errc, func() { logRollups("", false) })
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	slog.Info("draining fleet", "component", "ingest", "signal", sig.String())
+	srv.Close()
+	for _, ln := range listeners {
+		ln.Close()
+	}
+	logRollups("final ", true)
+	if jw != nil {
+		js := jw.Stats()
+		slog.Info("journal totals", "component", "journal",
+			"appends", js.Appends, "fsync_batches", js.Syncs, "segments", js.Segments)
+	}
+	return nil
+}
+
+// The three helpers below are the daemon scaffolding ingest mode and
+// aggregator mode share.
+
+// listenAll opens a listener on each comma-separated address — a stale Unix
+// socket path is removed first — announces it through opened, and runs serve
+// on it in a goroutine of its own; what serve returns arrives on the channel.
+// A failed listen closes the listeners already open.
+func listenAll(addrs string, opened func(addr string), serve func(net.Listener) error) ([]net.Listener, <-chan error, error) {
+	errc := make(chan error, 8)
+	var listeners []net.Listener
+	for _, addr := range strings.Split(addrs, ",") {
+		addr = strings.TrimSpace(addr)
+		if network, path, err := wire.SplitAddr(addr); err == nil && network == "unix" {
+			_ = os.Remove(path)
+		}
+		ln, err := wire.Listen(addr)
+		if err != nil {
+			for _, l := range listeners {
+				l.Close()
+			}
+			return nil, nil, err
+		}
+		listeners = append(listeners, ln)
+		opened(addr)
+		go func() { errc <- serve(ln) }()
+	}
+	return listeners, errc, nil
+}
+
+// serveMetrics starts the -metrics HTTP listener — /metrics plus the trace
+// and pprof endpoints — and returns the function that stops it.
+func serveMetrics(addr string, metrics http.Handler, tracer *trace.Tracer, pprof bool) (stop func()) {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics)
+	registerObservability(mux, tracer, pprof)
+	msrv := &http.Server{Addr: addr, Handler: mux}
+	go func() {
+		if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			slog.Error("metrics listener failed", "component", "metrics", "err", err)
+		}
+	}()
+	return func() { msrv.Close() }
+}
+
+// awaitStop is the daemon's main loop: tick runs every statsEvery seconds
+// (never, when that is ≤ 0) until SIGINT or SIGTERM arrives, which it
+// returns, or a listener fails, whose error it returns.
+func awaitStop(statsEvery int, errc <-chan error, tick func()) (os.Signal, error) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(time.Duration(max(statsEvery, 1)) * time.Second)
@@ -587,24 +621,12 @@ func runIngest(addrs, suo string, shards, statsEvery, maxAdvance int, journalDir
 	for {
 		select {
 		case <-ticker.C:
-			logRollups("", false)
+			tick()
 		case sig := <-sigc:
-			slog.Info("draining fleet", "component", "ingest", "signal", sig.String())
-			srv.Close()
-			for _, ln := range listeners {
-				ln.Close()
-			}
-			logRollups("final ", true)
-			if jw != nil {
-				js := jw.Stats()
-				slog.Info("journal totals", "component", "journal",
-					"appends", js.Appends, "fsync_batches", js.Syncs, "segments", js.Segments)
-			}
-			return nil
+			return sig, nil
 		case err := <-errc:
-			if err != nil && err != fleet.ErrServerClosed {
-				srv.Close()
-				return err
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -619,7 +641,7 @@ func runFleet(n, shards, seconds int, verbose bool) error {
 	slog.Info("fleet mode", "component", "fleet", "tvs", n, "shards", shards, "virtual_seconds", seconds)
 
 	// The observable set is the reference TV configuration the experiments
-	// use, so socket-mode, fleet-mode and E1–E13 monitors judge alike.
+	// use, so -listen, -fleet and E1–E13 monitors judge alike.
 	factory := fleet.TVFactory(tvsim.Config{}, exper.TVObservables())
 	for i := 0; i < n; i++ {
 		if err := pool.AddDevice(fleet.DeviceID(i), int64(i)+1, factory); err != nil {
@@ -694,26 +716,4 @@ func newMonitor(suo string) (*core.Monitor, error) {
 		return nil, err
 	}
 	return mon, nil
-}
-
-func serve(conn net.Conn, suo string, verbose bool) {
-	defer conn.Close()
-	mon, err := newMonitor(suo)
-	if err != nil {
-		slog.Error("monitor setup failed", "component", "monitor", "err", err)
-		return
-	}
-	if verbose {
-		mon.OnError(func(r wire.ErrorReport) {
-			slog.Info("error report", "component", "monitor", "report", r.String())
-		})
-	}
-	wc := wire.NewConn(conn)
-	if err := mon.ServeConn(wc); err != nil {
-		slog.Info("connection ended", "component", "monitor", "err", err)
-	}
-	st := mon.Stats()
-	slog.Info("session done", "component", "monitor",
-		"inputs", st.InputsSeen, "outputs", st.OutputsSeen,
-		"comparisons", st.Comparisons, "errors", st.Errors)
 }

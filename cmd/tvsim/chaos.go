@@ -65,12 +65,12 @@ func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Con
 		return nil, nil, 0, err
 	}
 	wc := wire.NewConn(raw)
-	_, _, credits, err := wc.HandshakeFlow(id, codec, dur)
+	reply, err := wc.Handshake(wire.Message{SUO: id, Codec: codec, Durability: dur})
 	if err != nil {
 		raw.Close()
 		return nil, nil, 0, err
 	}
-	return raw, wc, credits, nil
+	return raw, wc, reply.Credits, nil
 }
 
 // chaosObsMessage is the observation chaos devices stream: in-spec (x = 0),

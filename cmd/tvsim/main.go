@@ -1,9 +1,8 @@
 // Command tvsim runs the TV simulator as a standalone SUO process: it plays
-// a user scenario, injects faults from a schedule, and (optionally) streams
-// its events to a traderd monitor over a Unix socket — the full Fig. 2
-// deployment across a real process boundary.
+// a user scenario, injects faults from a schedule and prints what happened.
 //
-// With -connect it becomes a fleet of remote SUOs: it spins up N simulated
+// With -connect it becomes a fleet of remote SUOs — with -n 1 the full
+// Fig. 2 deployment across a real process boundary: it spins up N simulated
 // TVs, each dialing a `traderd -listen` ingestion daemon on its own
 // connection (Unix socket or TCP), performing the Hello handshake (-codec
 // picks the wire codec) and streaming its events; error reports and control
@@ -19,8 +18,7 @@
 //
 // Usage:
 //
-//	tvsim [-seed 1] [-duration 20] [-socket /tmp/trader.sock]
-//	      [-faults video-crash,txt-sync,audio-skew]
+//	tvsim [-seed 1] [-duration 20] [-faults video-crash,txt-sync,audio-skew]
 //	tvsim -connect unix:/tmp/trader-fleet.sock -n 100 [-codec binary]
 //	      [-duration 20] [-faults txt-sync] [-fault-every 10]
 //	      [-pace 5] [-blocks 60000]
@@ -31,14 +29,12 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"trader/internal/core"
 	"trader/internal/diagnose"
 	"trader/internal/event"
 	"trader/internal/faults"
@@ -80,7 +76,6 @@ func parseFaults(list string) ([]faults.Fault, error) {
 func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	duration := flag.Int("duration", 20, "virtual seconds to run")
-	socket := flag.String("socket", "", "traderd unix socket to stream events to (empty: standalone)")
 	connect := flag.String("connect", "", "traderd -listen address to join as a remote fleet (unix:/path or tcp:host:port)")
 	n := flag.Int("n", 100, "number of simulated TVs in -connect mode")
 	codec := flag.String("codec", wire.CodecBinary, "wire codec to request in -connect mode: json or binary")
@@ -130,7 +125,7 @@ func main() {
 		}
 		return
 	}
-	runStandalone(*seed, *duration, *socket, schedule)
+	runStandalone(*seed, *duration, schedule)
 }
 
 // scenario schedules the watching user on the TV: power on, teletext,
@@ -230,6 +225,13 @@ func (d *fleetTV) send(m wire.Message) error {
 		return err
 	}
 	return wc.Encode(m)
+}
+
+// dial opens a connection and returns it with the credit window the Hello
+// reply granted.
+func (d *fleetTV) dial() (*wire.Conn, uint32, error) {
+	wc, reply, err := wire.Dial(d.addr, wire.Message{SUO: d.id, Codec: d.codec, Durability: d.durability})
+	return wc, reply.Credits, err
 }
 
 // grant adds a replenishment delta to the credit balance and wakes a
@@ -360,7 +362,7 @@ func (d *fleetTV) restart(tc *wire.TraceContext) {
 	for try := 0; try < 40; try++ {
 		// The daemon may still be tearing the old registration down; the
 		// ID frees up within a removal round-trip.
-		if wc, _, granted, err = wire.DialFlow(d.addr, d.id, d.codec, d.durability); err == nil {
+		if wc, granted, err = d.dial(); err == nil {
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
@@ -418,7 +420,7 @@ func runOne(addr, id, codec string, seed int64, duration, blocks int, pace float
 			d.rec.InjectFault(feat)
 		}
 	}
-	wc, _, granted, err := wire.DialFlow(addr, id, codec, dur)
+	wc, granted, err := d.dial()
 	if err != nil {
 		return st, err
 	}
@@ -566,40 +568,15 @@ func runFleet(addr, prefix string, n int, codec string, seed int64, duration, fa
 	return nil
 }
 
-// runStandalone is the original single-TV mode: run locally, optionally
-// streaming to the legacy per-connection traderd socket.
-func runStandalone(seed int64, duration int, socket string, schedule []faults.Fault) {
+// runStandalone is the original single-TV mode: run locally, no monitor
+// attached.
+func runStandalone(seed int64, duration int, schedule []faults.Fault) {
 	k := sim.NewKernel(seed)
 	tv := tvsim.New(k, tvsim.Config{})
 
 	for _, fault := range schedule {
 		tv.Injector().Schedule(fault)
 		slog.Info("fault scheduled", "component", "standalone", "fault", fmt.Sprint(fault))
-	}
-
-	if socket != "" {
-		conn, err := net.Dial("unix", socket)
-		if err != nil {
-			fatal("dial failed", "socket", socket, "err", err)
-		}
-		defer conn.Close()
-		wc := wire.NewConn(conn)
-		core.ForwardBus(tv.Bus(), wc, "tvsim", func(err error) {
-			slog.Warn("forward failed", "component", "standalone", "err", err)
-		})
-		// Print error reports coming back from the monitor.
-		go func() {
-			for {
-				msg, err := wc.Decode()
-				if err != nil {
-					return
-				}
-				if msg.Type == wire.TypeError && msg.Error != nil {
-					slog.Info("monitor error report", "component", "standalone", "report", msg.Error.String())
-				}
-			}
-		}()
-		slog.Info("streaming events", "component", "standalone", "socket", socket)
 	}
 
 	// Event accounting for the session summary.

@@ -29,7 +29,7 @@ import (
 // the class the server granted alongside the client.
 func dialE2ETiered(t *testing.T, addr, id, codec string, dur wire.Durability) (*e2eClient, wire.Durability) {
 	t.Helper()
-	conn, granted, err := wire.DialTiered(addr, id, codec, dur)
+	conn, reply, err := wire.Dial(addr, wire.Message{SUO: id, Codec: codec, Durability: dur})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -50,7 +50,7 @@ func dialE2ETiered(t *testing.T, addr, id, codec string, dur wire.Durability) (*
 			}
 		}
 	}()
-	return c, granted
+	return c, reply.Durability
 }
 
 func TestE2ECheckpointReplay(t *testing.T) {

@@ -80,7 +80,7 @@ type recoveryClient struct {
 func dialRecovery(t *testing.T, addr, id string) *recoveryClient {
 	t.Helper()
 	c := &recoveryClient{t: t, addr: addr, id: id, echo: make(chan sim.Time, 64)}
-	wc, err := wire.Dial(addr, id, wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -163,7 +163,7 @@ func (c *recoveryClient) restart(tc *wire.TraceContext) {
 	var wc *wire.Conn
 	var err error
 	for try := 0; try < 100; try++ {
-		if wc, err = wire.Dial(c.addr, c.id, wire.CodecBinary); err == nil {
+		if wc, _, err = wire.Dial(c.addr, wire.Message{SUO: c.id, Codec: wire.CodecBinary}); err == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -47,7 +47,7 @@ type diagClient struct {
 
 func dialDiag(t *testing.T, addr, id string, rec *diagnose.Recorder) *diagClient {
 	t.Helper()
-	wc, err := wire.Dial(addr, id, wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -25,7 +25,7 @@ import (
 	"trader/internal/wire"
 )
 
-// ovlClient is one flow-controlled remote SUO: a DialFlow connection plus a
+// ovlClient is one flow-controlled remote SUO: a wire.Dial connection plus a
 // reader goroutine that books replenishment grants (heartbeat echoes and
 // mid-stream TypeCredit frames), error frames and control pushes.
 type ovlClient struct {
@@ -40,10 +40,11 @@ type ovlClient struct {
 
 func dialOvl(t *testing.T, addr, id string, wantWindow uint32) *ovlClient {
 	t.Helper()
-	conn, _, granted, err := wire.DialFlow(addr, id, wire.CodecBinary, wire.DurFsync)
+	conn, reply, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary, Durability: wire.DurFsync})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	granted := reply.Credits
 	if granted != wantWindow {
 		t.Fatalf("%s: hello granted %d credits, want %d", id, granted, wantWindow)
 	}

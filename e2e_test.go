@@ -33,7 +33,7 @@ type e2eClient struct {
 
 func dialE2E(t *testing.T, addr, id, codec string) *e2eClient {
 	t.Helper()
-	conn, err := wire.Dial(addr, id, codec)
+	conn, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: codec})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -33,8 +33,6 @@ type Aggregator struct {
 	// aggregator directs a survivor to adopt its journal. Zero disables
 	// automatic failover (Adopt can still be triggered by reconnection).
 	Failover time.Duration
-	// HelloTimeout bounds the wait for an uplink's Hello (default 5s).
-	HelloTimeout time.Duration
 	// Tracer, when non-nil, records a receive-side uplink span for every
 	// rollup delta that arrives carrying a trace context. The span adopts
 	// the edge's trace ID — usually the edge's p999 tail-latency exemplar —
@@ -71,10 +69,16 @@ type edgeState struct {
 	downAt   time.Time
 }
 
+// helloTimeout bounds the wait for an uplink's Hello.
+const helloTimeout = 5 * time.Second
+
+// edgeSession is one live uplink. Every aggregator→edge write goes through
+// the Peer's deadline-guarded Send — relayed handoffs, migration and adoption
+// directives run on goroutines serving other edges, so an edge that stops
+// reading must lose its own uplink, not wedge theirs.
 type edgeSession struct {
-	id   string
-	conn *wire.Conn
-	nc   net.Conn
+	id string
+	*wire.Peer
 }
 
 func (a *Aggregator) logf(format string, args ...any) {
@@ -140,7 +144,7 @@ func (a *Aggregator) Close() {
 		ln.Close()
 	}
 	for _, s := range a.edges {
-		s.nc.Close()
+		s.Shut()
 	}
 	a.mu.Unlock()
 	a.wg.Wait()
@@ -149,11 +153,9 @@ func (a *Aggregator) Close() {
 // handle runs one uplink: vet the edge Hello, send the resume baseline,
 // then credit deltas and relay handoffs until the connection drops.
 func (a *Aggregator) handle(nc net.Conn) {
-	c := wire.NewConn(nc)
-	helloTimeout := a.HelloTimeout
-	if helloTimeout <= 0 {
-		helloTimeout = 5 * time.Second
-	}
+	// A Peer: every write below — the Hello reply and a rejection included —
+	// arms a write deadline first.
+	c := wire.NewPeer(nc)
 	nc.SetReadDeadline(time.Now().Add(helloTimeout))
 	hello, err := c.ReadHello()
 	if err != nil {
@@ -176,7 +178,7 @@ func (a *Aggregator) handle(nc net.Conn) {
 		return
 	}
 
-	sess := &edgeSession{id: id, conn: c, nc: nc}
+	sess := &edgeSession{id: id, Peer: c}
 	a.mu.Lock()
 	a.init()
 	st, detail := a.admit(sess, claim)
@@ -196,7 +198,7 @@ func (a *Aggregator) handle(nc net.Conn) {
 	base := wire.Message{Type: wire.TypeRollup, SUO: id, Rollup: &wire.RollupDelta{
 		Seq: st.seq, Devices: st.devices, Counters: st.counters.ToWire()}}
 	a.mu.Unlock()
-	if err := c.Encode(base); err != nil {
+	if err := c.Send(base); err != nil {
 		a.drop(sess)
 		return
 	}
@@ -218,7 +220,7 @@ func (a *Aggregator) handle(nc net.Conn) {
 			}
 			// Always ack, even a stale retransmit: the ack is what lets the
 			// edge rotate its baseline forward.
-			if err := c.Encode(wire.Ack(id, "", sim.Time(m.Rollup.Seq))); err != nil {
+			if err := c.Send(wire.Ack(id, "", sim.Time(m.Rollup.Seq))); err != nil {
 				goto out
 			}
 		case m.Type == wire.TypeHandoff:
@@ -231,7 +233,7 @@ func (a *Aggregator) handle(nc net.Conn) {
 		case m.Type == wire.TypeAck && m.Control == wire.CtrlAdopt:
 			a.completeAdoption(id, m.SUO)
 		case m.Type == wire.TypeHeartbeat:
-			if err := c.Encode(m); err != nil {
+			if err := c.Send(m); err != nil {
 				goto out
 			}
 		}
@@ -324,14 +326,14 @@ func (a *Aggregator) relayHandoff(src string, m wire.Message) {
 		a.logf("federate: aggregator: handoff of %s to %s: destination not connected", m.SUO, to)
 		return
 	}
-	if err := dest.conn.Encode(m); err != nil {
+	if err := dest.Send(m); err != nil {
 		a.logf("federate: aggregator: forwarding handoff of %s to %s: %v", m.SUO, to, err)
 	}
 }
 
 // drop marks an edge dead and, if Failover is set, arms the adoption timer.
 func (a *Aggregator) drop(sess *edgeSession) {
-	sess.nc.Close()
+	sess.Shut()
 	a.mu.Lock()
 	if a.edges[sess.id] != sess { // superseded by a reconnect
 		a.mu.Unlock()
@@ -393,7 +395,7 @@ func (a *Aggregator) failoverAfter(dead string) {
 	a.mu.Unlock()
 	a.logf("federate: aggregator: edge %s still down after %s; directing %s to adopt %s",
 		dead, a.Failover, survivor.id, dir)
-	err := survivor.conn.Encode(wire.Message{Type: wire.TypeControl, SUO: dead,
+	err := survivor.Send(wire.Message{Type: wire.TypeControl, SUO: dead,
 		Control: wire.CtrlAdopt, Target: dir})
 	if err != nil {
 		a.logf("federate: aggregator: adoption directive to %s: %v", survivor.id, err)
@@ -445,7 +447,7 @@ func (a *Aggregator) Migrate(device, to string) error {
 	if dstState == nil || !dstState.live {
 		return fmt.Errorf("federate: destination %q not connected", to)
 	}
-	return src.conn.Encode(wire.Message{Type: wire.TypeControl, SUO: device,
+	return src.Send(wire.Message{Type: wire.TypeControl, SUO: device,
 		Control: wire.CtrlMigrate, Target: to})
 }
 

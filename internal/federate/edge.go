@@ -82,11 +82,11 @@ func (e *Edge) Run(done <-chan struct{}) {
 			return
 		default:
 		}
-		c, nc, err := e.dial()
+		c, err := e.dial()
 		if err == nil {
 			backoff = 100 * time.Millisecond
 			err = e.session(c, flush, done)
-			nc.Close()
+			c.Close()
 		}
 		select {
 		case <-done:
@@ -107,16 +107,18 @@ func (e *Edge) Run(done <-chan struct{}) {
 	}
 }
 
-func (e *Edge) dial() (*wire.Conn, net.Conn, error) {
+// dial opens the uplink socket only; session performs the Hello, so a
+// refused claim retries at the base backoff like any other session failure.
+func (e *Edge) dial() (*wire.Conn, error) {
 	network, address, err := wire.SplitAddr(e.Upstream)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nc, err := net.Dial(network, address)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return wire.NewConn(nc), nc, nil
+	return wire.NewConn(nc), nil
 }
 
 // session runs one uplink conversation: edge handshake, resume baseline,
@@ -127,7 +129,7 @@ func (e *Edge) session(c *wire.Conn, flush time.Duration, done <-chan struct{}) 
 		codec = wire.CodecBinary
 	}
 	claim := wire.HandoffRecord{From: e.ID, Range: e.Range, Of: e.Of, Dir: e.JournalDir}
-	if _, err := c.HandshakeEdge(e.ID, codec, claim); err != nil {
+	if _, err := c.Handshake(wire.Message{SUO: e.ID, Codec: codec, Role: wire.RoleEdge, Handoff: &claim}); err != nil {
 		return err
 	}
 	base, err := c.Decode()

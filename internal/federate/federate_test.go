@@ -2,7 +2,9 @@ package federate
 
 import (
 	"fmt"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -263,18 +265,19 @@ func TestAggregatorVetsUplinks(t *testing.T) {
 	addr := startAggregator(t, agg)
 
 	// A plain device handshake (no role) must be refused.
-	if _, err := wire.Dial(addr, "dev-1", ""); err == nil {
+	if _, _, err := wire.Dial(addr, wire.Message{SUO: "dev-1"}); err == nil {
 		t.Fatal("roleless handshake accepted by aggregator")
 	}
 
 	// A wrong range count must be refused.
 	e := &Edge{ID: "edge-x", Upstream: addr, Range: 0, Of: 3}
-	c, nc, err := e.dial()
+	c, err := e.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	_, err = c.HandshakeEdge(e.ID, "", wire.HandoffRecord{From: e.ID, Range: 0, Of: 3})
+	defer c.Close()
+	_, err = c.Handshake(wire.Message{SUO: e.ID, Role: wire.RoleEdge,
+		Handoff: &wire.HandoffRecord{From: e.ID, Range: 0, Of: 3}})
 	if err == nil {
 		t.Fatal("range-count mismatch accepted by aggregator")
 	}
@@ -457,5 +460,68 @@ func TestAggregatorRecover(t *testing.T) {
 	}
 	if got := fresh.OwnerOf(dev); got != "edge-b" {
 		t.Fatalf("recovered OwnerOf(%s) = %q, want edge-b", dev, got)
+	}
+}
+
+// An edge that stops reading must lose its own uplink, not wedge another's:
+// relayHandoff writes to the destination edge on the SOURCE edge's handler
+// goroutine, so before aggregator→edge writes were deadline-guarded a stalled
+// destination froze the source's rollup acks forever. The pipes make the
+// stall exact (a pipe write blocks until read); the wait is the production
+// wire.SendTimeout, hence the parallel test.
+func TestStalledEdgeDoesNotWedgeHandoffRelay(t *testing.T) {
+	t.Parallel()
+	agg := &Aggregator{Ranges: 2, Logf: t.Logf}
+	var handlers sync.WaitGroup
+	// Handlers log through t, so they must be done before the test is: this
+	// cleanup runs last, after the ones that close the pipes.
+	t.Cleanup(handlers.Wait)
+	uplink := func(id string, rng int) *wire.Conn {
+		t.Helper()
+		near, far := net.Pipe()
+		t.Cleanup(func() { far.Close() })
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			agg.handle(near)
+		}()
+		c := wire.NewConn(far)
+		if _, err := c.Handshake(wire.Message{SUO: id, Role: wire.RoleEdge,
+			Handoff: &wire.HandoffRecord{From: id, Range: rng, Of: 2}}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if base, err := c.Decode(); err != nil || base.Type != wire.TypeRollup {
+			t.Fatalf("%s: resume baseline: %+v, %v", id, base, err)
+		}
+		return c
+	}
+	src := uplink("edge-src", 0)
+	uplink("edge-dst", 1) // handshaken, then never read again
+
+	start := time.Now()
+	move := wire.Message{Type: wire.TypeHandoff, SUO: deviceInRange(0, 2),
+		Handoff: &wire.HandoffRecord{From: "edge-src", To: "edge-dst"}}
+	if err := src.Encode(move); err != nil {
+		t.Fatal(err)
+	}
+	// The source's next delta queues behind the relay on its handler; it is
+	// read — and acked — once the stalled write has timed out.
+	if err := src.Encode(wire.Message{Type: wire.TypeRollup, SUO: "edge-src",
+		Rollup: &wire.RollupDelta{Seq: 1, Devices: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := src.Decode()
+	if err != nil || ack.Type != wire.TypeAck || ack.At != 1 {
+		t.Fatalf("source's delta after the relay: %+v, %v; want an ack of seq 1", ack, err)
+	}
+	if waited := time.Since(start); waited < wire.SendTimeout/2 || waited > 2*wire.SendTimeout {
+		t.Fatalf("relay to the stalled edge took %s, want about wire.SendTimeout (%s)", waited, wire.SendTimeout)
+	}
+	// The failed send shut the destination; its handler unwound and dropped it.
+	v := waitView(t, agg, "stalled edge dropped", func(v View) bool {
+		return len(v.Edges) == 2 && !v.Edges[0].Live && v.Edges[1].Live
+	})
+	if v.Handoffs != 1 || v.Edges[1].Seq != 1 {
+		t.Fatalf("view after the relay: handoffs %d, source seq %d; want 1 and 1", v.Handoffs, v.Edges[1].Seq)
 	}
 }

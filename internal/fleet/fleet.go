@@ -51,8 +51,8 @@ type Options struct {
 	// Queue is the per-shard command buffer length (default 1024).
 	Queue int
 	// Tracer, when non-nil, records dispatch and monitor spans for frames
-	// whose ingest was sampled (DispatchTraced). Unsampled frames — and a
-	// nil tracer — follow the exact pre-tracing hot path.
+	// whose ingest was sampled (DispatchAt under a live context). Unsampled
+	// frames — and a nil tracer — follow the exact pre-tracing hot path.
 	Tracer *trace.Tracer
 }
 
@@ -392,26 +392,22 @@ func (p *Pool) Dispatch(id string, e event.Event) error {
 // the ingest-to-dispatch latency — from the frame's decode instant to its
 // delivery on the shard goroutine, the interval the fleet's latency SLO is
 // stated over — into the shard's histogram. Recording is one atomic add;
-// plain Dispatch callers pay nothing.
-func (p *Pool) DispatchAt(id string, e event.Event, ingest time.Time) error {
-	return p.send(p.ShardOf(id), func(s *shard) {
-		s.deliver(p, id, e)
-		s.lat.Record(time.Since(ingest))
-	})
-}
-
-// DispatchTraced is DispatchAt for sampled frames: the shard records a
-// dispatch span (enqueue → shard-goroutine pickup, the queue-wait the
-// shed tiers manage) and a monitor span (the device step itself) under
-// ctx, and the latency observation carries the trace ID as its bucket's
-// exemplar — the link that lets a p99 spike on /metrics resolve to the
-// span chain that produced it. A dead ctx takes the DispatchAt path
-// unchanged, so only the 1-in-N sampled frames pay for extra clock reads.
-func (p *Pool) DispatchTraced(id string, e event.Event, ingest time.Time, ctx trace.Context) error {
-	if !ctx.Live() || p.opts.Tracer == nil {
-		return p.DispatchAt(id, e, ingest)
-	}
+// plain Dispatch callers pay nothing. Under a live ctx (a sampled frame) the
+// shard also records a dispatch span (enqueue → shard-goroutine pickup, the
+// queue-wait the shed tiers manage) and a monitor span (the device step
+// itself), and the latency observation carries the trace ID as its bucket's
+// exemplar — the link that lets a p99 spike on /metrics resolve to the span
+// chain that produced it. A dead ctx — the zero Context, or any on a pool
+// without a tracer — costs nothing extra, so only the 1-in-N sampled frames
+// pay for the clock reads.
+func (p *Pool) DispatchAt(id string, e event.Event, ingest time.Time, ctx trace.Context) error {
 	tr := p.opts.Tracer
+	if !ctx.Live() || tr == nil {
+		return p.send(p.ShardOf(id), func(s *shard) {
+			s.deliver(p, id, e)
+			s.lat.Record(time.Since(ingest))
+		})
+	}
 	enq := time.Now()
 	return p.send(p.ShardOf(id), func(s *shard) {
 		pick := time.Now()

@@ -9,6 +9,7 @@ import (
 
 	"trader/internal/journal"
 	"trader/internal/sim"
+	"trader/internal/trace"
 	"trader/internal/wire"
 )
 
@@ -77,12 +78,12 @@ func TestCreditViolationDisconnectsHostileClient(t *testing.T) {
 		s.CreditWindow = 8
 		s.ShedObservationsAt = 0.5
 	})
-	wc, _, credits, err := wire.DialFlow(addr, "hostile", wire.CodecBinary, "")
+	wc, reply, err := wire.Dial(addr, wire.Message{SUO: "hostile", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.Close()
-	if credits != 8 {
+	if credits := reply.Credits; credits != 8 {
 		t.Fatalf("granted window = %d, want 8", credits)
 	}
 	eventually(t, "registration", func() bool { return srv.Pool.Size() == 1 })
@@ -131,7 +132,7 @@ func TestShedTierOrderingUnderPressure(t *testing.T) {
 		s.ShedObservationsAt = 0.5
 		s.ShedHeartbeatsAt = 0.9
 	})
-	wc, err := wire.Dial(addr, "tiered", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "tiered", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +206,12 @@ func TestCreditCompliantClientStreamsThroughReplenishment(t *testing.T) {
 	srv, addr := startOverloadServer(t, Options{Shards: 1}, func(s *Server) {
 		s.CreditWindow = 4
 	})
-	wc, _, credits, err := wire.DialFlow(addr, "steady", wire.CodecBinary, "")
+	wc, reply, err := wire.Dial(addr, wire.Message{SUO: "steady", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.Close()
+	credits := reply.Credits
 	if credits != 4 {
 		t.Fatalf("granted window = %d, want 4", credits)
 	}
@@ -280,7 +282,7 @@ func TestCreditReplenishRacesDisconnect(t *testing.T) {
 	})
 	for i := 0; i < 8; i++ {
 		id := "racer"
-		wc, _, _, err := wire.DialFlow(addr, id, wire.CodecBinary, "")
+		wc, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +344,7 @@ func TestLatencyHistogramConcurrentAcrossShards(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if err := pool.DispatchAt(id, outEvent(0, int64(10+i)), time.Now()); err != nil {
+				if err := pool.DispatchAt(id, outEvent(0, int64(10+i)), time.Now(), trace.Context{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -390,7 +392,7 @@ func TestShedMarkersJournaledAndReplayed(t *testing.T) {
 		s.Journal = w
 		s.ShedObservationsAt = 0.5
 	})
-	wc, err := wire.Dial(addr, "shedder", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "shedder", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}

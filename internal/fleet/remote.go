@@ -117,11 +117,6 @@ type Server struct {
 	// are never timed out for read silence — silence detection is the
 	// monitor's job (Observable.MaxSilence), not the transport's.
 	HelloTimeout time.Duration
-	// WriteTimeout bounds every frame written to a client (default 10s).
-	// Error and control pushes run on shard goroutines; a client that
-	// stops reading until its socket buffer fills must stall only itself,
-	// so a timed-out write closes that connection.
-	WriteTimeout time.Duration
 	// MaxAdvance bounds how far a single frame — an observation's event
 	// time or a heartbeat's At — may move its device's virtual clock
 	// forward (default DefaultMaxAdvance). Virtual time is client-supplied
@@ -169,14 +164,14 @@ type Server struct {
 	// stays in the pool (with its error sink detached) instead of being
 	// removed, matching the continuous per-device lifetime its journal
 	// records, and the next connection for the ID adopts it.
-	// *journal.Writer implements this interface.
-	Journal FrameJournal
+	// *journal.Writer and *journal.Sharded implement this interface.
+	Journal TieredJournal
 	// GrantDurability, when non-nil, vets each connection's requested ack
 	// class (hello.Durability, already normalised) and returns the class to
 	// grant — e.g. fsync for critical device classes, dispatch for the long
 	// tail. Nil grants whatever the client asked for. A granted dispatch
-	// class only changes behaviour when Journal implements TieredJournal;
-	// otherwise every accepted frame is synced as before.
+	// class only changes behaviour on a journaling server; without a Journal
+	// there is nothing to sync.
 	GrantDurability func(hello wire.Message) wire.Durability
 	// CreditWindow, when positive, enables credit-based flow control: the
 	// Hello reply grants each connection this many frame credits, every
@@ -239,15 +234,15 @@ const replenishPressure = 0.5
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("fleet: server closed")
 
-// FrameJournal is the server's durable frame sink. Append must be safe for
-// concurrent use (connections journal from their own goroutines) and must
-// not retain the message. journal.Writer is the production implementation.
+// FrameJournal is the append-only journal surface the planes write their
+// records through (control actions, diagnosis evidence, ownership changes).
+// Append must be safe for concurrent use and must not retain the message.
 type FrameJournal interface {
 	Append(wire.Message) error
 }
 
-// TieredJournal is the journal surface tiered durability and checkpointing
-// need on top of FrameJournal: AppendThen accepts a record without waiting
+// TieredJournal is the ingestion server's journal: on top of FrameJournal,
+// AppendThen accepts a record without waiting
 // for its fsync when sync is false (the ack-on-dispatch class), and runs
 // then() under the record's stream lock — the server enqueues the frame's
 // pool effect there, so a checkpoint freezing the stream observes either
@@ -265,15 +260,13 @@ type TieredJournal interface {
 // timers stays a bounded, sub-second amount of shard work.
 const DefaultMaxAdvance = 300 * sim.Second
 
-// remoteConn is one client connection with deadline-guarded writes. Writes
-// happen from shard goroutines (error pushes) and the connection's handler
-// (echoes, control), so every send arms a fresh write deadline first; a
-// send that fails poisons the connection, which unwinds the read loop and
-// removes the device.
+// remoteConn is one client connection: a wire.Peer — writes happen from
+// shard goroutines (error pushes) and the connection's handler (echoes,
+// control), each under a fresh write deadline, and a send that fails poisons
+// the connection, which unwinds the read loop and removes the device — plus
+// the handshake latch.
 type remoteConn struct {
-	nc      net.Conn
-	wc      *wire.Conn
-	timeout time.Duration
+	*wire.Peer
 	// ready flips once the Hello reply is on the wire and the negotiated
 	// codec is in effect. The connection is visible in Server.conns from
 	// reservation — before the reply — so cross-goroutine pushes (Control,
@@ -281,26 +274,6 @@ type remoteConn struct {
 	// the Hello reply, or between the reply and the codec switch, would
 	// corrupt the client's handshake.
 	ready atomic.Bool
-	// closed latches once the connection is being torn down — by a failed
-	// send, the read loop unwinding, Disconnect, or Close. Sends racing the
-	// teardown (controller pushes, Close's CtrlStop broadcast) then fail
-	// fast with net.ErrClosed instead of arming write deadlines on, and
-	// writing into, a socket another goroutine is closing.
-	closed atomic.Bool
-}
-
-func (c *remoteConn) send(m wire.Message) error {
-	if c.closed.Load() {
-		return fmt.Errorf("fleet: send: %w", net.ErrClosed)
-	}
-	_ = c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
-	err := c.wc.Encode(m)
-	if err != nil {
-		// A stalled or broken peer must not stall a shard twice.
-		c.closed.Store(true)
-		_ = c.nc.Close()
-	}
-	return err
 }
 
 // Stats snapshots the connection counters.
@@ -388,10 +361,9 @@ func (s *Server) Close() {
 		// Mid-handshake connections just get closed — their client is
 		// still expecting the Hello reply, not a control frame.
 		if c.ready.Load() {
-			_ = c.send(wire.Message{Type: wire.TypeControl, Control: wire.CtrlStop})
+			_ = c.Send(wire.Message{Type: wire.TypeControl, Control: wire.CtrlStop})
 		}
-		c.closed.Store(true)
-		_ = c.nc.Close()
+		_ = c.Shut()
 	}
 	for _, c := range pending {
 		_ = c.Close()
@@ -417,7 +389,7 @@ func (s *Server) Control(id string, cmd wire.ControlCommand) error {
 		ctx := s.Tracer.Span(s.Tracer.Force(), trace.KindControl, -1, id, time.Now(), 0, true)
 		m.Trace = ctx.Wire()
 	}
-	return c.send(m)
+	return c.Send(m)
 }
 
 // RequestSnapshot asks one registered device for its coverage spectrum: a
@@ -432,7 +404,7 @@ func (s *Server) RequestSnapshot(id string) error {
 	if c == nil || !c.ready.Load() {
 		return fmt.Errorf("fleet: no connected device %q", id)
 	}
-	return c.send(wire.Message{Type: wire.TypeSnapshotReq, SUO: id})
+	return c.Send(wire.Message{Type: wire.TypeSnapshotReq, SUO: id})
 }
 
 // Disconnect closes one registered device's connection — the quarantine
@@ -446,8 +418,7 @@ func (s *Server) Disconnect(id string) error {
 	if c == nil {
 		return fmt.Errorf("fleet: no connected device %q", id)
 	}
-	c.closed.Store(true)
-	return c.nc.Close()
+	return c.Shut()
 }
 
 // SeedOf derives a deterministic per-device seed from the device ID, so a
@@ -483,16 +454,47 @@ func (s *Server) release(id string) {
 	s.mu.Unlock()
 }
 
-// handle owns one connection: handshake, registration, then the read loop.
-// Any protocol violation — garbage bytes, an oversized frame, an unknown
-// codec construct — ends this connection and removes this device only; the
-// daemon and every other connection keep running.
+// handle owns one connection: admission, then the read loop, which looks
+// each frame's type up in frameHandlers. Any protocol violation — garbage
+// bytes, an oversized frame, an unknown codec construct — ends this
+// connection and removes this device only; the daemon and every other
+// connection keep running.
 func (s *Server) handle(conn net.Conn) {
+	ss, ok := s.admit(conn)
+	if !ok {
+		return
+	}
+	defer ss.close()
+	for {
+		msg, err := ss.rc.Decode()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			s.logf("fleet: device %q: %v", ss.id, err)
+			return
+		}
+		// The handler's time argument is the frame's decode instant, the
+		// start of the interval the latency SLO is stated over (DispatchAt
+		// records its end). A type outside the table — JSON decodes any type
+		// string — is ignored, like the table's ignored entries.
+		if h := frameHandlers[msg.Type]; h != nil && !h(ss, msg, time.Now()) {
+			return
+		}
+	}
+}
+
+// admit takes a new connection through everything that precedes the read
+// loop: the Hello is read and vetted, the ID reserved, the durability class
+// and credit window negotiated, the reply sent, and the device admitted to —
+// or adopted from — the pool. ok is false when the connection was refused;
+// it is closed by then.
+func (s *Server) admit(conn net.Conn) (ss *session, ok bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		conn.Close()
-		return
+		return nil, false
 	}
 	s.pending[conn] = struct{}{}
 	s.mu.Unlock()
@@ -501,47 +503,40 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.pending, conn)
 		s.mu.Unlock()
 	}
-
-	wc := wire.NewConn(conn)
-	timeout := s.WriteTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	rc := &remoteConn{nc: conn, wc: wc, timeout: timeout}
+	rc := &remoteConn{Peer: wire.NewPeer(conn)}
 	if s.HelloTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.HelloTimeout))
 	}
-	hello, err := wc.ReadHello()
+	hello, err := rc.ReadHello()
 	if err != nil {
 		unpend()
 		s.rejected.Add(1)
 		s.logf("fleet: %s: handshake failed: %v", conn.RemoteAddr(), err)
 		conn.Close()
-		return
+		return nil, false
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	id := hello.SUO
 
 	// Vet the registration BEFORE replying: a refused client must see the
-	// rejection as its handshake reply (a TypeError frame, still JSON —
-	// no codec switch has happened), so its Dial fails synchronously
-	// instead of reporting success for a connection the server is about
-	// to drop.
-	reject := func(detail string) {
+	// rejection as its handshake reply (a TypeError frame, still JSON — no
+	// codec switch has happened), so its Dial fails synchronously instead
+	// of reporting success for a connection the server is about to drop.
+	// The count comes first: a client that reads the rejection may look at
+	// Stats next.
+	reject := func(detail string) (*session, bool) {
 		unpend()
 		s.rejected.Add(1)
-		_ = conn.SetWriteDeadline(time.Now().Add(rc.timeout))
-		_ = wc.RejectHello(id, detail)
+		_ = rc.RejectHello(id, detail)
 		s.logf("fleet: %s: rejected %q: %s", conn.RemoteAddr(), id, detail)
 		conn.Close()
+		return nil, false
 	}
 	if id == "" {
-		reject("hello frame carries no SUO device ID")
-		return
+		return reject("hello frame carries no SUO device ID")
 	}
 	if err := s.reserve(id, rc); err != nil {
-		reject(err.Error())
-		return
+		return reject(err.Error())
 	}
 	// Durability negotiation: normalise the request (unknown classes vet
 	// back to fsync), let the operator's policy override it, and echo the
@@ -553,78 +548,31 @@ func (s *Server) handle(conn net.Conn) {
 		granted, _ = wire.DurabilityByName(string(s.GrantDurability(hello)))
 	}
 	hello.Durability = granted
-	tiered, _ := s.Journal.(TieredJournal)
-	relaxed := granted == wire.DurDispatch && tiered != nil
 	// Flow-control negotiation: the window is the server's to grant, never
 	// the client's to request, so whatever the client put in the field is
 	// overwritten before the reply echoes it.
-	window := s.CreditWindow
-	if window < 0 {
-		window = 0
-	}
+	window := max(s.CreditWindow, 0)
 	hello.Credits = uint32(window)
-	_ = conn.SetWriteDeadline(time.Now().Add(rc.timeout))
-	codec, err := wc.ReplyHello(hello)
+	codec, err := rc.ReplyHello(hello)
 	if err != nil {
 		s.release(id)
 		unpend()
 		s.rejected.Add(1)
 		s.logf("fleet: %s: hello reply to %q failed: %v", conn.RemoteAddr(), id, err)
 		conn.Close()
-		return
+		return nil, false
 	}
 	rc.ready.Store(true)
 
 	// Pool admission can still fail after the reply (factory error, pool
 	// stopping) — a server-side condition the client learns about through
 	// a post-handshake error frame and a close.
-	adopted := false
-	var resumeAt sim.Time
-	err = s.Pool.AddRemoteDevice(id, s.Factory, rc.send)
-	if errors.Is(err, ErrDuplicateDevice) {
-		// The pool holds this ID but no connection does (a genuine duplicate
-		// connection was refused at reserve, before the Hello reply): the
-		// device was rebuilt by journal recovery and its monitor state —
-		// clocks, counters, fault history — must survive the reconnect.
-		// Adopt it: point its error pushes at this connection and resume.
-		var ok bool
-		if resumeAt, ok, err = s.Pool.AttachDevice(id, rc.send); err == nil && !ok {
-			err = fmt.Errorf("fleet: device %q exists but cannot be adopted", id)
-		}
-		adopted = err == nil
-	}
-	unpend()
+	resumeAt, adopted, err := s.enroll(id, rc)
 	if err != nil {
 		s.release(id)
-		s.rejected.Add(1)
-		rep := wire.ErrorReport{Detector: "ingest", Detail: err.Error()}
-		_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep})
-		s.logf("fleet: %s: rejected %q: %v", conn.RemoteAddr(), id, err)
-		conn.Close()
-		return
+		return reject(err.Error())
 	}
-	cleanup := func() {
-		if s.Journal != nil {
-			// A journal-backed fleet keeps the device across disconnects:
-			// its history is durable and a later boot would rebuild it via
-			// replay anyway, so removing it live would only make the live
-			// pool diverge from its own journal (and re-anchor a resuming
-			// client's advance window at zero, refusing any resume beyond
-			// MaxAdvance). Detach the error sink; the next connection for
-			// this ID adopts the device and resumes its timeline.
-			_, _, _ = s.Pool.AttachDevice(id, func(wire.Message) error { return nil })
-			s.release(id)
-			s.disconnected.Add(1)
-			return
-		}
-		// Shard first, conns map second: RemoveDevice blocks until the
-		// shard has dropped the device, so once the ID is reservable
-		// again an immediate reconnect's AddDevice cannot collide with
-		// the stale entry (§2.4 allows instant reconnects).
-		_, _ = s.Pool.RemoveDevice(id)
-		s.release(id)
-		s.disconnected.Add(1)
-	}
+	unpend()
 	s.accepted.Add(1)
 	how := "connected"
 	if adopted {
@@ -632,89 +580,17 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	s.logf("fleet: %s: device %q %s (codec %s, durability %s), fleet size %d",
 		conn.RemoteAddr(), id, how, codec.Name(), granted, s.Pool.Size())
-	maxAdv := s.MaxAdvance
-	if maxAdv <= 0 {
-		maxAdv = DefaultMaxAdvance
-	}
-	// clock shadows the device's virtual time as driven by this connection
-	// — the only source of time for a remote device — so client-supplied
-	// timestamps are vetted here, before they reach the shard. advance
-	// reports whether at is within the MaxAdvance window; a frame beyond
-	// it is a protocol violation that ends the connection (see
-	// Server.MaxAdvance for why unbounded advances are dangerous). An
-	// adopted connection anchors the window at the recovered device's
-	// virtual time, not zero: the client resumes with timestamps at or
-	// beyond its last acknowledged heartbeat, which on a fleet older than
-	// MaxAdvance would otherwise read as a runaway jump and get the
+	// An adopted connection anchors the advance window at the recovered
+	// device's virtual time, not zero: the client resumes with timestamps
+	// at or beyond its last acknowledged heartbeat, which on a fleet older
+	// than MaxAdvance would otherwise read as a runaway jump and get the
 	// reconnect refused forever.
-	clock := resumeAt
-	advance := func(at sim.Time) bool {
-		// at-clock, not clock+maxAdv: the sum overflows when an operator
-		// sets a huge window to effectively disable the bound. clock only
-		// ever holds an accepted at > clock ≥ 0, so the difference is safe.
-		if at > clock && at-clock > maxAdv {
-			rep := wire.ErrorReport{Detector: "ingest", At: clock, Detail: fmt.Sprintf(
-				"frame time %s is beyond the %s advance window (device clock %s)", at, maxAdv, clock)}
-			_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
-			s.logf("fleet: device %q: %s", id, rep.Detail)
-			return false
-		}
-		if at > clock {
-			clock = at
-		}
-		return true
+	ss = &session{s: s, id: id, rc: rc, clock: resumeAt, maxAdv: s.MaxAdvance,
+		window: window, credits: window,
+		relaxed: granted == wire.DurDispatch && s.Journal != nil}
+	if ss.maxAdv <= 0 {
+		ss.maxAdv = DefaultMaxAdvance
 	}
-
-	// Flow-control state, all owned by this read goroutine: credits is the
-	// server-side balance of the connection's window. The client decrements
-	// its copy when it sends, the server when it receives, and every grant
-	// is a delta — so server balance − client balance always equals the
-	// frames and grants in flight, a non-negative number, and only a peer
-	// that ignores an exhausted window can drive the server below zero.
-	credits := window
-	// pendingShed accumulates this connection's shed frames until the next
-	// marker flush (heartbeat or teardown); one aggregated journal record
-	// per window keeps shedding from writing the journal it is shedding to
-	// protect.
-	var pendingShed wire.ShedRecord
-	// flushShed journals the pending marker and moves the pool's shed
-	// counters inside the journal's stream lock (AppendThen), so a
-	// checkpoint freezing the stream captures the marker and its counters
-	// together or not at all — never one without the other. Journal-less
-	// servers count sheds immediately and never come here with a pending
-	// record.
-	flushShed := func() bool {
-		if s.Journal == nil || pendingShed == (wire.ShedRecord{}) {
-			return true
-		}
-		rec := pendingShed
-		pendingShed = wire.ShedRecord{}
-		count := func() { s.Pool.AddShed(id, rec) }
-		jm := wire.Message{Type: wire.TypeShed, SUO: id, At: clock, Shed: &rec}
-		var err error
-		if tiered != nil {
-			err = tiered.AppendThen(jm, !relaxed, count)
-		} else if err = s.Journal.Append(jm); err == nil {
-			count()
-		}
-		if err != nil {
-			s.logf("fleet: device %q: journal: %v", id, err)
-			return false
-		}
-		return true
-	}
-
-	defer func() {
-		// Latch closed before teardown so a controller push racing the
-		// unwind fails fast instead of writing into the dying socket. The
-		// final shed marker is flushed while the device is still attached.
-		rc.closed.Store(true)
-		_ = flushShed()
-		cleanup()
-		conn.Close()
-		s.logf("fleet: device %q disconnected, fleet size %d", id, s.Pool.Size())
-	}()
-
 	// A quarantined device's reconnect must not resurrect its service: the
 	// recovery controller retired it, and the CtrlQuarantine push that told
 	// it so can be lost when quarantine races the device's own restart
@@ -724,276 +600,382 @@ func (s *Server) handle(conn net.Conn) {
 	if adopted {
 		if q, err := s.Pool.Quarantined(id); err == nil && q {
 			s.logf("fleet: device %q reconnected while quarantined; refusing service", id)
-			_ = rc.send(wire.Message{Type: wire.TypeControl, SUO: id, Control: wire.CtrlQuarantine})
-			return
+			_ = rc.Send(wire.Message{Type: wire.TypeControl, SUO: id, Control: wire.CtrlQuarantine})
+			ss.close()
+			return nil, false
 		}
 	}
+	return ss, true
+}
 
-	for {
-		msg, err := wc.Decode()
-		if err == io.EOF {
-			return
-		}
-		if err != nil {
-			s.logf("fleet: device %q: %v", id, err)
-			return
-		}
-		// ingest is the frame's decode instant, the start of the interval
-		// the latency SLO is stated over (DispatchAt records its end).
-		ingest := time.Now()
-		switch msg.Type {
-		case wire.TypeInput, wire.TypeOutput, wire.TypeState:
-			if msg.Event == nil {
-				continue
-			}
-			// The ingest sampling gate (§6.2): one in SampleN admitted
-			// observations opens a trace here; everything below threads tctx
-			// through unconditionally because a dead context makes every
-			// tracer call a no-op.
-			tctx := s.Tracer.Sample()
-			if window > 0 {
-				if credits == 0 {
-					// Only a peer ignoring its exhausted window gets here: a
-					// compliant client blocks and heartbeats for
-					// replenishment instead. Disconnect, like any other
-					// protocol violation.
-					rep := wire.ErrorReport{Detector: "ingest", At: clock, Detail: fmt.Sprintf(
-						"credit window violated: observation sent with the %d-frame window exhausted", window)}
-					// Count before sending: a client that reads the error
-					// frame may look at Stats next.
-					s.creditViolations.Add(1)
-					_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
-					s.logf("fleet: device %q: %s", id, rep.Detail)
-					return
-				}
-				credits--
-			}
-			pressure := -1.0
-			if window > 0 || s.ShedObservationsAt > 0 {
-				pressure = s.Pool.Pressure(id)
-			}
-			if s.ShedObservationsAt > 0 && pressure >= s.ShedObservationsAt {
-				// Shed tier 1: under queue pressure observations drop first —
-				// one lost sample costs a monitor a comparison, not its
-				// state. The frame is refused before the journal and the
-				// pool ever see it; the credit it spent stays spent, and no
-				// mid-stream grant follows under pressure, so a flooder
-				// exhausts its window and degrades into heartbeat pacing.
-				if s.Journal != nil {
-					pendingShed.Observations++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Observations: 1})
-				}
-				if tctx.Live() {
-					// A sampled-then-shed frame still leaves a span: the shed
-					// decision is exactly the kind of tail-latency explanation
-					// exemplars exist to surface.
-					s.Tracer.Span(tctx, trace.KindShed, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-				}
-				continue
-			}
-			if !advance(msg.Event.At) {
-				return
-			}
-			if tctx.Live() {
-				// The ingest span closes at admission: decode, credit and
-				// shed vetting are behind the frame, the journal and shard
-				// are ahead. It is the chain's root — the exemplar a /metrics
-				// scrape surfaces resolves back to it.
-				tctx = s.Tracer.Span(tctx, trace.KindIngest, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-			}
-			// Write-ahead: the frame must be in the journal before the pool
-			// sees it, tagged with the handshaken ID (not the spoofable SUO
-			// field) so replay routes it exactly as live dispatch did. On a
-			// tiered journal the dispatch is enqueued under the stream lock
-			// (see TieredJournal) and a dispatch-class connection does not
-			// wait for the fsync; on a plain journal the append is durable
-			// before the dispatch, as before.
-			var dispatchErr error
-			dispatch := func() { dispatchErr = s.Pool.DispatchTraced(id, *msg.Event, ingest, tctx) }
-			if s.Journal != nil {
-				jm := wire.Message{Type: msg.Type, SUO: id, Event: msg.Event, At: msg.Event.At}
-				var jstart time.Time
-				if tctx.Live() {
-					jstart = time.Now()
-				}
-				var err error
-				if tiered != nil {
-					err = tiered.AppendThen(jm, !relaxed, dispatch)
-				} else {
-					if err = s.Journal.Append(jm); err == nil {
-						dispatch()
-					}
-				}
-				if err != nil {
-					s.logf("fleet: device %q: journal: %v", id, err)
-					return
-				}
-				if tctx.Live() {
-					// The journal span covers the append and this frame's
-					// share of the fsync batch (a dispatch-class connection's
-					// append returns without waiting, and its short span says
-					// so). Parented on ingest, as a sibling of the dispatch
-					// span the shard records — the dispatch was enqueued
-					// under the stream lock, before the fsync resolved.
-					s.Tracer.Span(tctx, trace.KindJournal, s.Pool.ShardOf(id), id, jstart, time.Since(jstart), false)
-				}
-			} else {
-				// The connection's device is fixed at registration: frames
-				// route by the handshaken ID, not a spoofable per-frame field.
-				dispatch()
-			}
-			if dispatchErr != nil {
-				return // pool stopped — nothing left to ingest into
-			}
-			s.frames.Add(1)
-			if window > 0 && credits <= window/2 && pressure < replenishPressure {
-				// Mid-stream replenishment: the window is half spent and the
-				// shard is keeping up, so top it back up without forcing the
-				// client to stall into its next heartbeat. The grant is the
-				// delta consumed, never an absolute reset (see CreditWindow).
-				g := uint32(window - credits)
-				if rc.send(wire.Message{Type: wire.TypeCredit, SUO: id, Credits: g}) != nil {
-					return
-				}
-				s.creditGrants.Add(1)
-				credits = window
-				if tctx.Live() {
-					// The credit span marks a flow-control decision made on
-					// this frame's account: the half-spent window was topped
-					// back up mid-stream.
-					s.Tracer.Span(tctx, trace.KindCredit, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-				}
-			}
-		case wire.TypeHeartbeat:
-			if s.ShedHeartbeatsAt > 0 && s.Pool.Pressure(id) >= s.ShedHeartbeatsAt {
-				// Shed tier 2: near saturation even the heartbeat is refused
-				// — no clock advance, no flush barrier, no echo. A compliant
-				// client waiting on the echo simply waits longer and
-				// retries; the silence IS the backpressure. Control traffic
-				// (tier 3) is never shed — see ShedObservationsAt.
-				if s.Journal != nil {
-					pendingShed.Heartbeats++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Heartbeats: 1})
-				}
-				continue
-			}
-			if !advance(msg.At) {
-				return
-			}
-			// The pending shed marker flushes write-ahead of the heartbeat
-			// record, so replay restores the shed counters at the same
-			// stream position the live pool reached them by.
-			if !flushShed() {
-				return
-			}
-			// Heartbeats are journaled too: replay must re-run the same
-			// silence sweeps and comparison windows the live pool ran. On a
-			// fsync-class connection the journaled heartbeat marks every
-			// frame before it durable, so the echo below also acknowledges
-			// durability; on a dispatch-class connection the echo promises
-			// monitoring only — the unsynced tail can be lost to a crash,
-			// which is exactly the class the client asked for.
-			var advErr error
-			adv := func() { advErr = s.Pool.AdvanceDevice(id, msg.At) }
-			if s.Journal != nil {
-				hb := wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: msg.At}
-				var err error
-				if tiered != nil {
-					err = tiered.AppendThen(hb, !relaxed, adv)
-				} else {
-					if err = s.Journal.Append(hb); err == nil {
-						adv()
-					}
-				}
-				if err != nil {
-					s.logf("fleet: device %q: journal: %v", id, err)
-					return
-				}
-			} else {
-				adv()
-			}
-			// Heartbeats carry time and act as a flush barrier. The carried
-			// At advances the device's virtual clock, so a quiet-but-alive
-			// SUO still gets silence sweeps and periodic comparison; the
-			// echo is only written after every earlier observation on this
-			// connection has been through the device's monitor, so any
-			// error frames they raised are already on the wire. Clients
-			// drain by heartbeating before close. If the pool refuses the
-			// barrier (daemon draining), no echo must be sent — a false
-			// echo would tell the client its frames were monitored.
-			if advErr != nil {
-				return
-			}
-			if err := s.Pool.FlushDevice(id); err != nil {
-				return
-			}
-			echo := wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: msg.At}
-			if window > 0 {
-				// The echo always restores the full window: the flush
-				// barrier above just drained this connection's backlog, so
-				// the shard owes it a fresh start. Delta grant, as always.
-				echo.Credits = uint32(window - credits)
-				credits = window
-			}
-			if rc.send(echo) != nil {
-				return
-			}
-		case wire.TypeAck:
-			// A control-command acknowledgement. Its At is client time and
-			// is vetted like any other — an ack is the one frame a restarted
-			// device may send before resuming its observation stream.
-			if !advance(msg.At) {
-				return
-			}
-			if actx := trace.FromWire(msg.Trace); actx.Live() {
-				// The device echoed a control push's trace context: close the
-				// exchange with a forced ack span parented on the push's span.
-				s.Tracer.Span(actx, trace.KindAck, -1, id, ingest, time.Since(ingest), true)
-			}
-			if s.OnAck != nil {
-				s.OnAck(id, msg)
-			}
-		case wire.TypeSnapshot:
-			// Coverage evidence answering a RequestSnapshot pull. Its At is
-			// client time, vetted like any other; the payload is handed to
-			// the diagnosis plane under the handshaken ID, never the
-			// spoofable SUO field.
-			if !advance(msg.At) {
-				return
-			}
-			if s.OnSnapshot != nil {
-				s.OnSnapshot(id, msg)
-			}
-		case wire.TypeSpectrumDelta:
-			// Continuous coverage evidence riding the heartbeat cadence. It
-			// sheds with tier 1 (observations): a delta is diagnosis input,
-			// not control, and one lost window only thins the evidence. It
-			// spends no credit — like the heartbeat it rides on, its rate is
-			// bounded by the heartbeat cadence, not the observation firehose.
-			if msg.Delta == nil {
-				continue
-			}
-			if s.ShedObservationsAt > 0 && s.Pool.Pressure(id) >= s.ShedObservationsAt {
-				if s.Journal != nil {
-					pendingShed.Observations++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Observations: 1})
-				}
-				continue
-			}
-			if !advance(msg.At) {
-				return
-			}
-			if s.OnSpectrumDelta != nil {
-				s.OnSpectrumDelta(id, msg)
-			}
-		case wire.TypeHello, wire.TypeControl, wire.TypeError, wire.TypeSpecInfo, wire.TypeSnapshotReq,
-			wire.TypeCredit, wire.TypeShed:
-			// Identification repeats and client-side chatter are ignored —
-			// including credit grants and shed markers, which only ever
-			// travel server → client or server → journal.
+// enroll gives the connection its device: a fresh one in the pool, or —
+// when the pool holds the ID but no connection does (a genuine duplicate
+// connection was refused at reserve, before the Hello reply) — the device
+// journal recovery rebuilt, whose monitor state — clocks, counters, fault
+// history — must survive the reconnect. Adoption points its error pushes at
+// this connection and resumes from its virtual time.
+func (s *Server) enroll(id string, rc *remoteConn) (resumeAt sim.Time, adopted bool, err error) {
+	err = s.Pool.AddRemoteDevice(id, s.Factory, rc.Send)
+	if errors.Is(err, ErrDuplicateDevice) {
+		if resumeAt, adopted, err = s.Pool.AttachDevice(id, rc.Send); err == nil && !adopted {
+			err = fmt.Errorf("fleet: device %q exists but cannot be adopted", id)
 		}
 	}
+	return resumeAt, adopted, err
+}
+
+// session is one admitted connection's protocol state. Everything here is
+// owned by the connection's read goroutine, which calls the frame handlers
+// below one frame at a time; they need a remoteConn (a net.Pipe end does)
+// and a Server, not a listener.
+type session struct {
+	s  *Server
+	id string // the handshaken device ID: frames route by it, never by their spoofable SUO field
+	rc *remoteConn
+	// clock shadows the device's virtual time as driven by this connection
+	// — the only source of time for a remote device — so client-supplied
+	// timestamps are vetted here, before they reach the shard (advance).
+	clock, maxAdv sim.Time
+	// Flow control: credits is the server-side balance of the connection's
+	// window (0: flow control off). The client decrements its copy when it
+	// sends, the server when it receives, and every grant is a delta — so
+	// server balance − client balance always equals the frames and grants
+	// in flight, a non-negative number, and only a peer that ignores an
+	// exhausted window can drive the server below zero.
+	window, credits int
+	// relaxed: a dispatch-class connection on a journaling server — appends
+	// do not wait for their fsync.
+	relaxed bool
+	// pendingShed accumulates this connection's shed frames until the next
+	// marker flush (heartbeat or teardown); one aggregated journal record
+	// per window keeps shedding from writing the journal it is shedding to
+	// protect.
+	pendingShed wire.ShedRecord
+}
+
+// frameHandlers is what the daemon does with each frame type a device
+// connection can deliver: one entry per type the codec knows (the fleet
+// tests hold the key set equal to wire.MsgTypes() and ARCHITECTURE.md §2.9's
+// daemon column equal to the handler names). A handler returning false ends
+// the connection.
+var frameHandlers = map[wire.MsgType]func(*session, wire.Message, time.Time) bool{
+	wire.TypeInput:         (*session).observe,
+	wire.TypeOutput:        (*session).observe,
+	wire.TypeState:         (*session).observe,
+	wire.TypeHeartbeat:     (*session).heartbeat,
+	wire.TypeAck:           (*session).ack,
+	wire.TypeSnapshot:      (*session).evidence,
+	wire.TypeSpectrumDelta: (*session).evidence,
+	// Identification repeats and client-side chatter — including the types
+	// that only ever travel server → client, server → journal or edge ⇄
+	// aggregator.
+	wire.TypeHello:       (*session).ignored,
+	wire.TypeControl:     (*session).ignored,
+	wire.TypeError:       (*session).ignored,
+	wire.TypeSpecInfo:    (*session).ignored,
+	wire.TypeSnapshotReq: (*session).ignored,
+	wire.TypeCheckpoint:  (*session).ignored,
+	wire.TypeCredit:      (*session).ignored,
+	wire.TypeShed:        (*session).ignored,
+	wire.TypeRollup:      (*session).ignored,
+	wire.TypeHandoff:     (*session).ignored,
+}
+
+func (ss *session) ignored(wire.Message, time.Time) bool { return true }
+
+// observe admits one observation frame (input, output, state): credit
+// check, shed tier 1, clock vetting, then journal-then-dispatch.
+func (ss *session) observe(m wire.Message, ingest time.Time) bool {
+	ev := m.Event
+	if ev == nil {
+		return true
+	}
+	s, id := ss.s, ss.id
+	// The ingest sampling gate (§6.2): one in SampleN admitted observations
+	// opens a trace here; everything below threads tctx through
+	// unconditionally because a dead context makes every tracer call a
+	// no-op.
+	tctx := s.Tracer.Sample()
+	if ss.window > 0 {
+		if ss.credits == 0 {
+			// Only a peer ignoring its exhausted window gets here: a
+			// compliant client blocks and heartbeats for replenishment
+			// instead. Disconnect, like any other protocol violation.
+			rep := wire.ErrorReport{Detector: "ingest", At: ss.clock, Detail: fmt.Sprintf(
+				"credit window violated: observation sent with the %d-frame window exhausted", ss.window)}
+			// Count before sending: a client that reads the error frame may
+			// look at Stats next.
+			s.creditViolations.Add(1)
+			_ = ss.rc.Send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: ss.clock})
+			s.logf("fleet: device %q: %s", id, rep.Detail)
+			return false
+		}
+		ss.credits--
+	}
+	pressure := -1.0
+	if ss.window > 0 || s.ShedObservationsAt > 0 {
+		pressure = s.Pool.Pressure(id)
+	}
+	if s.ShedObservationsAt > 0 && pressure >= s.ShedObservationsAt {
+		// Shed tier 1: under queue pressure observations drop first — one
+		// lost sample costs a monitor a comparison, not its state. The frame
+		// is refused before the journal and the pool ever see it; the credit
+		// it spent stays spent, and no mid-stream grant follows under
+		// pressure, so a flooder exhausts its window and degrades into
+		// heartbeat pacing.
+		ss.shed(wire.ShedRecord{Observations: 1})
+		if tctx.Live() {
+			// A sampled-then-shed frame still leaves a span: the shed
+			// decision is exactly the kind of tail-latency explanation
+			// exemplars exist to surface.
+			s.Tracer.Span(tctx, trace.KindShed, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
+		}
+		return true
+	}
+	if !ss.advance(ev.At) {
+		return false
+	}
+	if tctx.Live() {
+		// The ingest span closes at admission: decode, credit and shed
+		// vetting are behind the frame, the journal and shard are ahead. It
+		// is the chain's root — the exemplar a /metrics scrape surfaces
+		// resolves back to it.
+		tctx = s.Tracer.Span(tctx, trace.KindIngest, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
+	}
+	// Write-ahead: the frame must be in the journal before the pool sees
+	// it, tagged with the handshaken ID so replay routes it exactly as live
+	// dispatch did (see journaled).
+	var dispatchErr error
+	dispatch := func() { dispatchErr = s.Pool.DispatchAt(id, *ev, ingest, tctx) }
+	jspan := tctx.Live() && s.Journal != nil
+	var jstart time.Time
+	if jspan {
+		jstart = time.Now()
+	}
+	if !ss.journaled(wire.Message{Type: m.Type, SUO: id, Event: ev, At: ev.At}, dispatch) {
+		return false
+	}
+	if jspan {
+		// The journal span covers the append and this frame's share of the
+		// fsync batch (a dispatch-class connection's append returns without
+		// waiting, and its short span says so). Parented on ingest, as a
+		// sibling of the dispatch span the shard records — the dispatch was
+		// enqueued under the stream lock, before the fsync resolved.
+		s.Tracer.Span(tctx, trace.KindJournal, s.Pool.ShardOf(id), id, jstart, time.Since(jstart), false)
+	}
+	if dispatchErr != nil {
+		return false // pool stopped — nothing left to ingest into
+	}
+	s.frames.Add(1)
+	if ss.window > 0 && ss.credits <= ss.window/2 && pressure < replenishPressure {
+		// Mid-stream replenishment: the window is half spent and the shard
+		// is keeping up, so top it back up without forcing the client to
+		// stall into its next heartbeat. The grant is the delta consumed,
+		// never an absolute reset (see CreditWindow).
+		g := uint32(ss.window - ss.credits)
+		if ss.rc.Send(wire.Message{Type: wire.TypeCredit, SUO: id, Credits: g}) != nil {
+			return false
+		}
+		s.creditGrants.Add(1)
+		ss.credits = ss.window
+		if tctx.Live() {
+			// The credit span marks a flow-control decision made on this
+			// frame's account: the half-spent window was topped back up
+			// mid-stream.
+			s.Tracer.Span(tctx, trace.KindCredit, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
+		}
+	}
+	return true
+}
+
+// heartbeat carries time and acts as a flush barrier. The carried At
+// advances the device's virtual clock, so a quiet-but-alive SUO still gets
+// silence sweeps and periodic comparison; the echo is only written after
+// every earlier observation on this connection has been through the
+// device's monitor, so any error frames they raised are already on the
+// wire. Clients drain by heartbeating before close.
+func (ss *session) heartbeat(m wire.Message, _ time.Time) bool {
+	s, id, at := ss.s, ss.id, m.At
+	if s.ShedHeartbeatsAt > 0 && s.Pool.Pressure(id) >= s.ShedHeartbeatsAt {
+		// Shed tier 2: near saturation even the heartbeat is refused — no
+		// clock advance, no flush barrier, no echo. A compliant client
+		// waiting on the echo simply waits longer and retries; the silence
+		// IS the backpressure. Control traffic (tier 3) is never shed — see
+		// ShedObservationsAt.
+		ss.shed(wire.ShedRecord{Heartbeats: 1})
+		return true
+	}
+	if !ss.advance(at) {
+		return false
+	}
+	// The pending shed marker flushes write-ahead of the heartbeat record,
+	// so replay restores the shed counters at the same stream position the
+	// live pool reached them by.
+	if !ss.flushShed() {
+		return false
+	}
+	// Heartbeats are journaled too: replay must re-run the same silence
+	// sweeps and comparison windows the live pool ran. On a fsync-class
+	// connection the journaled heartbeat marks every frame before it
+	// durable, so the echo below also acknowledges durability; on a
+	// dispatch-class connection the echo promises monitoring only — the
+	// unsynced tail can be lost to a crash, which is exactly the class the
+	// client asked for.
+	var advErr error
+	adv := func() { advErr = s.Pool.AdvanceDevice(id, at) }
+	if !ss.journaled(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}, adv) {
+		return false
+	}
+	// If the pool refuses the barrier (daemon draining), no echo must be
+	// sent — a false echo would tell the client its frames were monitored.
+	if advErr != nil || s.Pool.FlushDevice(id) != nil {
+		return false
+	}
+	echo := wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}
+	if ss.window > 0 {
+		// The echo always restores the full window: the flush barrier above
+		// just drained this connection's backlog, so the shard owes it a
+		// fresh start. Delta grant, as always.
+		echo.Credits = uint32(ss.window - ss.credits)
+		ss.credits = ss.window
+	}
+	return ss.rc.Send(echo) == nil
+}
+
+// ack takes a control-command acknowledgement. Its At is client time and is
+// vetted like any other — an ack is the one frame a restarted device may
+// send before resuming its observation stream.
+func (ss *session) ack(m wire.Message, ingest time.Time) bool {
+	if !ss.advance(m.At) {
+		return false
+	}
+	if actx := trace.FromWire(m.Trace); actx.Live() {
+		// The device echoed a control push's trace context: close the
+		// exchange with a forced ack span parented on the push's span.
+		ss.s.Tracer.Span(actx, trace.KindAck, -1, ss.id, ingest, time.Since(ingest), true)
+	}
+	if ss.s.OnAck != nil {
+		ss.s.OnAck(ss.id, m)
+	}
+	return true
+}
+
+// evidence hands diagnosis input to its hook under the handshaken ID, once
+// its client-supplied At is vetted: a snapshot answering a RequestSnapshot
+// pull, or a spectrum delta riding the heartbeat cadence. Neither is
+// journaled here — the diagnosis engine journals what it accepts. A delta
+// sheds with tier 1 (observations): it is diagnosis input, not control, and
+// one lost window only thins the evidence. It spends no credit — like the
+// heartbeat it rides on, its rate is bounded by the heartbeat cadence, not
+// the observation firehose.
+func (ss *session) evidence(m wire.Message, _ time.Time) bool {
+	s, hook := ss.s, ss.s.OnSnapshot
+	if m.Type == wire.TypeSpectrumDelta {
+		if m.Delta == nil {
+			return true
+		}
+		if s.ShedObservationsAt > 0 && s.Pool.Pressure(ss.id) >= s.ShedObservationsAt {
+			ss.shed(wire.ShedRecord{Observations: 1})
+			return true
+		}
+		hook = s.OnSpectrumDelta
+	}
+	if !ss.advance(m.At) {
+		return false
+	}
+	if hook != nil {
+		hook(ss.id, m)
+	}
+	return true
+}
+
+// advance reports whether at is within the MaxAdvance window of the
+// session's clock, moving the clock up to it when so; a frame beyond the
+// window is a protocol violation that ends the connection (see
+// Server.MaxAdvance for why unbounded advances are dangerous).
+func (ss *session) advance(at sim.Time) bool {
+	// at-clock, not clock+maxAdv: the sum overflows when an operator sets a
+	// huge window to effectively disable the bound. clock only ever holds
+	// an accepted at > clock ≥ 0, so the difference is safe.
+	if at > ss.clock && at-ss.clock > ss.maxAdv {
+		rep := wire.ErrorReport{Detector: "ingest", At: ss.clock, Detail: fmt.Sprintf(
+			"frame time %s is beyond the %s advance window (device clock %s)", at, ss.maxAdv, ss.clock)}
+		_ = ss.rc.Send(wire.Message{Type: wire.TypeError, SUO: ss.id, Error: &rep, At: ss.clock})
+		ss.s.logf("fleet: device %q: %s", ss.id, rep.Detail)
+		return false
+	}
+	if at > ss.clock {
+		ss.clock = at
+	}
+	return true
+}
+
+// journaled makes a record's pool effect write-ahead: then runs once m is
+// in the journal, under the record's stream lock (see TieredJournal), and a
+// dispatch-class connection does not wait for the fsync. A journal-less
+// server just runs then. A failed append ends the connection — frames that
+// cannot be made durable are not ingested.
+func (ss *session) journaled(m wire.Message, then func()) bool {
+	if ss.s.Journal == nil {
+		then()
+		return true
+	}
+	if err := ss.s.Journal.AppendThen(m, !ss.relaxed, then); err != nil {
+		ss.s.logf("fleet: device %q: journal: %v", ss.id, err)
+		return false
+	}
+	return true
+}
+
+// shed counts frames the server refused under pressure: at once on a
+// journal-less server, otherwise into the pending marker flushShed journals.
+func (ss *session) shed(rec wire.ShedRecord) {
+	if ss.s.Journal == nil {
+		ss.s.Pool.AddShed(ss.id, rec)
+		return
+	}
+	ss.pendingShed.Observations += rec.Observations
+	ss.pendingShed.Heartbeats += rec.Heartbeats
+}
+
+// flushShed journals the pending marker and moves the pool's shed counters
+// inside the journal's stream lock, so a checkpoint freezing the stream
+// captures the marker and its counters together or not at all — never one
+// without the other.
+func (ss *session) flushShed() bool {
+	if ss.pendingShed == (wire.ShedRecord{}) {
+		return true
+	}
+	rec := ss.pendingShed
+	ss.pendingShed = wire.ShedRecord{}
+	return ss.journaled(wire.Message{Type: wire.TypeShed, SUO: ss.id, At: ss.clock, Shed: &rec},
+		func() { ss.s.Pool.AddShed(ss.id, rec) })
+}
+
+// close ends the session: the final shed marker is flushed while the device
+// is still attached, the device is detached or removed, and only then does
+// the socket close — so a client that sees the close can redial its ID.
+func (ss *session) close() {
+	s, id := ss.s, ss.id
+	_ = ss.flushShed()
+	if s.Journal != nil {
+		// A journal-backed fleet keeps the device across disconnects: its
+		// history is durable and a later boot would rebuild it via replay
+		// anyway, so removing it live would only make the live pool diverge
+		// from its own journal (and re-anchor a resuming client's advance
+		// window at zero, refusing any resume beyond MaxAdvance). Detach the
+		// error sink; the next connection for this ID adopts the device and
+		// resumes its timeline.
+		_, _, _ = s.Pool.AttachDevice(id, func(wire.Message) error { return nil })
+	} else {
+		// Shard first, conns map second: RemoveDevice blocks until the shard
+		// has dropped the device, so once the ID is reservable again an
+		// immediate reconnect's AddDevice cannot collide with the stale
+		// entry (§2.4 allows instant reconnects).
+		_, _ = s.Pool.RemoveDevice(id)
+	}
+	s.release(id)
+	s.disconnected.Add(1)
+	_ = ss.rc.Shut()
+	s.logf("fleet: device %q disconnected, fleet size %d", id, s.Pool.Size())
 }

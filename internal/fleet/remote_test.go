@@ -63,7 +63,7 @@ func outEvent(x float64, atMs int64) event.Event {
 func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	wc, err := wire.Dial(addr, "tv-1", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "tv-1", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 	wc.Close()
 	eventually(t, "removal", func() bool { return srv.Pool.Size() == 0 })
 
-	wc2, err := wire.Dial(addr, "tv-1", wire.CodecJSON)
+	wc2, _, err := wire.Dial(addr, wire.Message{SUO: "tv-1", Codec: wire.CodecJSON})
 	if err != nil {
 		t.Fatalf("reconnect with same ID: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 func TestServerGarbageFrameClosesOnlyOffender(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	healthy, err := wire.Dial(addr, "good", wire.CodecBinary)
+	healthy, _, err := wire.Dial(addr, wire.Message{SUO: "good", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestServerGarbageFrameClosesOnlyOffender(t *testing.T) {
 	}
 	defer raw.Close()
 	bad := wire.NewConn(raw)
-	if _, err := bad.Handshake("bad", wire.CodecJSON); err != nil {
+	if _, err := bad.Handshake(wire.Message{SUO: "bad", Codec: wire.CodecJSON}); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "both registered", func() bool { return srv.Pool.Size() == 2 })
@@ -159,7 +159,7 @@ func TestServerOversizedFrameClosesOnlyOffender(t *testing.T) {
 	}
 	defer raw.Close()
 	wc := wire.NewConn(raw)
-	if _, err := wc.Handshake("huge", ""); err != nil {
+	if _, err := wc.Handshake(wire.Message{SUO: "huge"}); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "registered", func() bool { return srv.Pool.Size() == 1 })
@@ -173,7 +173,7 @@ func TestServerOversizedFrameClosesOnlyOffender(t *testing.T) {
 
 func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	first, err := wire.Dial(addr, "twin", "")
+	first, _, err := wire.Dial(addr, wire.Message{SUO: "twin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 
 	// Second connection with the same ID: the rejection IS the handshake
 	// reply, so Dial itself fails and tells the client why.
-	dup, err := wire.Dial(addr, "twin", "")
+	dup, _, err := wire.Dial(addr, wire.Message{SUO: "twin"})
 	if err == nil {
 		dup.Close()
 		t.Fatal("duplicate ID should fail the handshake")
@@ -191,7 +191,7 @@ func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 		t.Fatalf("duplicate ID error = %v, want the reason", err)
 	}
 
-	anon, err := wire.Dial(addr, "", "")
+	anon, _, err := wire.Dial(addr, wire.Message{SUO: ""})
 	if err == nil {
 		anon.Close()
 		t.Fatal("anonymous hello should fail the handshake")
@@ -242,7 +242,7 @@ func TestServerHeartbeatAdvancesClockForSilenceDetection(t *testing.T) {
 		return k, mon, nil
 	}
 	srv, addr := startServer(t, func(s *Server) { s.Factory = factory })
-	wc, err := wire.Dial(addr, "quiet", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "quiet", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestServerHeartbeatAdvancesClockForSilenceDetection(t *testing.T) {
 // sent — an echo is a promise that all prior frames were monitored.
 func TestServerNoFalseEchoAfterPoolStop(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "late", wire.CodecJSON)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "late", Codec: wire.CodecJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +307,12 @@ func TestServerNoFalseEchoAfterPoolStop(t *testing.T) {
 func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	healthy, err := wire.Dial(addr, "steady", wire.CodecBinary)
+	healthy, _, err := wire.Dial(addr, wire.Message{SUO: "steady", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	bomb, err := wire.Dial(addr, "bomb", wire.CodecBinary)
+	bomb, _, err := wire.Dial(addr, wire.Message{SUO: "bomb", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 	}
 
 	// Observation path: the event's own timestamp is vetted the same way.
-	bomb2, err := wire.Dial(addr, "bomb2", wire.CodecJSON)
+	bomb2, _, err := wire.Dial(addr, wire.Message{SUO: "bomb2", Codec: wire.CodecJSON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 // frames once the clock has advanced.
 func TestServerHugeMaxAdvanceDoesNotOverflow(t *testing.T) {
 	srv, addr := startServer(t, func(s *Server) { s.MaxAdvance = sim.Time(math.MaxInt64) })
-	wc, err := wire.Dial(addr, "wide", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "wide", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	go func() { done <- srv.Serve(&flakyListener{Listener: ln}) }()
 
 	// The first Accept fails; this connection only succeeds if Serve retried.
-	wc, err := wire.Dial(addr, "survivor", "")
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "survivor"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 
 func TestServerControlPushAndClose(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "tv-9", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "tv-9", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestServerControlPushAndClose(t *testing.T) {
 // device's connection and unwinds it like any client-initiated disconnect.
 func TestServerDisconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "q-1", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "q-1", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestControlPushRacesDisconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
 	for i := 0; i < 16; i++ {
 		id := fmt.Sprintf("racer-%02d", i)
-		wc, err := wire.Dial(addr, id, wire.CodecBinary)
+		wc, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestServerRoutesAcks(t *testing.T) {
 			acks <- ack{id: id, cmd: m.Control, at: m.At}
 		}
 	})
-	wc, err := wire.Dial(addr, "acker", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "acker", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestServerSnapshotPullAndRouting(t *testing.T) {
 	if err := srv.RequestSnapshot("nobody"); err == nil {
 		t.Fatal("pulling an unknown device should fail")
 	}
-	wc, err := wire.Dial(addr, "spectral", wire.CodecBinary)
+	wc, _, err := wire.Dial(addr, wire.Message{SUO: "spectral", Codec: wire.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // safe for concurrent use.
 //
 // Which codec a connection speaks is negotiated in the Hello exchange (see
-// Conn.Handshake and Conn.AcceptHello): the Hello frames themselves are
+// Conn.Handshake and Conn.ReplyHello): the Hello frames themselves are
 // always JSON, so any client can open a conversation, and both sides switch
 // to the agreed codec for every frame after it. JSON is the default and the
 // fallback when the peer's requested codec is unknown.
@@ -206,6 +206,20 @@ var typeOfTag = func() map[byte]MsgType {
 	}
 	return m
 }()
+
+// MsgTypes lists every frame type the codec knows, in tag order. A layer
+// that must decide something for each type (the ingestion daemon's frame
+// handler table) checks its decisions against this list, so a new type
+// cannot land without one.
+func MsgTypes() []MsgType {
+	out := make([]MsgType, 0, len(tagOfType))
+	for tag := byte(1); len(out) < len(tagOfType); tag++ {
+		if t, ok := typeOfTag[tag]; ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 func appendStr(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))

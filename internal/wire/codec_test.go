@@ -313,119 +313,167 @@ func TestCodecByName(t *testing.T) {
 	}
 }
 
-// handshakePair runs a client handshake against a server AcceptHello over a
-// pipe and returns both ends plus the negotiated server-side state.
-func handshakePair(t *testing.T, suo, requested string) (client, server *Conn, hello Message, accepted Codec) {
-	t.Helper()
-	a, b := net.Pipe()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	client, server = NewConn(a), NewConn(b)
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		hello, accepted, err = server.AcceptHello()
-		done <- err
-	}()
-	if _, err := client.Handshake(suo, requested); err != nil {
-		t.Fatalf("Handshake: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("AcceptHello: %v", err)
-	}
-	return client, server, hello, accepted
-}
-
-func TestHandshakeNegotiatesBinary(t *testing.T) {
-	client, server, hello, accepted := handshakePair(t, "tv-42", CodecBinary)
-	if hello.SUO != "tv-42" || hello.Codec != CodecBinary {
-		t.Fatalf("hello = %+v", hello)
-	}
-	if accepted.Name() != CodecBinary {
-		t.Fatalf("accepted codec = %s, want binary", accepted.Name())
-	}
-	// Post-handshake traffic flows in the negotiated codec, both directions.
-	ev := event.Event{Kind: event.Input, Name: "key", At: 9}
-	go func() { _ = client.SendEvent("tv-42", ev) }()
-	m, err := server.Decode()
-	if err != nil || m.Type != TypeInput || m.Event.Name != "key" {
-		t.Fatalf("server decode: %+v, %v", m, err)
-	}
-	go func() { _ = server.Encode(Message{Type: TypeControl, Control: CtrlReset}) }()
-	m, err = client.Decode()
-	if err != nil || m.Type != TypeControl || m.Control != CtrlReset {
-		t.Fatalf("client decode: %+v, %v", m, err)
-	}
-}
-
-func TestHandshakeUnknownCodecFallsBackToJSON(t *testing.T) {
-	client, _, _, accepted := handshakePair(t, "tv", "msgpack")
-	if accepted.Name() != CodecJSON {
-		t.Fatalf("unknown codec accepted as %s, want json fallback", accepted.Name())
-	}
-	if client.Encoder.codec.Name() != CodecJSON {
-		t.Fatalf("client switched to %s, want json", client.Encoder.codec.Name())
-	}
-}
-
-// HandshakeEdge negotiates the edge role: the claim rides the Hello, the
-// reply must echo RoleEdge, and the codec switch still happens.
-func TestHandshakeEdge(t *testing.T) {
-	a, b := net.Pipe()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	client, server := NewConn(a), NewConn(b)
-	done := make(chan error, 1)
-	var hello Message
-	go func() {
-		var err error
-		hello, err = server.ReadHello()
-		if err == nil {
+// TestHandshake drives the one client handshake against scripted server
+// halves over a pipe: what the client asks for, what the server grants, and
+// every way the exchange is refused.
+func TestHandshake(t *testing.T) {
+	// accept is the server half most rows share: read the Hello, let the row
+	// rewrite what the reply will echo (a granting server overwrites the
+	// request fields before ReplyHello), reply. It returns the Hello as read.
+	accept := func(rewrite func(*Message)) func(*Conn) (Message, error) {
+		return func(server *Conn) (Message, error) {
+			hello, err := server.ReadHello()
+			if err != nil {
+				return hello, err
+			}
+			seen := hello
+			if rewrite != nil {
+				rewrite(&hello)
+			}
 			_, err = server.ReplyHello(hello)
+			return seen, err
 		}
-		done <- err
-	}()
+	}
 	claim := HandoffRecord{From: "edge-0", Range: 1, Of: 2, Dir: "/tmp/e0"}
-	codec, err := client.HandshakeEdge("edge-0", CodecBinary, claim)
-	if err != nil {
-		t.Fatalf("HandshakeEdge: %v", err)
+	rows := []struct {
+		name    string
+		hello   Message
+		serve   func(*Conn) (Message, error)
+		wantErr string  // substring of the handshake error; empty: it succeeds
+		want    Message // the reply's granted fields
+	}{
+		{name: "plain device granted binary",
+			hello: Message{SUO: "tv-42", Codec: CodecBinary}, serve: accept(nil),
+			want: Message{Codec: CodecBinary, Durability: DurFsync}},
+		{name: "unknown codec downgraded to json",
+			hello: Message{SUO: "tv", Codec: "msgpack"}, serve: accept(nil),
+			want: Message{Codec: CodecJSON, Durability: DurFsync}},
+		{name: "no codec requested means json",
+			hello: Message{SUO: "tv"}, serve: accept(nil),
+			want: Message{Codec: CodecJSON, Durability: DurFsync}},
+		{name: "dispatch durability granted",
+			hello: Message{SUO: "tv", Durability: DurDispatch}, serve: accept(nil),
+			want: Message{Codec: CodecJSON, Durability: DurDispatch}},
+		{name: "dispatch requested fsync granted",
+			hello: Message{SUO: "tv", Durability: DurDispatch},
+			serve: accept(func(h *Message) { h.Durability = DurFsync }),
+			want:  Message{Codec: CodecJSON, Durability: DurFsync}},
+		{name: "unknown granted durability reads as fsync",
+			hello: Message{SUO: "tv", Durability: DurDispatch},
+			serve: accept(func(h *Message) { h.Durability = "platinum" }),
+			want:  Message{Codec: CodecJSON, Durability: DurFsync}},
+		{name: "credit window surfaced",
+			hello: Message{SUO: "tv", Codec: CodecBinary},
+			serve: accept(func(h *Message) { h.Credits = 8 }),
+			want:  Message{Codec: CodecBinary, Durability: DurFsync, Credits: 8}},
+		{name: "edge role and claim echoed",
+			hello: Message{SUO: "edge-0", Codec: CodecBinary, Role: RoleEdge, Handoff: &claim},
+			serve: accept(nil),
+			want:  Message{Codec: CodecBinary, Durability: DurFsync, Role: RoleEdge}},
+		{name: "roleless server refused",
+			hello:   Message{SUO: "edge-0", Codec: CodecBinary, Role: RoleEdge, Handoff: &claim},
+			serve:   accept(func(h *Message) { h.Role = "" }), // a server from before roles existed
+			wantErr: "did not grant role"},
+		{name: "role nobody asked for refused",
+			hello: Message{SUO: "tv"}, serve: accept(func(h *Message) { h.Role = RoleEdge }),
+			wantErr: "did not grant role"},
+		{name: "rejection carries the detail",
+			hello: Message{SUO: "tv-1", Codec: CodecBinary},
+			serve: func(server *Conn) (Message, error) {
+				hello, err := server.ReadHello()
+				if err != nil {
+					return hello, err
+				}
+				return hello, server.RejectHello(hello.SUO, "fleet is full")
+			},
+			wantErr: "handshake rejected: fleet is full"},
+		{name: "non-hello reply refused",
+			hello: Message{SUO: "tv"},
+			serve: func(server *Conn) (Message, error) {
+				hello, err := server.ReadHello()
+				if err != nil {
+					return hello, err
+				}
+				return hello, server.Encode(Message{Type: TypeHeartbeat})
+			},
+			wantErr: `reply has type "heartbeat"`},
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("server side: %v", err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			client, server := NewConn(a), NewConn(b)
+			type served struct {
+				seen Message
+				err  error
+			}
+			done := make(chan served, 1)
+			go func() {
+				seen, err := row.serve(server)
+				done <- served{seen, err}
+			}()
+			reply, err := client.Handshake(row.hello)
+			srv := <-done
+			if srv.err != nil {
+				t.Fatalf("server side: %v", srv.err)
+			}
+			// The server sees the request as sent, Type filled in.
+			if s := srv.seen; s.Type != TypeHello || s.SUO != row.hello.SUO || s.Codec != row.hello.Codec ||
+				s.Durability != row.hello.Durability || s.Role != row.hello.Role {
+				t.Fatalf("server saw hello = %+v, client sent %+v", s, row.hello)
+			}
+			if row.hello.Handoff != nil && (srv.seen.Handoff == nil || *srv.seen.Handoff != *row.hello.Handoff) {
+				t.Fatalf("server saw claim %+v, want %+v", srv.seen.Handoff, row.hello.Handoff)
+			}
+			if row.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+					t.Fatalf("Handshake error = %v, want one containing %q", err, row.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Handshake: %v", err)
+			}
+			if reply.Type != TypeHello || reply.SUO != row.hello.SUO {
+				t.Fatalf("reply = %+v", reply)
+			}
+			if reply.Codec != row.want.Codec || reply.Durability != row.want.Durability ||
+				reply.Credits != row.want.Credits || reply.Role != row.want.Role {
+				t.Fatalf("reply grants codec %q durability %q credits %d role %q, want %q %q %d %q",
+					reply.Codec, reply.Durability, reply.Credits, reply.Role,
+					row.want.Codec, row.want.Durability, row.want.Credits, row.want.Role)
+			}
+			// Post-handshake traffic flows in the granted codec, both ways.
+			if client.Encoder.codec.Name() != row.want.Codec || server.Encoder.codec.Name() != row.want.Codec {
+				t.Fatalf("codecs in effect: client %s, server %s, want %s",
+					client.Encoder.codec.Name(), server.Encoder.codec.Name(), row.want.Codec)
+			}
+			ev := event.Event{Kind: event.Input, Name: "key", At: 9}
+			go func() { _ = client.SendEvent(row.hello.SUO, ev) }()
+			m, err := server.Decode()
+			if err != nil || m.Type != TypeInput || m.Event.Name != "key" {
+				t.Fatalf("server decode: %+v, %v", m, err)
+			}
+			go func() { _ = server.Encode(Message{Type: TypeControl, Control: CtrlReset}) }()
+			m, err = client.Decode()
+			if err != nil || m.Type != TypeControl || m.Control != CtrlReset {
+				t.Fatalf("client decode: %+v, %v", m, err)
+			}
+		})
 	}
-	if codec.Name() != CodecBinary {
-		t.Fatalf("accepted codec = %s, want binary", codec.Name())
-	}
-	if hello.Role != RoleEdge || hello.Handoff == nil || *hello.Handoff != claim {
-		t.Fatalf("server saw hello = %+v", hello)
-	}
-}
 
-// A pre-federation server replies without echoing the role; the edge must
-// refuse to treat it as an aggregator.
-func TestHandshakeEdgeRejectsRolelessServer(t *testing.T) {
-	a, b := net.Pipe()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	client, server := NewConn(a), NewConn(b)
-	go func() {
-		hello, err := server.ReadHello()
-		if err == nil {
-			hello.Role = "" // a server from before roles existed
-			_, _ = server.ReplyHello(hello)
+	// The server half refuses a conversation that does not open with a Hello.
+	t.Run("server refuses a non-hello first frame", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		client, server := NewConn(a), NewConn(b)
+		go func() { _ = client.Encode(Message{Type: TypeHeartbeat}) }()
+		if _, err := server.ReadHello(); err == nil {
+			t.Fatal("ReadHello should reject a non-hello first frame")
 		}
-	}()
-	if _, err := client.HandshakeEdge("edge-0", CodecBinary, HandoffRecord{}); err == nil {
-		t.Fatal("HandshakeEdge should fail when the reply lacks the edge role")
-	}
-}
-
-func TestAcceptHelloRejectsNonHello(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	client, server := NewConn(a), NewConn(b)
-	go func() { _ = client.Encode(Message{Type: TypeHeartbeat}) }()
-	if _, _, err := server.AcceptHello(); err == nil {
-		t.Fatal("AcceptHello should reject a non-hello first frame")
-	}
+	})
 }
 
 // The decoder must reuse its payload buffer: steady-state binary decoding

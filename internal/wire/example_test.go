@@ -32,7 +32,7 @@ func ExampleEncoder() {
 
 // The compact binary codec is a drop-in replacement for JSON framing; real
 // connections negotiate it in the Hello exchange (Conn.Handshake /
-// Conn.AcceptHello) instead of setting it by hand.
+// Conn.ReplyHello) instead of setting it by hand.
 func ExampleCodec() {
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
+	"time"
 )
 
 // Address notation shared by the daemon and its clients: "unix:/path/to.sock"
@@ -38,38 +40,77 @@ func Listen(addr string) (net.Listener, error) {
 }
 
 // Dial connects to the address notation above and performs the client-side
-// Hello handshake, identifying as suo and requesting the named codec
-// (empty for JSON). The returned connection speaks the accepted codec.
-func Dial(addr, suo, codec string) (*Conn, error) {
-	c, _, err := DialTiered(addr, suo, codec, "")
-	return c, err
-}
-
-// DialTiered is Dial with a durability-class request (see HandshakeTiered):
-// the granted ack class is returned next to the connection. An empty
-// request asks for fsync, the strongest class.
-func DialTiered(addr, suo, codec string, dur Durability) (*Conn, Durability, error) {
-	c, granted, _, err := DialFlow(addr, suo, codec, dur)
-	return c, granted, err
-}
-
-// DialFlow is DialTiered additionally surfacing the initial frame-credit
-// window the server granted (see HandshakeFlow). Zero means the server
-// does not enforce flow control on this connection.
-func DialFlow(addr, suo, codec string, dur Durability) (*Conn, Durability, uint32, error) {
+// Hello exchange (see Conn.Handshake): the returned connection speaks the
+// accepted codec, and the reply carries what the server granted.
+func Dial(addr string, hello Message) (*Conn, Message, error) {
 	network, address, err := SplitAddr(addr)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, Message{}, err
 	}
 	nc, err := net.Dial(network, address)
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("wire: dial %s: %w", addr, err)
+		return nil, Message{}, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	c := NewConn(nc)
-	granted, credits := Durability(""), uint32(0)
-	if _, granted, credits, err = c.HandshakeFlow(suo, codec, dur); err != nil {
+	reply, err := c.Handshake(hello)
+	if err != nil {
 		nc.Close()
-		return nil, "", 0, err
+		return nil, Message{}, err
 	}
-	return c, granted, credits, nil
+	return c, reply, nil
+}
+
+// SendTimeout bounds every frame a daemon writes to a peer. Error, control
+// and handoff pushes run on goroutines that serve other peers too (shards,
+// another edge's handler), so a peer that stops reading until its socket
+// buffer fills must stall only itself: the timed-out write closes it.
+const SendTimeout = 10 * time.Second
+
+// Peer is the daemon's end of one accepted connection. Every write — Send,
+// and the Hello reply or rejection through the embedded Conn — arms a fresh
+// SendTimeout deadline first, so no frame can block on a stalled peer
+// forever.
+type Peer struct {
+	*Conn
+	nc net.Conn
+	// closed latches once the connection is being torn down — by a failed
+	// Send or by Shut. Sends racing the teardown (controller pushes, a
+	// draining daemon's CtrlStop broadcast) then fail fast with
+	// net.ErrClosed instead of writing into a socket another goroutine is
+	// closing.
+	closed atomic.Bool
+}
+
+// deadlineConn arms the write deadline ahead of every Write; the Encoder
+// writes each frame in one Write, so that is once per frame.
+type deadlineConn struct{ net.Conn }
+
+func (d deadlineConn) Write(b []byte) (int, error) {
+	_ = d.SetWriteDeadline(time.Now().Add(SendTimeout))
+	return d.Conn.Write(b)
+}
+
+// NewPeer wraps an accepted connection.
+func NewPeer(nc net.Conn) *Peer {
+	return &Peer{Conn: NewConn(deadlineConn{nc}), nc: nc}
+}
+
+// Send writes one frame. It is safe for concurrent use; a send that fails
+// shuts the peer, which unwinds whoever is reading it — a stalled or broken
+// peer must not stall its writers twice.
+func (p *Peer) Send(m Message) error {
+	if p.closed.Load() {
+		return fmt.Errorf("wire: send: %w", net.ErrClosed)
+	}
+	err := p.Encode(m)
+	if err != nil {
+		p.Shut()
+	}
+	return err
+}
+
+// Shut latches the peer closed and closes its socket.
+func (p *Peer) Shut() error {
+	p.closed.Store(true)
+	return p.nc.Close()
 }

@@ -632,83 +632,46 @@ func (c *Conn) SetCodec(codec Codec) {
 	c.Decoder.SetCodec(codec)
 }
 
-// Handshake performs the client side of the Hello exchange: it sends a
-// Hello frame identifying the SUO and requesting the named codec (empty or
-// "json" for the default), waits for the server's Hello reply, and switches
-// the connection to the codec the server accepted. It returns that codec.
-// Hello frames always travel as JSON, so negotiation works regardless of
-// the outcome.
-func (c *Conn) Handshake(suo, codec string) (Codec, error) {
-	accepted, _, err := c.HandshakeTiered(suo, codec, "")
-	return accepted, err
-}
-
-// HandshakeTiered is Handshake with a durability-class request: the Hello
-// additionally asks for the named ack class (empty for fsync, the
-// strongest), and the granted class from the server's reply is returned
-// next to the accepted codec. Servers from before tiered durability leave
-// the reply field empty, which vets back to fsync — the promise they
-// actually keep.
-func (c *Conn) HandshakeTiered(suo, codec string, dur Durability) (Codec, Durability, error) {
-	accepted, granted, _, err := c.HandshakeFlow(suo, codec, dur)
-	return accepted, granted, err
-}
-
-// HandshakeFlow is HandshakeTiered additionally surfacing the initial
-// frame-credit window the server's Hello reply grants. A zero window means
-// the server does not enforce flow control: the client may stream freely.
-// A non-zero window obliges the client to spend one credit per observation
-// frame and to stop sending observations at zero until a heartbeat echo or
-// TypeCredit frame replenishes it — a peer that keeps sending is
-// disconnected as hostile.
-func (c *Conn) HandshakeFlow(suo, codec string, dur Durability) (Codec, Durability, uint32, error) {
-	if err := c.Encode(Message{Type: TypeHello, SUO: suo, Codec: codec, Durability: dur}); err != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake send: %w", err)
+// Handshake performs the client side of the Hello exchange, the one way a
+// client opens a conversation: it sends hello (Type is set here; SUO names
+// the device or edge, Codec and Durability are requests — empty for json and
+// fsync — and an edge uplink adds Role and its Handoff range claim), waits
+// for the server's reply and switches the connection to the codec the server
+// accepted. Hello frames always travel as JSON, so negotiation works
+// regardless of the outcome.
+//
+// The reply is returned with what the server granted: Codec and Durability
+// normalised to known names (a server from before tiered durability leaves
+// the field empty, which vets back to fsync — the promise it actually
+// keeps), and Credits the initial frame-credit window. A zero window means
+// the server does not enforce flow control; a non-zero one obliges the
+// client to spend one credit per observation frame and to stop at zero until
+// a heartbeat echo or TypeCredit frame replenishes it — a peer that keeps
+// sending is disconnected as hostile. The reply must echo the requested
+// Role: an edge answered with an empty role dialed a server that predates
+// (or refuses) federation, and the uplink must not proceed.
+func (c *Conn) Handshake(hello Message) (reply Message, err error) {
+	hello.Type = TypeHello
+	if err := c.Encode(hello); err != nil {
+		return Message{}, fmt.Errorf("wire: handshake send: %w", err)
 	}
-	reply, err := c.Decode()
-	if err != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake reply: %w", err)
+	if reply, err = c.Decode(); err != nil {
+		return Message{}, fmt.Errorf("wire: handshake reply: %w", err)
 	}
 	if reply.Type == TypeError && reply.Error != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake rejected: %s", reply.Error.Detail)
+		return Message{}, fmt.Errorf("wire: handshake rejected: %s", reply.Error.Detail)
 	}
 	if reply.Type != TypeHello {
-		return nil, "", 0, fmt.Errorf("wire: handshake reply has type %q, want %q", reply.Type, TypeHello)
+		return Message{}, fmt.Errorf("wire: handshake reply has type %q, want %q", reply.Type, TypeHello)
 	}
-	accepted, _ := CodecByName(reply.Codec)
-	c.SetCodec(accepted)
-	granted, _ := DurabilityByName(string(reply.Durability))
-	return accepted, granted, reply.Credits, nil
-}
-
-// HandshakeEdge performs the client side of the Hello exchange for an edge
-// uplink (federation tier, ARCHITECTURE.md §7.1): the Hello declares
-// RoleEdge, names the edge in SUO, and attaches the edge's range claim as a
-// Handoff payload. The aggregator's reply must echo RoleEdge — an empty
-// role in the reply means the server predates (or refuses) federation and
-// the uplink must not proceed. Returns the accepted codec.
-func (c *Conn) HandshakeEdge(edgeID, codec string, claim HandoffRecord) (Codec, error) {
-	err := c.Encode(Message{Type: TypeHello, SUO: edgeID, Codec: codec,
-		Role: RoleEdge, Handoff: &claim})
-	if err != nil {
-		return nil, fmt.Errorf("wire: edge handshake send: %w", err)
+	if reply.Role != hello.Role {
+		return Message{}, fmt.Errorf("wire: server did not grant role %q (reply role %q)", hello.Role, reply.Role)
 	}
-	reply, err := c.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("wire: edge handshake reply: %w", err)
-	}
-	if reply.Type == TypeError && reply.Error != nil {
-		return nil, fmt.Errorf("wire: edge handshake rejected: %s", reply.Error.Detail)
-	}
-	if reply.Type != TypeHello {
-		return nil, fmt.Errorf("wire: edge handshake reply has type %q, want %q", reply.Type, TypeHello)
-	}
-	if reply.Role != RoleEdge {
-		return nil, fmt.Errorf("wire: server did not grant the edge role (role %q)", reply.Role)
-	}
-	accepted, _ := CodecByName(reply.Codec)
-	c.SetCodec(accepted)
-	return accepted, nil
+	codec, _ := CodecByName(reply.Codec)
+	c.SetCodec(codec)
+	reply.Codec = codec.Name()
+	reply.Durability, _ = DurabilityByName(string(reply.Durability))
+	return reply, nil
 }
 
 // ReadHello performs the first half of the server side of the Hello
@@ -752,27 +715,12 @@ func (c *Conn) ReplyHello(hello Message) (Codec, error) {
 // RejectHello refuses a Hello previously read with ReadHello: the handshake
 // reply is a TypeError frame instead of a Hello, so the client's Handshake
 // (and Dial) fails synchronously with the detail. No codec switch happens —
-// a rejection always travels as JSON, like the Hello frames themselves.
+// the rejection travels as JSON, like the Hello frames themselves. A server
+// whose admission fails after ReplyHello sends the same frame in the codec
+// by then in effect: the client reads it as a post-handshake error.
 func (c *Conn) RejectHello(suo, detail string) error {
 	rep := ErrorReport{Detector: "ingest", Detail: detail}
 	return c.Encode(Message{Type: TypeError, SUO: suo, Error: &rep})
-}
-
-// AcceptHello performs the unconditional server side of the Hello exchange:
-// ReadHello followed immediately by ReplyHello. Servers that vet clients
-// before admitting them call the two halves themselves, with RejectHello on
-// the refusal path. It returns the client's Hello and the codec now in
-// effect.
-func (c *Conn) AcceptHello() (Message, Codec, error) {
-	hello, err := c.ReadHello()
-	if err != nil {
-		return hello, nil, err
-	}
-	codec, err := c.ReplyHello(hello)
-	if err != nil {
-		return hello, nil, err
-	}
-	return hello, codec, nil
 }
 
 // SendEvent is a convenience for the SUO side: it frames an observation.

@@ -300,7 +300,7 @@ func TestRejectHelloFailsClientHandshake(t *testing.T) {
 		send.Close()
 	}()
 	client := NewConn(cend)
-	_, err := client.Handshake("tv-1", CodecBinary)
+	_, err := client.Handshake(Message{SUO: "tv-1", Codec: CodecBinary})
 	if err == nil {
 		t.Fatal("Handshake should fail on a rejection reply")
 	}
