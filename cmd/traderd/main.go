@@ -12,12 +12,6 @@
 // matching client; `-n 1` there is the paper's two-process deployment. See
 // ARCHITECTURE.md for the protocol.
 //
-// With -fleet N it instead runs an in-process simulated fleet of N
-// monitored TVs on a sharded monitor pool (-shards K workers), exercising
-// the fleet-scale path the ROADMAP targets: random remote-control traffic
-// across the whole fleet, aggregated error reports, and a throughput
-// summary.
-//
 // With -journal DIR the ingestion daemon writes every accepted frame to a
 // durable write-ahead journal before dispatching it, and recovers existing
 // journal state on boot — kill -9 the daemon and restart it, and every
@@ -66,7 +60,6 @@
 // Usage:
 //
 //	traderd -listen unix:/tmp/trader-fleet.sock,tcp:127.0.0.1:7700 [-suo tv|mediaplayer|light] [-shards 8] [-journal DIR] [-recover default] [-diagnose ochiai] [-v]
-//	traderd -fleet 1000 [-shards 8] [-fleet-seconds 5] [-v]
 //	traderd -replay DIR [-suo light] [-shards 8] [-diagnose ochiai] [-v]
 //	traderd -listen tcp:127.0.0.1:7801 -edge upstream=tcp:127.0.0.1:7800,range=0/2 [-journal DIR]
 //	traderd -aggregate -listen tcp:127.0.0.1:7800 [-ranges 2] [-failover-seconds 10] [-journal DIR] [-metrics ADDR]
@@ -106,9 +99,7 @@ func main() {
 	listen := flag.String("listen", "", "fleet ingestion addresses, comma-separated (unix:/path, tcp:host:port)")
 	suo := flag.String("suo", "tv", "SUO profile: tv, mediaplayer or light")
 	verbose := flag.Bool("v", false, "log every error report")
-	fleetN := flag.Int("fleet", 0, "run an in-process fleet of N monitored TVs instead of serving connections")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker shards for -fleet/-listen modes")
-	fleetSecs := flag.Int("fleet-seconds", 5, "virtual seconds of fleet operation in -fleet mode")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker shards for -listen/-replay modes")
 	statsEvery := flag.Int("stats-seconds", 10, "fleet rollup log interval in -listen mode (0: off)")
 	maxAdvance := flag.Int("max-advance", 0, "largest virtual-time jump in seconds a single client frame may request in -listen mode (0: default 300)")
 	journalDir := flag.String("journal", "", "write-ahead journal directory for -listen mode: journal every accepted frame, auto-recover on boot")
@@ -167,12 +158,6 @@ func main() {
 		}
 		return
 	}
-	if *fleetN > 0 {
-		if err := runFleet(*fleetN, *shards, *fleetSecs, *verbose); err != nil {
-			fatal("fleet run failed", "err", err)
-		}
-		return
-	}
 	if *recoverPol != "" && *listen == "" {
 		fatal("-recover requires -listen (the controller actuates through the ingestion server)")
 	}
@@ -192,7 +177,7 @@ func main() {
 		fatal("-credit-window, -shed and -metrics require -listen (they are ingestion-server overload controls)")
 	}
 	if *listen == "" {
-		fmt.Fprintln(os.Stderr, "traderd: pick a mode: -listen, -fleet or -replay")
+		fmt.Fprintln(os.Stderr, "traderd: pick a mode: -listen or -replay")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -630,59 +615,6 @@ func awaitStop(statsEvery int, errc <-chan error, tick func()) (os.Signal, error
 			}
 		}
 	}
-}
-
-// runFleet drives an in-process fleet of monitored TVs: power every set on,
-// then stream random remote-control presses to random devices while virtual
-// time advances, and report the fleet rollup.
-func runFleet(n, shards, seconds int, verbose bool) error {
-	pool := fleet.NewPool(fleet.Options{Shards: shards})
-	defer pool.Stop()
-	slog.Info("fleet mode", "component", "fleet", "tvs", n, "shards", shards, "virtual_seconds", seconds)
-
-	// The observable set is the reference TV configuration the experiments
-	// use, so -listen, -fleet and E1–E13 monitors judge alike.
-	factory := fleet.TVFactory(tvsim.Config{}, exper.TVObservables())
-	for i := 0; i < n; i++ {
-		if err := pool.AddDevice(fleet.DeviceID(i), int64(i)+1, factory); err != nil {
-			return err
-		}
-	}
-	if verbose {
-		pool.OnReport(func(device string, r wire.ErrorReport) {
-			slog.Info("error report", "component", "fleet", "device", device, "report", r.String())
-		})
-	}
-	if err := pool.Broadcast(fleet.KeyEvent(tvsim.KeyPower)); err != nil {
-		return err
-	}
-	keys := tvsim.AllKeys()
-	rng := sim.NewKernel(42).Rand() // deterministic workload
-	start := time.Now()
-	// Each round: a burst of targeted presses to random devices, then 100ms
-	// of virtual time fleet-wide.
-	for round := 0; round < seconds*10; round++ {
-		batch := make([]fleet.Targeted, 0, n/10+1)
-		for j := 0; j < n/10+1; j++ {
-			dev := fleet.DeviceID(rng.Intn(n))
-			key := keys[rng.Intn(len(keys))]
-			batch = append(batch, fleet.Targeted{Device: dev, Event: fleet.KeyEvent(key)})
-		}
-		if err := pool.DispatchBatch(batch); err != nil {
-			return err
-		}
-		if err := pool.Advance(100 * sim.Millisecond); err != nil {
-			return err
-		}
-	}
-	wall := time.Since(start)
-	ro := pool.Rollup()
-	slog.Info("fleet done", "component", "fleet",
-		"took", wall.String(), "devices", ro.Devices, "dispatched", ro.Dispatched,
-		"dispatch_rate", float64(ro.Dispatched)/wall.Seconds(),
-		"comparisons", ro.Monitor.Comparisons, "deviations", ro.Monitor.Deviations,
-		"reports", ro.Reports)
-	return nil
 }
 
 // newMonitor builds the monitor for the chosen SUO profile. Each connection

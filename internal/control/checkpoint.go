@@ -16,15 +16,15 @@ import (
 // rides in shard 0's batch); on boot the replay pass hands every record to
 // Apply, and Settle plays the newest such record back.
 //
-// Capture happens through the controller's own loop — NOT under the
-// journal's stream locks, since this loop appends to that journal — so a
-// report can slip between the control-plane snapshot and the fleet freeze.
-// That divergence is bounded by one inbox drain and self-heals at the next
+// Capture happens on the controller goroutine — NOT under the journal's
+// stream locks, since that goroutine appends to the journal — so a report
+// can slip between the control-plane snapshot and the fleet freeze. That
+// divergence is bounded by one mailbox drain and self-heals at the next
 // checkpoint; the ladder tolerates re-seen evidence by design.
 
 // counterTable fixes the Counters layout of a PlaneControl record: each
 // name next to the word it is captured from and restored into. dropped
-// stands in for the atomic inbox-shed counter. Controller-goroutine only.
+// stands in for the mailbox's shed counter. Controller-goroutine only.
 func (c *Controller) counterTable(dropped *uint64) []fleet.CounterRef {
 	t := &c.tally
 	return []fleet.CounterRef{
@@ -45,22 +45,16 @@ func (c *Controller) counterTable(dropped *uint64) []fleet.CounterRef {
 }
 
 // Checkpoint snapshots the controller into a PlaneControl checkpoint
-// record. It round-trips through the controller goroutine (a barrier:
-// reports enqueued before it are reflected); on a closed controller it
-// reads the frozen state directly.
-func (c *Controller) Checkpoint() wire.Message {
-	reply := make(chan wire.Message, 1)
-	if c.put(item{kind: itemCheckpoint, cpReply: reply}, true) {
-		return <-reply
-	}
-	<-c.done
-	return c.checkpoint()
+// record: a barrier, reports enqueued before it are reflected.
+func (c *Controller) Checkpoint() (m wire.Message) {
+	c.box.Do(func() { m = c.checkpoint() })
+	return m
 }
 
-// checkpoint builds the record. Controller-goroutine only (or post-Close).
+// checkpoint builds the record. Controller-goroutine only.
 func (c *Controller) checkpoint() wire.Message {
 	cp := &wire.Checkpoint{Plane: wire.PlaneControl, At: c.kernel.Now()}
-	dropped := c.dropped.Load()
+	dropped := c.box.Dropped()
 	cp.Counters = fleet.CaptureCounters(c.counterTable(&dropped))
 	ids := make([]string, 0, len(c.devs))
 	for id := range c.devs {
@@ -91,24 +85,21 @@ func (c *Controller) checkpoint() wire.Message {
 // simply wins. Devices regain their recovery units (in the Running state:
 // an in-flight restart at capture time is cut short, which only makes the
 // ladder gentler).
-func (c *Controller) Restore(cp *wire.Checkpoint) error {
+func (c *Controller) Restore(cp *wire.Checkpoint) (err error) {
 	if cp == nil || cp.Plane != wire.PlaneControl {
 		return fmt.Errorf("control: restore needs a %s checkpoint", wire.PlaneControl)
 	}
-	errc := make(chan error, 1)
-	if c.put(item{kind: itemRestore, restore: cp, errc: errc}, true) {
-		return <-errc
-	}
-	return fmt.Errorf("control: restore on closed controller")
+	c.box.Do(func() { err = c.restore(cp) })
+	return err
 }
 
 // restore plays cp back. Controller-goroutine only.
 func (c *Controller) restore(cp *wire.Checkpoint) error {
-	dropped := c.dropped.Load()
+	dropped := c.box.Dropped()
 	if err := fleet.RestoreCounters(c.counterTable(&dropped), cp.Counters); err != nil {
 		return fmt.Errorf("control: %w", err)
 	}
-	c.dropped.Store(dropped)
+	c.box.SetDropped(dropped)
 	// Restarts in flight at capture time are cut short (see Restore).
 	c.mgr.RecoveriesStarted = c.mgr.RecoveriesCompleted
 	for _, dev := range cp.Devices {

@@ -11,17 +11,16 @@
 //
 // The controller is asynchronous by construction: report handlers run on
 // pool shard goroutines and must neither block nor re-enter the pool, so
-// they only enqueue into the controller's inbox; one controller goroutine
-// owns all escalation state and performs the slow work (journal appends,
-// wire pushes, pool resets). Every action is journaled write-ahead as a
-// TypeControl frame, so a journal replay reconstructs exactly what the
-// controller did (fleet.Pool.Replay re-applies the pool-side effects), not
-// just what it saw.
+// they only Try a closure into the controller's mailbox (fleet.Mailbox, the
+// plane goroutine of ARCHITECTURE.md §3.6), which owns all escalation state
+// and performs the slow work (journal appends, wire pushes, pool resets).
+// Every action is journaled write-ahead as a TypeControl frame, so a journal
+// replay reconstructs exactly what the controller did (fleet.Pool.Replay
+// re-applies the pool-side effects), not just what it saw.
 package control
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"trader/internal/fleet"
 	"trader/internal/recovery"
@@ -70,38 +69,11 @@ type Options struct {
 	// including this action. Same contract as OnAction: controller
 	// goroutine, must not block or call back into the controller.
 	OnIncident func(Action)
-	// Inbox is the report queue length (default 4096). Reports beyond it
-	// are shed and counted in Rollup().Dropped.
-	Inbox int
 }
 
-// itemKind discriminates inbox items.
-type itemKind int
-
-const (
-	itemReport itemKind = iota
-	itemAck
-	itemAdvance
-	itemRollup
-	itemSync
-	itemCheckpoint
-	itemRestore
-	itemStop
-)
-
-// item is one unit of inbox work.
-type item struct {
-	kind    itemKind
-	device  string
-	report  wire.ErrorReport
-	ack     wire.Message
-	at      sim.Time
-	reply   chan Rollup
-	sync    chan struct{}
-	cpReply chan wire.Message
-	restore *wire.Checkpoint
-	errc    chan error
-}
+// inboxSize is the mailbox length: reports and acks beyond it are shed and
+// counted in Rollup().Dropped.
+const inboxSize = 4096
 
 // devState is one device's position on the escalation ladder. Owned by the
 // controller goroutine.
@@ -115,7 +87,7 @@ type devState struct {
 }
 
 // tally is the controller's action accounting. Owned by the controller
-// goroutine; Rollup round-trips through it (or reads directly after Close).
+// goroutine.
 type tally struct {
 	Reports         uint64
 	Classes         [nClasses]uint64
@@ -128,9 +100,9 @@ type tally struct {
 	JournalErrors   uint64
 }
 
-// Controller drives the fleet's recovery: one goroutine consuming the
-// report inbox, a recovery.Manager accounting restarts and downtime on the
-// controller's virtual clock, and a per-device escalation ladder.
+// Controller drives the fleet's recovery: a mailbox goroutine running the
+// report handlers, a recovery.Manager accounting restarts and downtime on
+// the controller's virtual clock, and a per-device escalation ladder.
 type Controller struct {
 	pool *fleet.Pool
 	opts Options
@@ -141,15 +113,9 @@ type Controller struct {
 	devs   map[string]*devState
 	tally  tally
 
-	inbox chan item
-	done  chan struct{}
-
-	// lifeMu orders enqueues against Close, so nothing is ever sent to an
-	// inbox whose loop has been told to stop.
-	lifeMu sync.Mutex
-	closed bool
-
-	dropped atomic.Uint64
+	// box is the controller goroutine; everything above is touched only by
+	// closures run through it (or, unstarted, by the caller: newController).
+	box fleet.Mailbox
 
 	// Replay state (see Apply/Settle): the newest control-plane checkpoint
 	// of the pass in progress, how many records the last pass restored
@@ -172,7 +138,7 @@ func Attach(pool *fleet.Pool, opts Options) *Controller {
 // builds it, so the reports the replay re-raises never reach the ladder.
 func New(pool *fleet.Pool, opts Options) *Controller {
 	c := newController(pool, opts)
-	go c.loop()
+	c.box.Start(inboxSize)
 	return c
 }
 
@@ -183,17 +149,12 @@ func newController(pool *fleet.Pool, opts Options) *Controller {
 	if opts.Policy == (Policy{}) {
 		opts.Policy = DefaultPolicy()
 	}
-	if opts.Inbox <= 0 {
-		opts.Inbox = 4096
-	}
 	c := &Controller{
 		pool:   pool,
 		opts:   opts,
 		pol:    opts.Policy,
 		kernel: sim.NewKernel(1),
 		devs:   make(map[string]*devState),
-		inbox:  make(chan item, opts.Inbox),
-		done:   make(chan struct{}),
 	}
 	c.mgr = recovery.NewManager(c.kernel)
 	return c
@@ -205,103 +166,34 @@ func (c *Controller) logf(format string, args ...any) {
 	}
 }
 
-// put enqueues an item unless the controller is closed. Non-blocking puts
-// (reports, acks — they run on shard and connection goroutines) shed on a
-// full inbox; blocking puts (rollup, sync, advance) wait for a slot.
-func (c *Controller) put(it item, wait bool) bool {
-	c.lifeMu.Lock()
-	defer c.lifeMu.Unlock()
-	if c.closed {
-		return false
-	}
-	if wait {
-		// Blocking under lifeMu is safe: the loop drains independently and
-		// Close serialises behind us.
-		c.inbox <- it
-		return true
-	}
-	select {
-	case c.inbox <- it:
-		return true
-	default:
-		c.dropped.Add(1)
-		return false
-	}
-}
-
 // Report feeds one error report into the controller. Attach registers it
 // with Pool.OnReport; it is safe from any goroutine and never blocks —
 // under overload reports are shed and counted (the ladder survives lost
 // evidence: the next report moves it the same way).
 func (c *Controller) Report(device string, r wire.ErrorReport) {
-	c.put(item{kind: itemReport, device: device, report: r}, false)
+	c.box.Try(func() { c.handleReport(device, r) })
 }
 
 // HandleAck feeds a device's control-command acknowledgement into the
 // controller; wire it to fleet.Server.OnAck. Safe from any goroutine,
 // never blocks.
 func (c *Controller) HandleAck(id string, m wire.Message) {
-	c.put(item{kind: itemAck, device: id, ack: m}, false)
+	c.box.Try(func() { c.handleAck(id, m) })
 }
 
 // Advance drives the controller's virtual clock to at, completing any
 // restart whose latency has elapsed (closing out its downtime accounting).
 // The clock otherwise only advances with report and ack timestamps, so a
 // fleet that heals completely would leave its last restart dangling.
-func (c *Controller) Advance(at sim.Time) {
-	ch := make(chan struct{})
-	if c.put(item{kind: itemAdvance, at: at, sync: ch}, true) {
-		<-ch
-	}
-}
+func (c *Controller) Advance(at sim.Time) { c.box.Do(func() { c.advanceTo(at) }) }
 
 // Sync blocks until every report enqueued before it has been processed.
-func (c *Controller) Sync() {
-	ch := make(chan struct{})
-	if c.put(item{kind: itemSync, sync: ch}, true) {
-		<-ch
-	}
-}
+func (c *Controller) Sync() { c.box.Do(func() {}) }
 
 // Close stops the controller goroutine. Reports arriving after Close are
-// dropped silently; Rollup keeps working on the frozen state.
-func (c *Controller) Close() {
-	c.lifeMu.Lock()
-	if c.closed {
-		c.lifeMu.Unlock()
-		<-c.done
-		return
-	}
-	c.closed = true
-	c.inbox <- item{kind: itemStop}
-	c.lifeMu.Unlock()
-	<-c.done
-}
-
-func (c *Controller) loop() {
-	defer close(c.done)
-	for it := range c.inbox {
-		switch it.kind {
-		case itemStop:
-			return
-		case itemSync:
-			close(it.sync)
-		case itemAdvance:
-			c.advanceTo(it.at)
-			close(it.sync)
-		case itemRollup:
-			it.reply <- c.rollup()
-		case itemCheckpoint:
-			it.cpReply <- c.checkpoint()
-		case itemRestore:
-			it.errc <- c.restore(it.restore)
-		case itemAck:
-			c.handleAck(it.device, it.ack)
-		case itemReport:
-			c.handleReport(it.device, it.report)
-		}
-	}
-}
+// dropped silently; every query and command that waits for its answer
+// (Rollup, Checkpoint, Restore, Advance) keeps working on the frozen state.
+func (c *Controller) Close() { c.box.Close() }
 
 // advanceTo runs the controller clock forward, firing due restart
 // completions on the way. Reports from slow devices may carry timestamps

@@ -55,23 +55,18 @@ func (ro Rollup) String() string {
 		ro.Quarantined, ro.Devices, ro.Downtime)
 }
 
-// Rollup snapshots the controller's accounting. It round-trips through the
-// controller goroutine (a barrier: reports enqueued before it are
-// reflected); on a closed controller it reads the frozen state directly.
-func (c *Controller) Rollup() Rollup {
-	reply := make(chan Rollup, 1)
-	if c.put(item{kind: itemRollup, reply: reply}, true) {
-		return <-reply
-	}
-	<-c.done // closed: the loop has exited, the state is frozen
-	return c.rollup()
+// Rollup snapshots the controller's accounting: a barrier, reports enqueued
+// before it are reflected.
+func (c *Controller) Rollup() (ro Rollup) {
+	c.box.Do(func() { ro = c.rollup() })
+	return ro
 }
 
-// rollup builds the Rollup. Controller-goroutine only (or post-Close).
+// rollup builds the Rollup. Controller-goroutine only.
 func (c *Controller) rollup() Rollup {
 	ro := Rollup{
 		Reports:         c.tally.Reports,
-		Dropped:         c.dropped.Load(),
+		Dropped:         c.box.Dropped(),
 		Deviations:      c.tally.Classes[ClassDeviation],
 		Silences:        c.tally.Classes[ClassSilence],
 		Runaways:        c.tally.Classes[ClassRunaway],

@@ -13,15 +13,15 @@ import (
 // per-block counters, the per-device fold high-water marks (so re-seen
 // evidence still folds exactly once) and the engine tally, flattened into
 // one PlaneDiagnose record riding in shard 0's checkpoint batch. Like the
-// control plane's, capture goes through the engine's own loop rather than
-// under the journal locks — this loop appends evidence to that journal — so
+// control plane's, capture runs on the engine goroutine rather than under
+// the journal locks — that goroutine appends evidence to the journal — so
 // a snapshot accepted between the plane capture and the fleet freeze folds
 // twice as far as the tally is concerned but never into the spectrum (the
 // high-water marks gate it); the next checkpoint squares the books.
 
 // counterTable fixes the Counters layout of a PlaneDiagnose record: each
 // name next to the word it is captured from and restored into. dropped
-// stands in for the atomic inbox-shed counter. Engine-goroutine only.
+// stands in for the mailbox's shed counter. Engine-goroutine only.
 func (e *Engine) counterTable(dropped *uint64) []fleet.CounterRef {
 	t := &e.tally
 	return []fleet.CounterRef{
@@ -37,19 +37,14 @@ func (e *Engine) counterTable(dropped *uint64) []fleet.CounterRef {
 	}
 }
 
-// Checkpoint snapshots the engine into a PlaneDiagnose checkpoint record.
-// It is a barrier like Result; on a closed engine it reads the frozen
-// state directly.
-func (e *Engine) Checkpoint() wire.Message {
-	reply := make(chan wire.Message, 1)
-	if e.put(item{kind: itemCheckpoint, cpReply: reply}, true) {
-		return <-reply
-	}
-	<-e.done
-	return e.checkpoint()
+// Checkpoint snapshots the engine into a PlaneDiagnose checkpoint record: a
+// barrier like Result.
+func (e *Engine) Checkpoint() (m wire.Message) {
+	e.box.Do(func() { m = e.checkpoint() })
+	return m
 }
 
-// checkpoint builds the record. Engine-goroutine only (or post-Close).
+// checkpoint builds the record. Engine-goroutine only.
 func (e *Engine) checkpoint() wire.Message {
 	cp := &wire.Checkpoint{Plane: wire.PlaneDiagnose, Blocks: e.opts.Blocks}
 	cells, nFail, nPass := e.spectra.Export()
@@ -57,7 +52,7 @@ func (e *Engine) checkpoint() wire.Message {
 	for _, c := range cells {
 		cp.Cells = append(cp.Cells, wire.CheckpointCell{Block: c.Block, Fail: c.Fail, Pass: c.Pass})
 	}
-	dropped := e.dropped.Load()
+	dropped := e.box.Dropped()
 	cp.Counters = fleet.CaptureCounters(e.counterTable(&dropped))
 	// Per-device stats: the fold high-water mark, plus a flags word (bit 0:
 	// the device is in the continuous-mode suspect set). The union with the
@@ -141,10 +136,10 @@ func (e *Engine) restoreCheckpoint(cp *wire.Checkpoint) error {
 			return fmt.Errorf("diagnose: partition %q: %w", p.ID, err)
 		}
 	}
-	dropped := e.dropped.Load()
+	dropped := e.box.Dropped()
 	if err := fleet.RestoreCounters(e.counterTable(&dropped), cp.Counters); err != nil {
 		return fmt.Errorf("diagnose: %w", err)
 	}
-	e.dropped.Store(dropped)
+	e.box.SetDropped(dropped)
 	return nil
 }

@@ -22,8 +22,6 @@ package diagnose
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"trader/internal/control"
@@ -75,9 +73,6 @@ type Options struct {
 	Requery sim.Time
 	// Logf, when non-nil, receives episode and lifecycle log lines.
 	Logf func(format string, args ...any)
-	// Inbox is the work queue length (default 1024). Items beyond it are
-	// shed and counted in Rollup().Dropped.
-	Inbox int
 	// Continuous enables the always-on diagnosis mode: devices piggyback
 	// sparse spectrum deltas on their heartbeat cadence
 	// (TypeSpectrumDelta; wire HandleSpectrumDelta to
@@ -100,34 +95,9 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// itemKind discriminates inbox items.
-type itemKind int
-
-const (
-	itemAction itemKind = iota
-	itemSnapshot
-	itemDelta
-	itemApply
-	itemResult
-	itemRollup
-	itemSync
-	itemCheckpoint
-	itemStop
-)
-
-// item is one unit of inbox work.
-type item struct {
-	kind    itemKind
-	device  string
-	action  control.Action
-	msg     wire.Message
-	topN    int
-	result  chan *Result
-	rollup  chan Rollup
-	sync    chan struct{}
-	cpReply chan wire.Message
-	errc    chan error
-}
+// inboxSize is the mailbox length: actions and evidence beyond it are shed
+// and counted in Rollup().Dropped.
+const inboxSize = 1024
 
 // tally is the engine's accounting. Owned by the engine goroutine.
 type tally struct {
@@ -154,9 +124,9 @@ type pull struct {
 	at    sim.Time
 }
 
-// Engine drives fleet diagnosis: one goroutine consuming escalations and
-// snapshots, a sharded Spectra owning the evidence, and the pending-pull
-// bookkeeping. All exported methods are safe for concurrent use.
+// Engine drives fleet diagnosis: a mailbox goroutine running the escalation
+// and evidence handlers, a sharded Spectra owning the evidence, and the
+// pending-pull bookkeeping. All exported methods are safe for concurrent use.
 type Engine struct {
 	pool   *fleet.Pool
 	opts   Options
@@ -175,13 +145,9 @@ type Engine struct {
 	suspects map[string]bool
 	tally    tally
 
-	inbox chan item
-	done  chan struct{}
-
-	lifeMu sync.Mutex
-	closed bool
-
-	dropped atomic.Uint64
+	// box is the engine goroutine; everything above is touched only by
+	// closures run through it (or, unstarted, by the caller: Offline).
+	box fleet.Mailbox
 
 	recovered int // evidence records the replay pass folded (see Apply)
 }
@@ -191,7 +157,7 @@ type Engine struct {
 // HandleSnapshot to fleet.Server.OnSnapshot; Close stops it.
 func Attach(pool *fleet.Pool, opts Options) *Engine {
 	e := newEngine(pool, opts)
-	go e.loop()
+	e.box.Start(inboxSize)
 	return e
 }
 
@@ -206,9 +172,6 @@ func newEngine(pool *fleet.Pool, opts Options) *Engine {
 	}
 	if opts.Cohort <= 0 {
 		opts.Cohort = DefaultCohort
-	}
-	if opts.Inbox <= 0 {
-		opts.Inbox = 1024
 	}
 	if opts.Requery == 0 {
 		opts.Requery = DefaultRequery
@@ -225,8 +188,6 @@ func newEngine(pool *fleet.Pool, opts Options) *Engine {
 		pending:  make(map[string]pull),
 		lastEp:   make(map[string]sim.Time),
 		suspects: make(map[string]bool),
-		inbox:    make(chan item, opts.Inbox),
-		done:     make(chan struct{}),
 	}
 	e.fold = newFolder(e.spectra, opts.TrackTop)
 	return e
@@ -238,112 +199,40 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// put enqueues an item unless the engine is closed. Non-blocking puts
-// (actions, snapshots — they run on controller and connection goroutines)
-// shed on a full inbox; blocking puts wait for a slot.
-func (e *Engine) put(it item, wait bool) bool {
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	if e.closed {
-		return false
-	}
-	if wait {
-		e.inbox <- it
-		return true
-	}
-	select {
-	case e.inbox <- it:
-		return true
-	default:
-		e.dropped.Add(1)
-		return false
-	}
-}
-
 // HandleAction feeds one escalation action into the engine; wire it to
 // control.Options.OnEscalate. Safe from any goroutine, never blocks.
 func (e *Engine) HandleAction(a control.Action) {
-	e.put(item{kind: itemAction, action: a}, false)
+	e.box.Try(func() { e.handleAction(a) })
 }
 
 // HandleSnapshot feeds one device snapshot into the engine; wire it to
 // fleet.Server.OnSnapshot. Safe from any goroutine, never blocks.
 func (e *Engine) HandleSnapshot(id string, m wire.Message) {
-	e.put(item{kind: itemSnapshot, device: id, msg: m}, false)
+	e.box.Try(func() { e.handleSnapshot(id, m) })
 }
 
 // HandleSpectrumDelta feeds one heartbeat spectrum delta into the engine;
 // wire it to fleet.Server.OnSpectrumDelta. Safe from any goroutine, never
 // blocks; outside continuous mode deltas are dropped unfolded.
 func (e *Engine) HandleSpectrumDelta(id string, m wire.Message) {
-	if !e.opts.Continuous {
-		return
+	if e.opts.Continuous {
+		e.box.Try(func() { e.handleDelta(id, m) })
 	}
-	e.put(item{kind: itemDelta, device: id, msg: m}, false)
 }
 
 // Sync blocks until every item enqueued before it has been processed.
-func (e *Engine) Sync() {
-	ch := make(chan struct{})
-	if e.put(item{kind: itemSync, sync: ch}, true) {
-		<-ch
-	}
-}
+func (e *Engine) Sync() { e.box.Do(func() {}) }
 
 // Close stops the engine goroutine. Evidence arriving after Close is
-// dropped silently; Result and Rollup keep working on the frozen state.
-func (e *Engine) Close() {
-	e.lifeMu.Lock()
-	if e.closed {
-		e.lifeMu.Unlock()
-		<-e.done
-		return
-	}
-	e.closed = true
-	e.inbox <- item{kind: itemStop}
-	e.lifeMu.Unlock()
-	<-e.done
-}
+// dropped silently; Result, Rollup and Checkpoint keep working on the
+// frozen state.
+func (e *Engine) Close() { e.box.Close() }
 
-// Result computes the current fleet diagnosis with the top n suspects. It
-// is a barrier: evidence enqueued before it is reflected. On a closed
-// engine it reads the frozen state directly.
-func (e *Engine) Result(n int) *Result {
-	reply := make(chan *Result, 1)
-	if e.put(item{kind: itemResult, topN: n, result: reply}, true) {
-		return <-reply
-	}
-	<-e.done
-	return buildFolderResult(e.fold, e.layout, e.coeff, n)
-}
-
-func (e *Engine) loop() {
-	defer close(e.done)
-	for it := range e.inbox {
-		switch it.kind {
-		case itemStop:
-			return
-		case itemSync:
-			close(it.sync)
-		case itemResult:
-			it.result <- buildFolderResult(e.fold, e.layout, e.coeff, it.topN)
-		case itemRollup:
-			it.rollup <- e.rollup()
-		case itemCheckpoint:
-			it.cpReply <- e.checkpoint()
-		case itemAction:
-			e.handleAction(it.action)
-		case itemSnapshot:
-			e.handleSnapshot(it.device, it.msg)
-		case itemDelta:
-			e.handleDelta(it.device, it.msg)
-		case itemApply:
-			err := e.apply(it.msg)
-			if it.errc != nil {
-				it.errc <- err
-			}
-		}
-	}
+// Result computes the current fleet diagnosis with the top n suspects: a
+// barrier, evidence enqueued before it is reflected.
+func (e *Engine) Result(n int) (res *Result) {
+	e.box.Do(func() { res = buildFolderResult(e.fold, e.layout, e.coeff, n) })
+	return res
 }
 
 // handleAction opens a diagnosis episode for an escalated device: pull a
@@ -590,26 +479,24 @@ func replayBlocks(m wire.Message) (blocks int, mine bool) {
 // spectrum, fold marks and tally — superseding evidence replayed before it
 // (the pre-checkpoint history of older streams); the records after it are
 // exactly the delta the checkpoint does not cover. Both go through the
-// engine's own inbox, in journal order. A checkpoint with a foreign block
-// count is an error, mirroring the live engine's layout guard; foreign
-// evidence cannot fold into this engine and is passed over.
-func (e *Engine) Apply(m wire.Message) error {
+// engine's own mailbox, in journal order: the checkpoint waits for its
+// verdict, evidence is only posted, so the replay driver reads ahead of the
+// fold. A checkpoint with a foreign block count is an error, mirroring the
+// live engine's layout guard; foreign evidence cannot fold into this engine
+// and is passed over.
+func (e *Engine) Apply(m wire.Message) (err error) {
 	blocks, mine := replayBlocks(m)
 	switch {
 	case !mine:
 	case m.Type == wire.TypeCheckpoint:
-		errc := make(chan error, 1)
-		if !e.put(item{kind: itemApply, msg: m, errc: errc}, true) {
-			return ErrClosed
-		}
-		return <-errc
+		e.box.Do(func() { err = e.apply(m) })
 	case blocks == e.opts.Blocks:
-		if !e.put(item{kind: itemApply, msg: m}, true) {
+		if !e.box.Post(func() { e.apply(m) }) {
 			return ErrClosed
 		}
 		e.recovered++
 	}
-	return nil
+	return err
 }
 
 // apply is Apply's engine-side half, for a record replayBlocks has vetted.

@@ -49,18 +49,14 @@ func (ro Rollup) String() string {
 		ro.Dropped, ro.JournalErrors)
 }
 
-// Rollup snapshots the engine's accounting. It is a barrier: items enqueued
-// before it are reflected; on a closed engine it reads the frozen state.
-func (e *Engine) Rollup() Rollup {
-	reply := make(chan Rollup, 1)
-	if e.put(item{kind: itemRollup, rollup: reply}, true) {
-		return <-reply
-	}
-	<-e.done
-	return e.rollup()
+// Rollup snapshots the engine's accounting: a barrier, items enqueued before
+// it are reflected.
+func (e *Engine) Rollup() (ro Rollup) {
+	e.box.Do(func() { ro = e.rollup() })
+	return ro
 }
 
-// rollup builds the Rollup. Engine-goroutine only (or post-Close).
+// rollup builds the Rollup. Engine-goroutine only.
 func (e *Engine) rollup() Rollup {
 	return Rollup{
 		Escalations:     e.tally.Escalations,
@@ -78,7 +74,7 @@ func (e *Engine) rollup() Rollup {
 		Malformed:       e.tally.Malformed,
 		Expired:         e.tally.Expired,
 		JournalErrors:   e.tally.JournalErrors,
-		Dropped:         e.dropped.Load(),
+		Dropped:         e.box.Dropped(),
 		Transactions:    e.spectra.Transactions(),
 		Failures:        e.spectra.Failures(),
 	}

@@ -108,18 +108,17 @@ func (p *Pool) CaptureCheckpoint(profile string, gen uint64) ([][]wire.Message, 
 // is re-applied. The device must already exist (replay builds it through
 // the factory first).
 func (p *Pool) RestoreDeviceCheckpoint(id string, cp *wire.Checkpoint) error {
-	errc := make(chan error, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
-		d, ok := s.devices[id]
-		if !ok {
-			errc <- fmt.Errorf("fleet: checkpoint for unknown device %q", id)
-			return
+	var err error
+	if serr := p.call(id, func(s *shard) {
+		if d, ok := s.devices[id]; ok {
+			err = d.restore(id, cp)
+		} else {
+			err = fmt.Errorf("fleet: checkpoint for unknown device %q", id)
 		}
-		errc <- d.restore(id, cp)
-	}); err != nil {
-		return err
+	}); serr != nil {
+		return serr
 	}
-	return <-errc
+	return err
 }
 
 // restore assigns a PlaneDevice checkpoint to the device the shard holds

@@ -266,8 +266,15 @@ func (p *Pool) AdvanceDevice(id string, at sim.Time) error {
 // heartbeat echo is on the wire, every earlier observation on that
 // connection has been through its monitor.
 func (p *Pool) FlushDevice(id string) error {
+	return p.call(id, func(*shard) {})
+}
+
+// call runs fn on the shard that owns the device ID and waits for it: send
+// plus the wait. The synchronous per-device commands are built on it, their
+// results leaving through the variables fn captures.
+func (p *Pool) call(id string, fn func(*shard)) error {
 	done := make(chan struct{})
-	if err := p.send(p.ShardOf(id), func(*shard) { close(done) }); err != nil {
+	if err := p.send(p.ShardOf(id), func(s *shard) { fn(s); close(done) }); err != nil {
 		return err
 	}
 	<-done
@@ -281,18 +288,17 @@ func (p *Pool) AddDevice(id string, seed int64, f Factory) error {
 	if id == "" {
 		return errors.New("fleet: device needs an ID")
 	}
-	errc := make(chan error, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
+	var err error
+	if serr := p.call(id, func(s *shard) {
 		if _, dup := s.devices[id]; dup {
-			errc <- fmt.Errorf("fleet: %w %q", ErrDuplicateDevice, id)
+			err = fmt.Errorf("fleet: %w %q", ErrDuplicateDevice, id)
 			return
 		}
-		_, err := s.build(p, id, seed, f)
-		errc <- err
-	}); err != nil {
-		return err
+		_, err = s.build(p, id, seed, f)
+	}); serr != nil {
+		return serr
 	}
-	return <-errc
+	return err
 }
 
 // build runs the factory for a device the shard does not hold yet and wires
@@ -314,22 +320,23 @@ func (s *shard) build(p *Pool, id string, seed int64, f Factory) (*Device, error
 
 // RemoveDevice stops and removes a device, reporting whether it was present.
 // Its monitor counters leave the fleet rollup with it.
-func (p *Pool) RemoveDevice(id string) (bool, error) {
-	found := make(chan bool, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
-		d, ok := s.devices[id]
-		if ok {
-			if d.Close != nil {
-				d.Close()
-			}
-			delete(s.devices, id)
-			p.devices.Add(-1)
+func (p *Pool) RemoveDevice(id string) (found bool, err error) {
+	err = p.call(id, func(s *shard) {
+		var d *Device
+		if d, found = s.devices[id]; found {
+			s.remove(p, id, d)
 		}
-		found <- ok
-	}); err != nil {
-		return false, err
+	})
+	return found, err
+}
+
+// remove closes a device the shard holds and takes it out of the pool.
+func (s *shard) remove(p *Pool, id string, d *Device) {
+	if d.Close != nil {
+		d.Close()
 	}
-	return <-found, nil
+	delete(s.devices, id)
+	p.devices.Add(-1)
 }
 
 // QuarantineDevice takes a device out of service: subsequent dispatches and
@@ -338,48 +345,37 @@ func (p *Pool) RemoveDevice(id string) (bool, error) {
 // device had done. The flag survives connection churn — a quarantined remote
 // device that reconnects is adopted quarantined, not returned to service.
 // It reports whether the device was present.
-func (p *Pool) QuarantineDevice(id string) (bool, error) {
-	found := make(chan bool, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
-		d, ok := s.devices[id]
-		if ok {
+func (p *Pool) QuarantineDevice(id string) (found bool, err error) {
+	err = p.call(id, func(s *shard) {
+		var d *Device
+		if d, found = s.devices[id]; found {
 			d.quarantined = true
 		}
-		found <- ok
-	}); err != nil {
-		return false, err
-	}
-	return <-found, nil
+	})
+	return found, err
 }
 
 // Quarantined reports whether the device exists and is quarantined.
-func (p *Pool) Quarantined(id string) (bool, error) {
-	q := make(chan bool, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
+func (p *Pool) Quarantined(id string) (q bool, err error) {
+	err = p.call(id, func(s *shard) {
 		d, ok := s.devices[id]
-		q <- ok && d.quarantined
-	}); err != nil {
-		return false, err
-	}
-	return <-q, nil
+		q = ok && d.quarantined
+	})
+	return q, err
 }
 
 // ResetDevice clears a device monitor's deviation state (core.Monitor.Reset)
 // so detection re-arms: the recovery control plane calls it as part of every
 // escalation action, and journal replay re-applies it at the recorded
 // position. It reports whether the device was present.
-func (p *Pool) ResetDevice(id string) (bool, error) {
-	found := make(chan bool, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
-		d, ok := s.devices[id]
-		if ok && d.Monitor != nil {
+func (p *Pool) ResetDevice(id string) (found bool, err error) {
+	err = p.call(id, func(s *shard) {
+		var d *Device
+		if d, found = s.devices[id]; found && d.Monitor != nil {
 			d.Monitor.Reset()
 		}
-		found <- ok
-	}); err != nil {
-		return false, err
-	}
-	return <-found, nil
+	})
+	return found, err
 }
 
 // Dispatch routes one event to one device, asynchronously. Unknown devices

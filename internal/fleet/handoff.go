@@ -36,23 +36,18 @@ func (p *Pool) HandoffDevice(id string) (*wire.Checkpoint, error) {
 	return p.captureDevice(id, true)
 }
 
-func (p *Pool) captureDevice(id string, remove bool) (*wire.Checkpoint, error) {
-	type result struct {
-		cp  *wire.Checkpoint
-		err error
-	}
-	res := make(chan result, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
+func (p *Pool) captureDevice(id string, remove bool) (cp *wire.Checkpoint, err error) {
+	if serr := p.call(id, func(s *shard) {
 		d, ok := s.devices[id]
 		if !ok {
-			res <- result{err: fmt.Errorf("fleet: capture of unknown device %q", id)}
+			err = fmt.Errorf("fleet: capture of unknown device %q", id)
 			return
 		}
 		if d.Monitor == nil {
-			res <- result{err: fmt.Errorf("fleet: capture of monitorless device %q", id)}
+			err = fmt.Errorf("fleet: capture of monitorless device %q", id)
 			return
 		}
-		cp := &wire.Checkpoint{
+		cp = &wire.Checkpoint{
 			Plane: wire.PlaneDevice,
 			Shard: s.idx,
 			At:    d.Kernel.Now(),
@@ -62,18 +57,12 @@ func (p *Pool) captureDevice(id string, remove bool) (*wire.Checkpoint, error) {
 			cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: quarantineCounter, V: 1})
 		}
 		if remove {
-			if d.Close != nil {
-				d.Close()
-			}
-			delete(s.devices, id)
-			p.devices.Add(-1)
+			s.remove(p, id, d)
 		}
-		res <- result{cp: cp}
-	}); err != nil {
-		return nil, err
+	}); serr != nil {
+		return nil, serr
 	}
-	r := <-res
-	return r.cp, r.err
+	return cp, err
 }
 
 // RestoreHandoff is the destination side of a migration: it builds the

@@ -95,7 +95,12 @@ func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 		t.Fatalf("reconnect with same ID: %v", err)
 	}
 	defer wc2.Close()
-	eventually(t, "re-registration", func() bool { return srv.Pool.Size() == 1 })
+	// Accepted is counted just after the device enters the pool: wait for
+	// the later of the two.
+	eventually(t, "re-registration", func() bool { return srv.Stats().Accepted == 2 })
+	if n := srv.Pool.Size(); n != 1 {
+		t.Fatalf("pool size after reconnect = %d, want 1", n)
+	}
 	st := srv.Stats()
 	if st.Accepted != 2 || st.Disconnected != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -411,23 +411,12 @@ func remoteFactory(factory MonitorFactory, send func(wire.Message) error) Factor
 // and losing the recovered monitor state; the returned time re-anchors the
 // connection's advance window so the client can resume with timestamps at
 // or beyond its last acknowledged heartbeat.
-func (p *Pool) AttachDevice(id string, send func(wire.Message) error) (sim.Time, bool, error) {
-	type result struct {
-		at sim.Time
-		ok bool
-	}
-	res := make(chan result, 1)
-	if err := p.send(p.ShardOf(id), func(s *shard) {
-		d := s.devices[id]
-		if d == nil || d.Attach == nil {
-			res <- result{}
-			return
+func (p *Pool) AttachDevice(id string, send func(wire.Message) error) (at sim.Time, ok bool, err error) {
+	err = p.call(id, func(s *shard) {
+		if d := s.devices[id]; d != nil && d.Attach != nil {
+			d.Attach(send)
+			at, ok = d.Kernel.Now(), true
 		}
-		d.Attach(send)
-		res <- result{at: d.Kernel.Now(), ok: true}
-	}); err != nil {
-		return 0, false, err
-	}
-	r := <-res
-	return r.at, r.ok, nil
+	})
+	return at, ok, err
 }
