@@ -53,7 +53,8 @@ func (m *Monitor) CaptureInto(cp *wire.Checkpoint) {
 		}
 		cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: name, V: v})
 	}
-	for _, st := range m.all {
+	for i := range m.obs {
+		st := &m.obs[i]
 		cp.Obs = append(cp.Obs, wire.CheckpointObs{
 			Name:        st.cfg.id(),
 			Consecutive: st.consecutive,
@@ -122,13 +123,9 @@ func (m *Monitor) RestoreFrom(cp *wire.Checkpoint) error {
 			m.stats.SilenceScans = c.V
 		}
 	}
-	byID := make(map[string]*obsState, len(m.all))
-	for _, st := range m.all {
-		byID[st.cfg.id()] = st
-	}
 	for _, o := range cp.Obs {
-		st, ok := byID[o.Name]
-		if !ok {
+		st := m.observable(o.Name)
+		if st == nil {
 			return fmt.Errorf("core: checkpoint observable %q not configured", o.Name)
 		}
 		st.consecutive = o.Consecutive

@@ -120,12 +120,12 @@ func (s *MonitorStats) Add(o MonitorStats) {
 
 // obsState is the comparator's per-observable state.
 type obsState struct {
-	cfg         Observable
+	cfg         *Observable // into the monitor's Configuration.Observables
 	consecutive int
-	inError     bool
 	lastValue   float64
-	everSeen    bool
 	lastSeen    sim.Time
+	inError     bool
+	everSeen    bool
 	silenced    bool // silence error already reported for this gap
 }
 
@@ -135,8 +135,10 @@ type Monitor struct {
 	model  *statemachine.Model
 	cfg    Configuration
 
-	byEvent map[string][]*obsState
-	all     []*obsState
+	// obs holds every observable's comparator state in configuration order,
+	// allocated in one piece; an output event is matched by a scan, cheaper
+	// than an index map for the handful of observables a monitor has.
+	obs []obsState
 
 	started      bool
 	modelStarted bool
@@ -149,19 +151,16 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor around a specification model. The model must
-// not be started yet; Start starts it.
+// not be started yet; Start starts it. The monitor keeps cfg.Observables
+// without copying it, so monitors of one product can share one
+// configuration; it must not change afterwards.
 func NewMonitor(kernel *sim.Kernel, model *statemachine.Model, cfg Configuration) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Monitor{
-		kernel: kernel, model: model, cfg: cfg,
-		byEvent: make(map[string][]*obsState),
-	}
-	for _, o := range cfg.Observables {
-		st := &obsState{cfg: o}
-		m.byEvent[o.EventName] = append(m.byEvent[o.EventName], st)
-		m.all = append(m.all, st)
+	m := &Monitor{kernel: kernel, model: model, cfg: cfg, obs: make([]obsState, len(cfg.Observables))}
+	for i := range m.obs {
+		m.obs[i].cfg = &cfg.Observables[i]
 	}
 	return m, nil
 }
@@ -194,8 +193,8 @@ func (m *Monitor) Start() error {
 	}
 	m.started = true
 	now := m.kernel.Now()
-	for _, st := range m.all {
-		st.lastSeen = now
+	for i := range m.obs {
+		m.obs[i].lastSeen = now
 	}
 	var needSweep bool
 	for _, o := range m.cfg.Observables {
@@ -271,7 +270,11 @@ func (m *Monitor) HandleOutput(e event.Event) {
 		return
 	}
 	m.stats.OutputsSeen++
-	for _, st := range m.byEvent[e.Name] {
+	for i := range m.obs {
+		st := &m.obs[i]
+		if st.cfg.EventName != e.Name {
+			continue
+		}
 		v, ok := e.Get(st.cfg.ValueName)
 		if !ok {
 			continue
@@ -321,7 +324,8 @@ func (m *Monitor) compareOne(st *obsState, actual float64) {
 // timeBasedCompare re-compares the last seen value of every observable
 // against the (possibly changed) model expectation.
 func (m *Monitor) timeBasedCompare() {
-	for _, st := range m.all {
+	for i := range m.obs {
+		st := &m.obs[i]
 		if !st.everSeen {
 			continue
 		}
@@ -333,7 +337,8 @@ func (m *Monitor) timeBasedCompare() {
 func (m *Monitor) sweepSilence() {
 	m.stats.SilenceScans++
 	now := m.kernel.Now()
-	for _, st := range m.all {
+	for i := range m.obs {
+		st := &m.obs[i]
 		if st.cfg.MaxSilence <= 0 || st.silenced {
 			continue
 		}
@@ -370,7 +375,8 @@ func (m *Monitor) report(r wire.ErrorReport) {
 // its latched episode, starving the escalation ladder of evidence.
 func (m *Monitor) Reset() {
 	now := m.kernel.Now()
-	for _, st := range m.all {
+	for i := range m.obs {
+		st := &m.obs[i]
 		st.consecutive = 0
 		st.inError = false
 		st.silenced = false
@@ -381,21 +387,29 @@ func (m *Monitor) Reset() {
 // ResetObservable clears deviation state for the named observable (used by
 // recovery once the SUO is repaired, so a fresh episode is reported anew).
 func (m *Monitor) ResetObservable(name string) {
-	for _, st := range m.all {
-		if st.cfg.id() == name {
-			st.consecutive = 0
-			st.inError = false
-			st.silenced = false
-			st.lastSeen = m.kernel.Now()
+	if st := m.observable(name); st != nil {
+		st.consecutive = 0
+		st.inError = false
+		st.silenced = false
+		st.lastSeen = m.kernel.Now()
+	}
+}
+
+// observable returns the named observable's state, or nil.
+func (m *Monitor) observable(name string) *obsState {
+	for i := range m.obs {
+		if m.obs[i].cfg.id() == name {
+			return &m.obs[i]
 		}
 	}
+	return nil
 }
 
 // ObservableNames lists configured observables, sorted.
 func (m *Monitor) ObservableNames() []string {
-	out := make([]string, 0, len(m.all))
-	for _, st := range m.all {
-		out = append(out, st.cfg.id())
+	out := make([]string, 0, len(m.obs))
+	for i := range m.obs {
+		out = append(out, m.obs[i].cfg.id())
 	}
 	sort.Strings(out)
 	return out

@@ -85,6 +85,14 @@ func LightFactory(faultEvery int) Factory {
 	}
 }
 
+// lightConfig is every light monitor's comparator configuration, shared.
+var lightConfig = core.Configuration{
+	Observables: []core.Observable{
+		{Name: "x", EventName: "out", ValueName: "x", ModelVar: "x", Threshold: 0.25, Tolerance: 1},
+	},
+	CompareEvery: 10 * sim.Millisecond,
+}
+
 // lightMonitor builds the minimal started monitor LightFactory and
 // LightMonitorFactory share: a one-state spec model tracking the commanded
 // level "x", re-compared every 10ms of virtual time.
@@ -103,12 +111,7 @@ func lightMonitor(id string, k *sim.Kernel) (*core.Monitor, error) {
 		}},
 	})
 	model := statemachine.MustModel("dev-"+id, k, r)
-	mon, err := core.NewMonitor(k, model, core.Configuration{
-		Observables: []core.Observable{
-			{Name: "x", EventName: "out", ValueName: "x", ModelVar: "x", Threshold: 0.25, Tolerance: 1},
-		},
-		CompareEvery: 10 * sim.Millisecond,
-	})
+	mon, err := core.NewMonitor(k, model, lightConfig)
 	if err != nil {
 		return nil, err
 	}

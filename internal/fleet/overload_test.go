@@ -183,6 +183,9 @@ func TestShedTierOrderingUnderPressure(t *testing.T) {
 		return hb == 1 && obs == 4
 	})
 	release2()
+	// The shard drains its fillers on its own schedule; a heartbeat sent
+	// before it has would meet the same pressure and be refused again.
+	eventually(t, "pressure relieved", func() bool { return srv.Pool.Pressure("tiered") < 0.5 })
 
 	// Pressure is gone: the next heartbeat echoes, and the first frame the
 	// client sees is its echo — the 2s heartbeat was refused, not delayed.

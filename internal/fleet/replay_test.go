@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -281,7 +282,7 @@ func TestReplayerLatchesFactoryFailure(t *testing.T) {
 	})
 }
 
-// Allocation gate (ROADMAP 1a): buffering a frame record costs the reader
+// Allocation gate: buffering a frame record costs the reader
 // goroutine no allocation — the batch buffers circulate — and the shard
 // runs it without one, where the per-record closure and channel send of
 // Pool.Dispatch cost 1.5.
@@ -338,4 +339,32 @@ func TestReplayerIntoStoppedPoolFailsWithoutHanging(t *testing.T) {
 	if err := rp.Settle(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Settle = %v, want ErrStopped", err)
 	}
+}
+
+// Heap gate: a light remote device — what a cold boot builds 20 000 of —
+// holds at most 2 000 bytes of heap once registered: its kernel, spec model,
+// monitor and pool slot. Measured the way the benchmark's
+// fleet.pool.heap_bytes_per_device is: HeapAlloc over many AddRemoteDevice
+// calls, after a GC on each side.
+func TestLightRemoteDeviceHeapBytes(t *testing.T) {
+	const devices, limit = 10000, 2000
+	factory := LightMonitorFactory()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewPool(Options{Shards: 2})
+	defer p.Stop()
+	for i := 0; i < devices; i++ {
+		if err := p.AddRemoteDevice(fmt.Sprintf("heap-%05d", i), factory, discardSink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(after.HeapAlloc-before.HeapAlloc) / devices
+	t.Logf("%.0f heap bytes per light remote device", per)
+	if per > limit {
+		t.Fatalf("a light remote device holds %.0f bytes of heap, want ≤ %d", per, limit)
+	}
+	runtime.KeepAlive(p)
 }

@@ -98,7 +98,9 @@ func drainJournal(t *testing.T, dir string) (records int, torn bool, corrupt boo
 // tail is the torn-write crash recovery tolerates) and with a valid
 // segment after it (where the very same damage is mid-journal corruption).
 // The reader must never panic and must classify every outcome as a clean
-// end, a torn tail, or a *CorruptError with position information. CI's
+// end, a torn tail, or a *CorruptError with position information — and it
+// must agree, record for record and error for error, with the
+// record-at-a-time reference reader. CI's
 // fuzz smoke job runs this next to wire's FuzzDecode (`make fuzz`).
 func FuzzJournalReader(f *testing.F) {
 	valid := fuzzSegment(f)
@@ -131,6 +133,7 @@ func FuzzJournalReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		drainJournal(t, last)
+		assertReadersAgree(t, last)
 
 		// As a mid-journal segment (a valid segment follows): now a torn
 		// tail in raw is lost data and must be corruption, not a clean end.
@@ -144,6 +147,7 @@ func FuzzJournalReader(f *testing.F) {
 		if _, torn, _ := drainJournal(t, mid); torn {
 			t.Fatal("mid-journal truncation classified as a torn tail")
 		}
+		assertReadersAgree(t, mid)
 	})
 }
 

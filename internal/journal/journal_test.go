@@ -273,29 +273,3 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
 	}
 }
-
-// Allocation gate (ROADMAP 1a: allocations are gated hard, time is
-// advisory): reading one observation record allocates its Event and its
-// Values and nothing else — header, payload buffer and Message stay on the
-// reader, and every string is an intern-table hit once the journal has named
-// it. Replay rate is the daemon's time to recover; 6.8 allocations a record
-// were a fifth of a cold boot in GC.
-func TestReaderNextAllocsPerObservation(t *testing.T) {
-	const n = 2000
-	dir := t.TempDir()
-	writeFrames(t, dir, Options{NoSync: true}, 0, n+1)
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	next := func() {
-		if m, err := r.Next(); err != nil || m.Event == nil {
-			t.Fatalf("Next = %+v, %v", m, err)
-		}
-	}
-	next() // opens the segment
-	if got := testing.AllocsPerRun(n-1, next); got > 3 {
-		t.Fatalf("Reader.Next allocates %.2f times per observation record, want ≤ 3", got)
-	}
-}

@@ -3,14 +3,27 @@ package journal
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 
 	"trader/internal/wire"
+)
+
+// Pipeline shape. A chunk closes at chunkRecords records or chunkBytes of
+// payload, whichever comes first, and at every segment end; chunksInFlight
+// chunks exist per reader, so however long the journal, the reader holds at
+// most chunksInFlight × (chunkBytes + one record) of payload and as many
+// chunks of decoded Messages.
+const (
+	chunkRecords   = 256
+	chunkBytes     = 64 << 10
+	chunksInFlight = 16
 )
 
 // Reader replays a journal directory in record order. Not safe for
@@ -34,25 +47,33 @@ import (
 // previous one, or the stream's beginning, where the skipped records
 // rebuild the same state the long way. Checkpoint restore being absolute
 // (assignment, not accumulation) is what makes that fallback safe.
+//
+// Decoding runs ahead of Next on a bounded, ordered pipeline, started by
+// the first Next: one goroutine frames records (segment walk, length bound,
+// CRC, tear classification) into chunks, GOMAXPROCS workers decode whole
+// chunks, and Next hands the decoded chunks out in the order they were
+// framed — the order a record-at-a-time reader would return them. The
+// pipeline stops by itself once Next returns io.EOF or an error; Close stops
+// it mid-journal. Either way no goroutine outlives Close.
 type Reader struct {
-	streams []stream // streams not yet finished; streams[0] is current
-	f       *os.File
-	br      *bufio.Reader
-	path    string // current segment's display name (stream-relative)
-	off     int64  // byte offset of the next record in the current segment
-	lastSeg bool   // the current segment is its stream's final one
-	buf     []byte // reused payload buffer
-	recs    uint64 // records returned so far
+	streams []stream // handed to the framer by the first Next
+	skipped int      // segments skipped via checkpoint resume points
+	recs    uint64   // records returned so far
 	torn    bool
-	skipped int // segments skipped via checkpoint resume points
+	err     error // sticky end: io.EOF, the first error, or ErrClosed
 
-	// hdr is the record header being read; a local would escape through
-	// io.ReadFull and cost an allocation per record.
-	hdr [recordHeader]byte
-	// dec interns the strings that repeat record after record (device IDs,
-	// event and value names, sources): the same Messages wire.Binary
-	// decodes, at a fraction of the allocations.
-	dec wire.BinaryInterner
+	cur *chunk // chunk being handed out
+	pos int    // next message in cur
+	p   *pipe  // the running pipeline; nil before the first Next and after it stops
+}
+
+// pipe is the read-ahead pipeline's shared plumbing.
+type pipe struct {
+	stop  chan struct{} // closed to stop the pipeline
+	wg    sync.WaitGroup
+	free  chan *chunk // chunks ready for the framer
+	work  chan *chunk // framed chunks for the decode workers
+	order chan *chunk // framed chunks in journal order, for Next
 }
 
 // stream is one segment sequence: the directory root or a shard subdir.
@@ -62,39 +83,65 @@ type stream struct {
 	segs []string
 }
 
-// errSegEnd signals a clean segment boundary to the Next loop.
-var errSegEnd = errors.New("journal: segment end")
+// chunk is the pipeline's unit: consecutive records of one segment, their
+// payloads packed back to back in buf, then their decoded Messages.
+type chunk struct {
+	seg  string // segment display name
+	off  int64  // byte offset of the first record in seg
+	base uint64 // records in the journal before this chunk
+	buf  []byte // payloads, back to back
+	ends []int  // ends[i]: end of record i's payload in buf
+	// torn: the segment ends in a torn tail after these records. err, when
+	// set, follows these records: io.EOF, a framing or I/O error, or the
+	// decode error that cut msgs short.
+	torn bool
+	err  error
 
-// OpenReader opens dir for replay. A missing or empty directory is an
-// empty journal: Next returns io.EOF immediately.
-func OpenReader(dir string) (*Reader, error) {
+	msgs  []wire.Message // decoded by a worker
+	ready chan struct{}  // one token per use: msgs and err are final
+}
+
+// openStreams lists dir's streams — the root, then each shard subdir — with
+// every stream's segments before its checkpoint resume point dropped, and
+// how many segments that dropped.
+func openStreams(dir string) ([]stream, int, error) {
 	rootSegs, err := segments(dir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	streams := []stream{{dir: dir, rel: "", segs: rootSegs}}
 	shards, err := shardDirs(dir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, sd := range shards {
 		segs, err := segments(filepath.Join(dir, sd))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		streams = append(streams, stream{dir: filepath.Join(dir, sd), rel: sd + "/", segs: segs})
 	}
-	r := &Reader{}
+	skipped := 0
 	for i := range streams {
 		idx, err := resumeIndex(streams[i].dir, streams[i].segs)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r.skipped += idx
+		skipped += idx
 		streams[i].segs = streams[i].segs[idx:]
 	}
-	r.streams = streams
-	return r, nil
+	return streams, skipped, nil
+}
+
+// OpenReader opens dir for replay. A missing or empty directory is an
+// empty journal: Next returns io.EOF immediately. Opening starts no
+// goroutine; the first Next does.
+func OpenReader(dir string) (*Reader, error) {
+	streams, skipped, err := openStreams(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{streams: streams, skipped: skipped}, nil
 }
 
 // resumeIndex finds the newest segment of a stream that opens with a
@@ -160,82 +207,202 @@ func opensWithCheckpoint(path string) (bool, error) {
 }
 
 // Next returns the next journaled frame, io.EOF at the end of the journal,
-// or a *CorruptError pinpointing unrecoverable damage.
+// or a *CorruptError pinpointing unrecoverable damage. Once it has returned
+// an error it returns that error again.
 func (r *Reader) Next() (wire.Message, error) {
 	for {
-		if r.f == nil {
-			for len(r.streams) > 0 && len(r.streams[0].segs) == 0 {
-				r.streams = r.streams[1:]
+		if c := r.cur; c != nil {
+			if r.pos < len(c.msgs) {
+				r.pos++
+				r.recs++
+				return c.msgs[r.pos-1], nil
 			}
-			if len(r.streams) == 0 {
-				return wire.Message{}, io.EOF
+			r.cur = nil
+			r.torn = r.torn || c.torn
+			if c.err != nil {
+				r.err = c.err
+				r.halt()
+				break
 			}
-			st := &r.streams[0]
-			name := st.segs[0]
-			st.segs = st.segs[1:]
-			f, err := os.Open(filepath.Join(st.dir, name))
-			if err != nil {
-				return wire.Message{}, fmt.Errorf("journal: %w", err)
-			}
-			r.f, r.br, r.path, r.off = f, bufio.NewReaderSize(f, 64<<10), st.rel+name, 0
-			r.lastSeg = len(st.segs) == 0
+			r.p.free <- c // room for every chunk: never blocks
 		}
-		m, err := r.next()
-		if err == errSegEnd {
-			r.closeSeg()
-			continue
+		if r.err != nil {
+			break
 		}
-		return m, err
+		if r.p == nil {
+			r.start()
+		}
+		// The framer sends every chunk it fills and, unless Close stopped
+		// it, a final one carrying the end; each framed chunk is decoded
+		// and signalled exactly once. So neither receive can block for
+		// good while the reader is open.
+		c := <-r.p.order
+		<-c.ready
+		r.cur, r.pos = c, 0
+	}
+	return wire.Message{}, r.err
+}
+
+// start launches the framer and the decode workers.
+func (r *Reader) start() {
+	// Each channel can hold every chunk there is, so only the framer's wait
+	// for a free chunk ever blocks: that wait is the pipeline's bound.
+	p := &pipe{
+		stop:  make(chan struct{}),
+		free:  make(chan *chunk, chunksInFlight),
+		work:  make(chan *chunk, chunksInFlight),
+		order: make(chan *chunk, chunksInFlight),
+	}
+	for i := 0; i < chunksInFlight; i++ {
+		p.free <- &chunk{ready: make(chan struct{}, 1)}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	p.wg.Add(1 + workers)
+	fr := &framer{pipe: p, br: bufio.NewReaderSize(nil, 64<<10)}
+	go fr.run(r.streams)
+	for i := 0; i < workers; i++ {
+		go p.decode()
+	}
+	r.p, r.streams = p, nil
+}
+
+// halt stops the pipeline, if it runs, and waits for its goroutines.
+func (r *Reader) halt() {
+	if r.p != nil {
+		close(r.p.stop)
+		r.p.wg.Wait()
+		r.p = nil
 	}
 }
 
-func (r *Reader) closeSeg() {
-	if r.f != nil {
-		_ = r.f.Close()
-		r.f = nil
+// decode is one worker: it decodes whole chunks with its own intern table.
+func (p *pipe) decode() {
+	defer p.wg.Done()
+	var dec wire.BinaryInterner
+	for {
+		select {
+		case c, ok := <-p.work:
+			if !ok {
+				return
+			}
+			c.decode(&dec)
+			c.ready <- struct{}{} // one token per use: never blocks
+		case <-p.stop:
+			return
+		}
 	}
 }
 
-// next reads one record from the current segment.
-func (r *Reader) next() (wire.Message, error) {
-	hdr := r.hdr[:]
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
-		switch err {
-		case io.EOF:
-			return wire.Message{}, errSegEnd // clean record boundary
-		case io.ErrUnexpectedEOF:
-			return r.tail("record header")
-		default:
-			return wire.Message{}, fmt.Errorf("journal: %s: %w", r.path, err)
+// decode turns the chunk's payloads into Messages. A payload the codec
+// rejects cuts the chunk short with a *CorruptError positioned at it; the
+// records after it — and a torn tail after those — were never reached.
+func (c *chunk) decode(dec *wire.BinaryInterner) {
+	if c.msgs == nil {
+		c.msgs = make([]wire.Message, 0, chunkRecords)
+	}
+	c.msgs = c.msgs[:len(c.ends)]
+	start := 0
+	for i, end := range c.ends {
+		m := &c.msgs[i]
+		*m = wire.Message{}
+		if err := dec.Unmarshal(c.buf[start:end], m); err != nil {
+			c.msgs = c.msgs[:i]
+			c.torn = false
+			c.err = &CorruptError{
+				Segment: c.seg,
+				Offset:  c.off + int64(i*recordHeader+start),
+				Record:  c.base + uint64(i),
+				Detail:  err.Error(),
+			}
+			return
+		}
+		start = end
+	}
+}
+
+// framer is the pipeline's single reading goroutine: it walks the streams'
+// segments, checks each record's length and CRC, classifies tears, and
+// packs payloads into chunks in journal order.
+type framer struct {
+	*pipe
+	br   *bufio.Reader
+	hdr  [recordHeader]byte
+	c    *chunk // chunk being filled
+	seg  string // current segment's display name (stream-relative)
+	off  int64  // byte offset of the next record in the current segment
+	recs uint64 // records framed so far
+}
+
+func (fr *framer) run(streams []stream) {
+	defer fr.wg.Done()
+	defer close(fr.work)
+	for _, st := range streams {
+		for i, name := range st.segs {
+			if !fr.segment(st, name, i == len(st.segs)-1) {
+				return
+			}
 		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	want := binary.BigEndian.Uint32(hdr[4:])
-	if n > wire.MaxFrame {
-		// Bound the allocation before trusting the length, exactly as the
-		// wire framing layer does.
-		return wire.Message{}, r.corrupt(fmt.Sprintf("impossible record length %d", n))
+	if fr.begin() {
+		fr.end(io.EOF)
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+}
+
+// segment frames one segment file; lastSeg marks its stream's final one.
+// It reports whether framing continues past it.
+func (fr *framer) segment(st stream, name string, lastSeg bool) bool {
+	fr.seg, fr.off = st.rel+name, 0
+	if !fr.begin() {
+		return false
 	}
-	payload := r.buf[:n]
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return r.tail("record payload")
+	f, err := os.Open(filepath.Join(st.dir, name))
+	if err != nil {
+		return fr.end(fmt.Errorf("journal: %w", err))
+	}
+	defer f.Close()
+	fr.br.Reset(f)
+	for {
+		if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+			switch err {
+			case io.EOF: // clean record boundary
+				return fr.flush() // segment end: a chunk never spans two
+			case io.ErrUnexpectedEOF:
+				return fr.tail("record header", lastSeg)
+			default:
+				return fr.end(fmt.Errorf("journal: %s: %w", fr.seg, err))
+			}
 		}
-		return wire.Message{}, fmt.Errorf("journal: %s: %w", r.path, err)
+		n := binary.BigEndian.Uint32(fr.hdr[:4])
+		want := binary.BigEndian.Uint32(fr.hdr[4:])
+		if n > wire.MaxFrame {
+			// Bound the allocation before trusting the length, exactly as the
+			// wire framing layer does.
+			return fr.end(fr.corrupt(fmt.Sprintf("impossible record length %d", n)))
+		}
+		c := fr.c
+		at := len(c.buf)
+		c.buf = slices.Grow(c.buf, int(n))[:at+int(n)]
+		payload := c.buf[at:]
+		if _, err := io.ReadFull(fr.br, payload); err != nil {
+			c.buf = c.buf[:at]
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return fr.tail("record payload", lastSeg)
+			}
+			return fr.end(fmt.Errorf("journal: %s: %w", fr.seg, err))
+		}
+		if got := crc32.Checksum(payload, castagnoli); got != want {
+			c.buf = c.buf[:at]
+			return fr.end(fr.corrupt(fmt.Sprintf("crc mismatch: stored %08x, computed %08x", want, got)))
+		}
+		c.ends = append(c.ends, len(c.buf))
+		fr.off += recordHeader + int64(n)
+		fr.recs++
+		if len(c.ends) == chunkRecords || len(c.buf) >= chunkBytes {
+			if !fr.flush() || !fr.begin() {
+				return false
+			}
+		}
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return wire.Message{}, r.corrupt(fmt.Sprintf("crc mismatch: stored %08x, computed %08x", want, got))
-	}
-	var m wire.Message
-	if err := r.dec.Unmarshal(payload, &m); err != nil {
-		return wire.Message{}, r.corrupt(err.Error())
-	}
-	r.off += recordHeader + int64(n)
-	r.recs++
-	return m, nil
 }
 
 // tail classifies an incomplete record: at the end of a stream's final
@@ -243,16 +410,65 @@ func (r *Reader) next() (wire.Message, error) {
 // cleanly (Torn reports it) and replay continues with the next stream.
 // Anywhere earlier the stream lost data that later segments continue past,
 // which replay must not paper over.
-func (r *Reader) tail(what string) (wire.Message, error) {
-	if r.lastSeg {
-		r.torn = true
-		return wire.Message{}, errSegEnd
+func (fr *framer) tail(what string, lastSeg bool) bool {
+	if lastSeg {
+		fr.c.torn = true
+		return fr.flush()
 	}
-	return wire.Message{}, r.corrupt("truncated " + what + " mid-journal")
+	return fr.end(fr.corrupt("truncated " + what + " mid-journal"))
 }
 
-func (r *Reader) corrupt(detail string) error {
-	return &CorruptError{Segment: r.path, Offset: r.off, Record: r.recs, Detail: detail}
+func (fr *framer) corrupt(detail string) error {
+	return &CorruptError{Segment: fr.seg, Offset: fr.off, Record: fr.recs, Detail: detail}
+}
+
+// begin takes a free chunk to fill, positioned at the next record. It
+// reports false if the pipeline was stopped.
+func (fr *framer) begin() bool {
+	select {
+	case c := <-fr.free:
+		if cap(c.buf) > 4*chunkBytes {
+			c.buf = nil // one huge record: do not keep its buffer
+		}
+		c.seg, c.off, c.base = fr.seg, fr.off, fr.recs
+		c.buf, c.ends, c.torn, c.err = c.buf[:0], c.ends[:0], false, nil
+		fr.c = c
+		return true
+	case <-fr.stop:
+		return false
+	}
+}
+
+// flush sends the chunk being filled down the pipeline, unless it carries
+// nothing, and reports false if the pipeline was stopped. Once sent, the
+// chunk is a worker's: the framer reads none of it again.
+func (fr *framer) flush() bool {
+	c := fr.c
+	fr.c = nil
+	if len(c.ends) == 0 && !c.torn && c.err == nil {
+		fr.free <- c // taken from free a moment ago: never blocks
+		return true
+	}
+	// order and work have room for every chunk there is, so neither send
+	// blocks; the selects only make that explicit.
+	select {
+	case fr.order <- c:
+	case <-fr.stop:
+		return false
+	}
+	select {
+	case fr.work <- c:
+		return true
+	case <-fr.stop:
+		return false
+	}
+}
+
+// end closes the pipeline with err after the chunk's records; framing stops.
+func (fr *framer) end(err error) bool {
+	fr.c.err = err
+	fr.flush()
+	return false
 }
 
 // Torn reports whether any stream ended in a torn trailing record — a
@@ -266,8 +482,14 @@ func (r *Reader) Records() uint64 { return r.recs }
 // allowed the reader to skip without reading.
 func (r *Reader) SegmentsSkipped() int { return r.skipped }
 
-// Close releases the reader's current segment file.
+// Close stops the read-ahead pipeline and releases the segment it had
+// open; once it returns, no goroutine of the reader is left. Next returns
+// ErrClosed afterwards, unless it had already ended. Close is idempotent.
 func (r *Reader) Close() error {
-	r.closeSeg()
+	r.halt()
+	r.cur = nil
+	if r.err == nil {
+		r.err = ErrClosed
+	}
 	return nil
 }

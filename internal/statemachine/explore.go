@@ -95,9 +95,12 @@ func (m *Model) CaptureState() Snapshot {
 func (m *Model) RestoreState(s Snapshot) {
 	for _, r := range m.regions {
 		r.current = s.Current[r.Name]
-		r.lastChild = make(map[string]string, len(s.History[r.Name]))
-		for k, v := range s.History[r.Name] {
-			r.lastChild[k] = v
+		r.lastChild = nil
+		if h := s.History[r.Name]; len(h) > 0 {
+			r.lastChild = make(map[string]string, len(h))
+			for k, v := range h {
+				r.lastChild[k] = v
+			}
 		}
 	}
 	m.vars = make(map[string]float64, len(s.Vars))

@@ -100,7 +100,8 @@ type Region struct {
 	initial string
 	current string // current leaf state; "" before Start
 	// lastChild remembers, per composite state, the child active at the
-	// last exit (shallow history).
+	// last exit (shallow history). Nil until a history state is first
+	// exited: most regions never record any.
 	lastChild map[string]string
 	timers    []*sim.Event
 	model     *Model
@@ -109,9 +110,8 @@ type Region struct {
 // NewRegion creates an empty region.
 func NewRegion(name string) *Region {
 	return &Region{
-		Name:      name,
-		states:    make(map[string]*State),
-		lastChild: make(map[string]string),
+		Name:   name,
+		states: make(map[string]*State),
 	}
 }
 
@@ -288,6 +288,9 @@ func (r *Region) exitTo(keepDepth int, ctx *Context) {
 		// Record shallow history only where it changes behaviour, so the
 		// exploration state space is not inflated by inert bookkeeping.
 		if i > 0 && r.states[p[i-1]].History {
+			if r.lastChild == nil {
+				r.lastChild = make(map[string]string)
+			}
 			r.lastChild[p[i-1]] = p[i]
 		}
 		if s.Exit != nil {

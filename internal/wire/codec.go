@@ -199,12 +199,13 @@ var tagOfType = map[MsgType]byte{
 	TypeSpectrumDelta: 17,
 }
 
-var typeOfTag = func() map[byte]MsgType {
-	m := make(map[byte]MsgType, len(tagOfType))
+// typeOfTag inverts tagOfType; "" marks a tag the codec does not know. An
+// array, not a map: every binary decode starts with this lookup.
+var typeOfTag = func() (a [256]MsgType) {
 	for t, b := range tagOfType {
-		m[b] = t
+		a[b] = t
 	}
-	return m
+	return a
 }()
 
 // MsgTypes lists every frame type the codec knows, in tag order. A layer
@@ -214,7 +215,7 @@ var typeOfTag = func() map[byte]MsgType {
 func MsgTypes() []MsgType {
 	out := make([]MsgType, 0, len(tagOfType))
 	for tag := byte(1); len(out) < len(tagOfType); tag++ {
-		if t, ok := typeOfTag[tag]; ok {
+		if t := typeOfTag[tag]; t != "" {
 			out = append(out, t)
 		}
 	}
@@ -483,12 +484,13 @@ func (r *binReader) varint(what string) int64 {
 }
 
 func (r *binReader) str(what string) string {
-	n := r.uvar(what)
-	if r.err != nil {
-		return ""
+	if r.err == nil && len(r.b) > 0 && r.b[0] == 0 {
+		r.b = r.b[1:]
+		return "" // most string fields of most frames: one zero length byte
 	}
-	if n == 0 {
-		return "" // most string fields of most frames
+	n := r.uvar(what)
+	if r.err != nil || n == 0 {
+		return ""
 	}
 	if n > uint64(len(r.b)) {
 		r.fail(what)
@@ -512,15 +514,25 @@ const (
 	internMaxLen     = 64
 )
 
+// internHot is the size of the interner's direct-mapped last-hit cache: a
+// record names its device, its event, its source and a value or two, and a
+// run of records repeats them, so a few dozen slots catch nearly every
+// lookup before it reaches the map.
+const internHot = 64
+
 // BinaryInterner decodes binary payloads exactly as Binary.Unmarshal does —
 // same acceptance, same Message — but hands out one shared copy of each
 // short string it has seen before. It is for long sequential reads where a
 // few names repeat in every record (a journal replay: device IDs, event and
 // value names, sources, counter names), and turns most of a record's string
-// allocations into map hits. Not safe for concurrent use; the zero value is
-// ready. The live wire.Decoder does not use it.
+// allocations into cache or map hits. Not safe for concurrent use; the zero
+// value is ready. The live wire.Decoder does not use it.
 type BinaryInterner struct {
 	tab map[string]string
+	// hot caches the last string seen in each slot, so a repeated name costs
+	// a byte compare instead of a map probe. Every entry is also in tab, or
+	// was before tab last started over.
+	hot [internHot]string
 }
 
 // Unmarshal parses a binary payload into m. It does not retain payload.
@@ -533,14 +545,21 @@ func (in *BinaryInterner) intern(raw []byte) string {
 	if len(raw) > internMaxLen {
 		return string(raw)
 	}
-	if s, ok := in.tab[string(raw)]; ok { // no allocation: map-lookup conversion
-		return s
+	// raw is non-empty (str returns "" before interning); the slot mixes its
+	// length with its two ends, where IDs and names differ.
+	slot := &in.hot[(len(raw)*31+int(raw[0])*7+int(raw[len(raw)-1]))%internHot]
+	if *slot == string(raw) {
+		return *slot
 	}
-	if in.tab == nil || len(in.tab) >= internMaxEntries {
-		in.tab = make(map[string]string)
+	s, ok := in.tab[string(raw)] // no allocation: map-lookup conversion
+	if !ok {
+		if in.tab == nil || len(in.tab) >= internMaxEntries {
+			in.tab = make(map[string]string)
+		}
+		s = string(raw)
+		in.tab[s] = s
 	}
-	s := string(raw)
-	in.tab[s] = s
+	*slot = s
 	return s
 }
 
@@ -562,11 +581,17 @@ func (binaryCodec) Unmarshal(payload []byte, m *Message) error {
 	return r.message(m)
 }
 
+// eventWithValue backs a decoded one-value event: Values aliases v.
+type eventWithValue struct {
+	e event.Event
+	v [1]event.Value
+}
+
 // message parses the whole payload into m.
 func (r *binReader) message(m *Message) error {
 	tag := r.u8("type")
-	typ, ok := typeOfTag[tag]
-	if r.err == nil && !ok {
+	typ := typeOfTag[tag]
+	if r.err == nil && typ == "" {
 		return fmt.Errorf("wire: binary: unknown message type tag %d", tag)
 	}
 	flags := r.uvar("flags")
@@ -580,24 +605,36 @@ func (r *binReader) message(m *Message) error {
 	m.Credits = uint32(r.uvar("credits"))
 	m.Role = r.str("role")
 	if flags&flagEvent != 0 {
-		e := &event.Event{}
-		e.Kind = event.Kind(r.u8("event kind"))
-		e.Name = r.str("event name")
-		e.Source = r.str("event source")
-		e.At = sim.Time(r.varint("event at"))
-		e.Seq = r.uvar("event seq")
+		hdr := event.Event{
+			Kind:   event.Kind(r.u8("event kind")),
+			Name:   r.str("event name"),
+			Source: r.str("event source"),
+			At:     sim.Time(r.varint("event at")),
+			Seq:    r.uvar("event seq"),
+		}
 		n := r.uvar("event value count")
 		// A value takes ≥ 9 bytes; reject counts the payload cannot hold
 		// before allocating.
 		if r.err == nil && n > uint64(len(r.b))/9 {
 			r.fail("event value count")
 		}
-		if r.err == nil && n > 0 {
-			e.Values = make([]event.Value, n)
-			for i := range e.Values {
-				e.Values[i].Name = r.str("value name")
-				e.Values[i].V = r.f64("value")
+		var e *event.Event
+		if r.err == nil && n == 1 {
+			// Most observations carry one value: the event and its value
+			// are one allocation.
+			ev := &eventWithValue{e: hdr}
+			ev.e.Values = ev.v[:]
+			e = &ev.e
+		} else {
+			if r.err == nil && n > 0 {
+				hdr.Values = make([]event.Value, n)
 			}
+			e = new(event.Event)
+			*e = hdr
+		}
+		for i := range e.Values {
+			e.Values[i].Name = r.str("value name")
+			e.Values[i].V = r.f64("value")
 		}
 		m.Event = e
 	}

@@ -227,6 +227,54 @@ func TestInternerTableIsBounded(t *testing.T) {
 	}
 }
 
+// Strings that share a last-hit cache slot evict each other but still
+// decode to themselves, and to one shared copy each.
+func TestInternerHotSlotCollisions(t *testing.T) {
+	var in BinaryInterner
+	// Same length, same first and last byte: the same slot.
+	ids := []string{"dev-0001", "dev-0011", "dev-0101"}
+	first := map[string]string{}
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			s := in.intern([]byte(id))
+			if s != id {
+				t.Fatalf("intern(%q) = %q", id, s)
+			}
+			if p, ok := first[id]; ok && unsafe.StringData(p) != unsafe.StringData(s) {
+				t.Fatalf("intern(%q) handed out a second copy", id)
+			}
+			first[id] = s
+		}
+	}
+}
+
+// Allocation gate for the journal's decode: once its strings are interned,
+// a one-value observation costs exactly one allocation — its Event and its
+// Value together. Everything else is the caller's Message or a table hit.
+func TestInternerOneValueObservationAllocatesOnce(t *testing.T) {
+	ev := event.Event{Kind: event.Output, Name: "out", Source: "dev-000042", At: 7, Seq: 3}.With("x", 1.5)
+	payload, err := Binary.Append(nil, Message{Type: TypeOutput, SUO: "dev-000042", Event: &ev, At: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in BinaryInterner
+	var m Message
+	if err := in.Unmarshal(payload, &m); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := in.Unmarshal(payload, &m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("BinaryInterner.Unmarshal allocates %.2f times per one-value observation, want exactly 1", got)
+	}
+	if !reflect.DeepEqual(*m.Event, ev) {
+		t.Fatalf("decoded event %+v, want %+v", *m.Event, ev)
+	}
+}
+
 // Property: binary Unmarshal never panics on arbitrary payloads — it errors
 // or yields a message, exactly like the JSON decoder on garbage.
 func TestPropertyBinaryUnmarshalRobustOnGarbage(t *testing.T) {
