@@ -5,7 +5,8 @@
 # to keep wall time bounded (the long 120-device e2e and the shard sweep run
 # in CI's smoke job instead). `make docs` is the documentation gate: vet
 # plus a check that every package (and command) carries a godoc package
-# comment. `make fuzz` smoke-runs the wire codec and journal reader fuzz
+# comment, and that ARCHITECTURE.md's frame registry and layering rule
+# still describe the code. `make fuzz` smoke-runs the wire codec and journal reader fuzz
 # targets for FUZZTIME each (default 10s) — the same invocation CI's smoke
 # job uses. `make bench` runs every go-test benchmark, tests excluded;
 # BENCHFLAGS threads extra `go test` flags through (CI's smoke job uses
@@ -61,7 +62,10 @@ cover:
 # or when ARCHITECTURE.md §2.9's wire frame registry disagrees with the
 # binary codec's tag map (TestFrameRegistry in internal/wire) or its daemon
 # column with the ingestion server's frame-handler table
-# (TestEveryFrameTypeHasADaemonDecision in internal/fleet).
+# (TestEveryFrameTypeHasADaemonDecision in internal/fleet), or when the
+# non-test import graph breaks ARCHITECTURE.md §1's layering rule
+# (TestImportGraph at the module root: generic planes import no product,
+# cmd/traderd links no experiment harness, cmd/tvsim no daemon plane).
 # The failure flag is checked in its own `if` statement: chaining it as
 # `[ $fail -eq 0 ] && echo ok || exit 1` would route a failed echo into the
 # exit-1 branch and make the target's status depend on the chain's last
@@ -79,6 +83,8 @@ docs: vet
 	@$(GO) test ./internal/wire -run TestFrameRegistry >/dev/null
 	@$(GO) test ./internal/fleet -run TestEveryFrameTypeHasADaemonDecision >/dev/null
 	@echo "docs: ARCHITECTURE.md §2.9 frame registry matches the codec and the daemon's handler table"
+	@$(GO) test . -run TestImportGraph >/dev/null
+	@echo "docs: the import graph keeps ARCHITECTURE.md §1's layering rule"
 
 # loc counts, per package directory, the Go lines that are not in _test.go
 # files, not whole-line comments and not blank.

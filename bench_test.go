@@ -28,6 +28,7 @@ import (
 	"trader/internal/spectrum"
 	"trader/internal/statemachine"
 	"trader/internal/trace"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -157,7 +158,7 @@ func BenchmarkWireBinary(b *testing.B) { benchWireCodec(b, wire.Binary) }
 // windows — the payload a device serves on a diagnosis pull and the
 // journal's evidence record.
 func snapshotBenchMessage() wire.Message {
-	rec := diagnose.NewRecorder(diagnose.RecorderOptions{Blocks: diagnose.DefaultBlocks, Windows: 4, Seed: 7})
+	rec := tvsim.NewRecorder(tvsim.RecorderOptions{Blocks: spectrum.DefaultBlocks, Windows: 4, Seed: 7})
 	for w := 0; w < 4; w++ {
 		for _, f := range []string{"teletext", "volume", "zapping", "menu"} {
 			rec.Press(f)
@@ -184,7 +185,7 @@ func BenchmarkFleetDiagnosis(b *testing.B) {
 	msg := snapshotBenchMessage()
 	windows := msg.Snapshot.Windows
 	b.Run("fold", func(b *testing.B) {
-		s := spectrum.NewSpectra(diagnose.DefaultBlocks, 0)
+		s := spectrum.NewSpectra(spectrum.DefaultBlocks, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -194,7 +195,7 @@ func BenchmarkFleetDiagnosis(b *testing.B) {
 		}
 	})
 	b.Run("rank", func(b *testing.B) {
-		s := spectrum.NewSpectra(diagnose.DefaultBlocks, 0)
+		s := spectrum.NewSpectra(spectrum.DefaultBlocks, 0)
 		for i := 0; i < 64; i++ {
 			for _, w := range windows {
 				s.FoldWords(w.Words, i%9 == 0)
@@ -722,10 +723,10 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 			cper.Planes = []func() wire.Message{eng.Checkpoint, ctl.Checkpoint}
 		}
 		ids := make([]string, devices)
-		recorders := make([]*diagnose.Recorder, devices)
+		recorders := make([]*tvsim.Recorder, devices)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("boot-%03d", i)
-			recorders[i] = diagnose.NewRecorder(diagnose.RecorderOptions{Blocks: diagOpts.Blocks, Seed: int64(i + 1)})
+			recorders[i] = tvsim.NewRecorder(tvsim.RecorderOptions{Blocks: diagOpts.Blocks, Seed: int64(i + 1)})
 			if err := pool.AddRemoteDevice(ids[i], fleet.LightMonitorFactory(), discard); err != nil {
 				b.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -100,11 +101,11 @@ func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 	live := newBootFleet(jw, control.Attach)
 	defer live.stop()
 	ids := make([]string, 4)
-	recorders := make([]*diagnose.Recorder, len(ids))
+	recorders := make([]*tvsim.Recorder, len(ids))
 	discard := func(wire.Message) error { return nil }
 	for i := range ids {
 		ids[i] = fmt.Sprintf("boot-%03d", i)
-		recorders[i] = diagnose.NewRecorder(diagnose.RecorderOptions{Blocks: bootBlocks, Windows: 4, Seed: int64(i + 1)})
+		recorders[i] = tvsim.NewRecorder(tvsim.RecorderOptions{Blocks: bootBlocks, Windows: 4, Seed: int64(i + 1)})
 		if err := live.pool.AddRemoteDevice(ids[i], fleet.LightMonitorFactory(), discard); err != nil {
 			t.Fatal(err)
 		}
@@ -312,5 +313,28 @@ func TestBootRefusesMarkerMismatch(t *testing.T) {
 	}
 	if n := pool.Size(); n != 0 {
 		t.Fatalf("mismatched journal still built %d devices", n)
+	}
+}
+
+// A journal whose marker names a profile this build does not know is
+// refused as such, not with advice to pass a -suo the build would reject.
+func TestBootRefusesUnknownProfileMarker(t *testing.T) {
+	dir := t.TempDir()
+	jw, err := journal.CreateSharded(dir, 1, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.AppendShard(0, profileMarker("stb")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool := fleet.NewPool(fleet.Options{Shards: 1})
+	defer pool.Stop()
+	_, err = recoverJournal(dir, "light", pool, fleet.LightMonitorFactory())
+	want := fmt.Sprintf("journal %s was written under -suo stb, a profile this build does not know (known: light, mediaplayer, tv)", dir)
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown profile:\n got  %v\n want %s", err, want)
 	}
 }

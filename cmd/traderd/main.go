@@ -69,12 +69,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -82,14 +84,12 @@ import (
 	"trader/internal/control"
 	"trader/internal/core"
 	"trader/internal/diagnose"
-	"trader/internal/exper"
 	"trader/internal/federate"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/mediaplayer"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
-	"trader/internal/statemachine"
 	"trader/internal/trace"
 	"trader/internal/tvsim"
 	"trader/internal/wire"
@@ -97,7 +97,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "", "fleet ingestion addresses, comma-separated (unix:/path, tcp:host:port)")
-	suo := flag.String("suo", "tv", "SUO profile: tv, mediaplayer or light")
+	suo := flag.String("suo", "tv", "SUO profile: "+profileNames())
 	verbose := flag.Bool("v", false, "log every error report")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker shards for -listen/-replay modes")
 	statsEvery := flag.Int("stats-seconds", 10, "fleet rollup log interval in -listen mode (0: off)")
@@ -106,7 +106,7 @@ func main() {
 	replayDir := flag.String("replay", "", "replay a journal directory into a fresh pool, print the rollup, and exit")
 	recoverPol := flag.String("recover", "", "recovery controller policy for -listen mode: default, aggressive or patient (empty: monitoring only)")
 	diagCoeff := flag.String("diagnose", "", "fleet diagnosis coefficient for -listen mode (requires -recover; e.g. ochiai) or for -replay output; empty: off")
-	diagBlocks := flag.Int("diagnose-blocks", diagnose.DefaultBlocks, "instrumented block count of the fleet's spectral recorders (must match the clients)")
+	diagBlocks := flag.Int("diagnose-blocks", spectrum.DefaultBlocks, "instrumented block count of the fleet's spectral recorders (must match the clients)")
 	diagCohort := flag.Int("diagnose-cohort", diagnose.DefaultCohort, "healthy peers sampled per diagnosis episode")
 	diagCont := flag.Bool("diagnose-continuous", false, "continuous diagnosis: fold spectrum deltas piggybacked on client heartbeats as they arrive, with per-verdict partition rankings (requires -diagnose)")
 	cpSecs := flag.Int("checkpoint-seconds", 0, "write a global journal checkpoint every N seconds in -listen -journal mode, truncating covered segments (0: off)")
@@ -189,24 +189,45 @@ func main() {
 	}
 }
 
-// monitorFactory maps an -suo profile to the per-connection monitor builder
-// -listen mode hands the fleet server.
-func monitorFactory(suo string) (fleet.MonitorFactory, error) {
-	switch suo {
-	case "light":
-		return fleet.LightMonitorFactory(), nil
-	case "tv", "mediaplayer":
-		return func(id string, seed int64) (*sim.Kernel, *core.Monitor, error) {
-			_ = seed // profile monitors are deterministic per connection
-			mon, err := newMonitor(suo)
-			if err != nil {
-				return nil, nil, err
-			}
-			return mon.Kernel(), mon, nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown SUO profile %q", suo)
+// profiles maps each -suo name to the per-connection monitor factory
+// -listen and -replay mode hand the fleet. It is the one place the daemon
+// names a product: each product package owns its reference monitor.
+var profiles = map[string]fleet.MonitorFactory{
+	"light": fleet.LightMonitorFactory(),
+	"tv": fixedSeed(func(k *sim.Kernel) (*core.Monitor, error) {
+		return tvsim.NewMonitor(k, tvsim.Config{})
+	}),
+	"mediaplayer": fixedSeed(func(k *sim.Kernel) (*core.Monitor, error) {
+		return mediaplayer.NewMonitor(k, mediaplayer.Config{})
+	}),
+}
+
+// fixedSeed adapts a product's monitor constructor to a fleet factory whose
+// every monitor runs on a fresh kernel of seed 1: product monitors are
+// deterministic per connection, so a journal replays identically.
+func fixedSeed(build func(*sim.Kernel) (*core.Monitor, error)) fleet.MonitorFactory {
+	return func(string, int64) (*sim.Kernel, *core.Monitor, error) {
+		k := sim.NewKernel(1)
+		mon, err := build(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		return k, mon, nil
 	}
+}
+
+// profileNames lists the -suo names in sorted order.
+func profileNames() string {
+	return strings.Join(slices.Sorted(maps.Keys(profiles)), ", ")
+}
+
+// monitorFactory looks up the -suo profile's monitor factory.
+func monitorFactory(suo string) (fleet.MonitorFactory, error) {
+	f, ok := profiles[suo]
+	if !ok {
+		return nil, fmt.Errorf("unknown SUO profile %q (known: %s)", suo, profileNames())
+	}
+	return f, nil
 }
 
 // diagConfig carries the -diagnose knobs into ingest mode.
@@ -615,37 +636,4 @@ func awaitStop(statsEvery int, errc <-chan error, tick func()) (os.Signal, error
 			}
 		}
 	}
-}
-
-// newMonitor builds the monitor for the chosen SUO profile. Each connection
-// gets its own monitor and virtual clock, driven by the SUO's event
-// timestamps.
-func newMonitor(suo string) (*core.Monitor, error) {
-	k := sim.NewKernel(1)
-	var model *statemachine.Model
-	var cfg core.Configuration
-	switch suo {
-	case "tv":
-		model = tvsim.BuildSpecModel(k, tvsim.Config{})
-		tvsim.MirrorQuality(model)
-		cfg = exper.TVObservables()
-	case "mediaplayer":
-		model = mediaplayer.BuildSpecModel(k, mediaplayer.Config{})
-		cfg = core.Configuration{Observables: []core.Observable{
-			{Name: "fps", EventName: "av", ValueName: "fps", ModelVar: "fps",
-				Threshold: 5, Tolerance: 1, EnableVar: "playing", MaxSilence: 500 * sim.Millisecond},
-			{Name: "av-drift", EventName: "av", ValueName: "drift", ModelVar: "drift",
-				Threshold: 80, Tolerance: 1, EnableVar: "playing"},
-		}}
-	default:
-		return nil, fmt.Errorf("unknown SUO profile %q", suo)
-	}
-	mon, err := core.NewMonitor(k, model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := mon.Start(); err != nil {
-		return nil, err
-	}
-	return mon, nil
 }

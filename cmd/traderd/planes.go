@@ -82,6 +82,10 @@ type profileGate struct {
 }
 
 func (g *profileGate) mismatch(written string) error {
+	if _, ok := profiles[written]; !ok {
+		return fmt.Errorf("journal %s was written under -suo %s, a profile this build does not know (known: %s)",
+			g.dir, written, profileNames())
+	}
 	return fmt.Errorf("journal %s was written under -suo %s, but -suo %s is in effect; pass -suo %s to replay it faithfully",
 		g.dir, written, g.suo, written)
 }

@@ -11,7 +11,7 @@
 // the fleet misbehaves. Devices honor the recovery control plane of
 // `traderd -recover`: CtrlReset is acknowledged, CtrlRestart re-handshakes
 // and resumes streaming, CtrlQuarantine takes the device out of service.
-// Each device also carries a spectral flight recorder (internal/diagnose):
+// Each device also carries a spectral flight recorder (tvsim.Recorder):
 // block coverage over the shared program layout, one window per heartbeat,
 // served back on the daemon's TypeSnapshotReq pulls so `traderd -diagnose`
 // can localize a faulty device's defective code block fleet-wide.
@@ -35,10 +35,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trader/internal/diagnose"
 	"trader/internal/event"
 	"trader/internal/faults"
 	"trader/internal/sim"
+	"trader/internal/spectrum"
 	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
@@ -81,7 +81,7 @@ func main() {
 	codec := flag.String("codec", wire.CodecBinary, "wire codec to request in -connect mode: json or binary")
 	faultEvery := flag.Int("fault-every", 10, "in -connect mode, run the fault schedule on every k'th device (0: none)")
 	faultList := flag.String("faults", "txt-sync", "comma-separated fault schedule; available: video-crash,txt-sync,audio-skew,overload,bad-input")
-	blocks := flag.Int("blocks", diagnose.DefaultBlocks, "in -connect mode, spectral-recorder block count (must match traderd -diagnose-blocks)")
+	blocks := flag.Int("blocks", spectrum.DefaultBlocks, "in -connect mode, spectral-recorder block count (must match traderd -diagnose-blocks)")
 	deltas := flag.Bool("deltas", false, "in -connect mode, piggyback a sparse spectrum delta on every heartbeat (traderd -diagnose-continuous folds them as they arrive; also enables delta traffic from chaos baseline clients)")
 	pace := flag.Float64("pace", 0, "in -connect mode, virtual seconds per wall second (0: run as fast as possible); paced fleets behave like real-time devices")
 	durability := flag.String("durability", string(wire.DurFsync), "in -connect mode, durability class to request in the Hello handshake: fsync (ack = journaled) or dispatch (ack = monitored; long-tail devices)")
@@ -173,7 +173,7 @@ type fleetTV struct {
 
 	// rec is the device's spectral flight recorder: block coverage per
 	// heartbeat window, served back on TypeSnapshotReq pulls.
-	rec *diagnose.Recorder
+	rec *tvsim.Recorder
 
 	mu          sync.Mutex
 	wc          *wire.Conn
@@ -414,9 +414,9 @@ func runOne(addr, id, codec string, seed int64, duration, blocks int, pace float
 	var st deviceStats
 	d := &fleetTV{addr: addr, id: id, codec: codec, durability: dur,
 		creditc: make(chan struct{}, 1),
-		rec:     diagnose.NewRecorder(diagnose.RecorderOptions{Blocks: blocks, Seed: seed})}
+		rec:     tvsim.NewRecorder(tvsim.RecorderOptions{Blocks: blocks, Seed: seed})}
 	for _, f := range schedule {
-		if feat, ok := diagnose.FeatureOfComponent(f.Target); ok {
+		if feat, ok := tvsim.FeatureOfComponent(f.Target); ok {
 			d.rec.InjectFault(feat)
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -38,14 +39,14 @@ type diagClient struct {
 	t   *testing.T
 	id  string
 	wc  *wire.Conn
-	rec *diagnose.Recorder
+	rec *tvsim.Recorder
 
 	lastAt atomic.Int64
 	echo   chan sim.Time
 	pulls  atomic.Uint64
 }
 
-func dialDiag(t *testing.T, addr, id string, rec *diagnose.Recorder) *diagClient {
+func dialDiag(t *testing.T, addr, id string, rec *tvsim.Recorder) *diagClient {
 	t.Helper()
 	wc, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary})
 	if err != nil {
@@ -154,10 +155,10 @@ func TestE2EFleetDiagnosis(t *testing.T) {
 	// Every device plays the same per-round feature scenario, so healthy
 	// peers exonerate the shared code; the faulty device's teletext build
 	// additionally executes the injected fault block on every invocation.
-	recs := make([]*diagnose.Recorder, devices)
+	recs := make([]*tvsim.Recorder, devices)
 	var faultBlock int
 	for i := range recs {
-		recs[i] = diagnose.NewRecorder(diagnose.RecorderOptions{
+		recs[i] = tvsim.NewRecorder(tvsim.RecorderOptions{
 			Blocks: blocks, Windows: rounds, Seed: int64(i + 1)})
 		if faulty(i) {
 			faultBlock = recs[i].InjectFault("teletext")

@@ -27,6 +27,7 @@ import (
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -102,10 +103,10 @@ func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 	// exonerates the shared code in both partitions; device 0's teletext
 	// build and device 1's volume build each execute their own injected
 	// fault block.
-	recs := make([]*diagnose.Recorder, devices)
+	recs := make([]*tvsim.Recorder, devices)
 	faultBlock := map[int]int{}
 	for i := range recs {
-		recs[i] = diagnose.NewRecorder(diagnose.RecorderOptions{
+		recs[i] = tvsim.NewRecorder(tvsim.RecorderOptions{
 			Blocks: blocks, Windows: rounds, Seed: int64(i + 1)})
 		if f, ok := faultFeature[i]; ok {
 			faultBlock[i] = recs[i].InjectFault(f)

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 
-	"trader/internal/core"
 	"trader/internal/faults"
 	"trader/internal/mediaplayer"
 	"trader/internal/sim"
@@ -20,17 +19,7 @@ import (
 func main() {
 	k := sim.NewKernel(3)
 	p := mediaplayer.New(k, mediaplayer.Config{})
-	model := mediaplayer.BuildSpecModel(k, mediaplayer.Config{})
-
-	mon, err := core.NewMonitor(k, model, core.Configuration{
-		Observables: []core.Observable{
-			{Name: "fps", EventName: "av", ValueName: "fps", ModelVar: "fps",
-				Threshold: 5, Tolerance: 1, EnableVar: "playing",
-				MaxSilence: 500 * sim.Millisecond},
-			{Name: "av-drift", EventName: "av", ValueName: "drift", ModelVar: "drift",
-				Threshold: 80, Tolerance: 1, EnableVar: "playing"},
-		},
-	})
+	mon, err := mediaplayer.NewMonitor(k, mediaplayer.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -42,9 +31,6 @@ func main() {
 		fmt.Printf("[%v] %s error: %s expected %.1f, actual %.1f\n",
 			r.At, kind, r.Observable, r.Expected, r.Actual)
 	})
-	if err := mon.Start(); err != nil {
-		panic(err)
-	}
 	mon.AttachBus(p.Bus())
 
 	fmt.Println("playing; demuxer stall at 2s (2s long), audio clock drift from 6s")

@@ -7,6 +7,7 @@ import (
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -30,7 +31,7 @@ func TestCheckpointSupersedesReplayedEvidence(t *testing.T) {
 		}
 	}
 	live := Attach(pool, Options{Journal: jw, Blocks: testBlocks, Cohort: 3, Requery: -1})
-	recorders := make([]*Recorder, 4)
+	recorders := make([]*tvsim.Recorder, 4)
 	for i := range recorders {
 		recorders[i] = testRecorder(i)
 	}
@@ -143,7 +144,7 @@ func TestOfflineReplayResumesFromCheckpoint(t *testing.T) {
 	pool := fleet.NewPool(fleet.Options{Shards: 1})
 	defer pool.Stop()
 	ids := make([]string, 4)
-	recorders := make([]*Recorder, len(ids))
+	recorders := make([]*tvsim.Recorder, len(ids))
 	for i := range ids {
 		ids[i] = fleet.DeviceID(i)
 		recorders[i] = testRecorder(i)

@@ -9,6 +9,7 @@ import (
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -161,7 +162,7 @@ func TestEngineMultiFaultPartitions(t *testing.T) {
 	pool := fleet.NewPool(fleet.Options{Shards: 1})
 	defer pool.Stop()
 	ids := make([]string, devices)
-	recorders := make([]*Recorder, devices)
+	recorders := make([]*tvsim.Recorder, devices)
 	for i := range ids {
 		ids[i] = fleet.DeviceID(i)
 		if err := pool.AddDevice(ids[i], 1, fleet.LightFactory(0)); err != nil {

@@ -1,8 +1,8 @@
 // Package diagnose is the fleet-scale diagnosis plane: it closes the
 // paper's observation pipeline (Sect. 4.1/4.4) end-to-end over the
-// production fleet stack. Devices carry a spectral flight recorder
-// (Recorder): per-heartbeat-window block-coverage bitsets over the shared
-// synthetic program layout, plus the hwmon event ring. When the recovery
+// production fleet stack. Devices carry a spectral flight recorder (the
+// TV's is tvsim.Recorder): per-heartbeat-window block-coverage bitsets over
+// the shared synthetic program layout, plus the hwmon event ring. When the recovery
 // control plane escalates a device past tolerate — the moment a device has
 // demonstrably not healed — the diagnosis Engine pulls coverage snapshots
 // from the escalated device *and* a sampled cohort of healthy peers over
@@ -32,6 +32,13 @@ import (
 	"trader/internal/wire"
 )
 
+// Defaults for the fleet engine.
+const (
+	DefaultCohort   = 8
+	DefaultRequery  = 2 * sim.Second
+	DefaultTrackTop = 10
+)
+
 // ErrClosed is returned by Apply when the engine is closed mid-replay.
 var ErrClosed = errors.New("diagnose: engine closed")
 
@@ -54,8 +61,8 @@ type Options struct {
 	// Coeff is the similarity coefficient (default spectrum.Ochiai).
 	Coeff spectrum.Coefficient
 	// Blocks is the fleet's instrumented block count (default
-	// DefaultBlocks). Snapshots with a different block count are rejected
-	// as malformed — spectra only compare within one layout.
+	// spectrum.DefaultBlocks). Snapshots with a different block count are
+	// rejected as malformed — spectra only compare within one layout.
 	Blocks int
 	// Stripes is the Spectra stripe count (default GOMAXPROCS).
 	Stripes int
@@ -168,7 +175,7 @@ func newEngine(pool *fleet.Pool, opts Options) *Engine {
 		opts.Coeff = spectrum.Ochiai
 	}
 	if opts.Blocks <= 0 {
-		opts.Blocks = DefaultBlocks
+		opts.Blocks = spectrum.DefaultBlocks
 	}
 	if opts.Cohort <= 0 {
 		opts.Cohort = DefaultCohort

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"trader/internal/core"
 	"trader/internal/event"
 	"trader/internal/faults"
 	"trader/internal/fmea"
@@ -220,19 +219,8 @@ func E12MediaPlayer(seed int64) (*Table, error) {
 	run := func(fault *faults.Fault) (detected bool, latency sim.Time, falsePos int, err error) {
 		k := sim.NewKernel(seed)
 		p := mediaplayer.New(k, mediaplayer.Config{})
-		model := mediaplayer.BuildSpecModel(k, mediaplayer.Config{})
-		mon, err := core.NewMonitor(k, model, core.Configuration{
-			Observables: []core.Observable{
-				{Name: "fps", EventName: "av", ValueName: "fps", ModelVar: "fps",
-					Threshold: 5, Tolerance: 1, EnableVar: "playing", MaxSilence: 500 * sim.Millisecond},
-				{Name: "av-drift", EventName: "av", ValueName: "drift", ModelVar: "drift",
-					Threshold: 80, Tolerance: 1, EnableVar: "playing"},
-			},
-		})
+		mon, err := mediaplayer.NewMonitor(k, mediaplayer.Config{})
 		if err != nil {
-			return false, 0, 0, err
-		}
-		if err := mon.Start(); err != nil {
 			return false, 0, 0, err
 		}
 		mon.AttachBus(p.Bus())

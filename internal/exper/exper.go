@@ -75,35 +75,13 @@ func pad(s string, w int) string {
 
 func f(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
-// TVObservables is the reference monitor configuration for the TV SUO used
-// across experiments.
-func TVObservables() core.Configuration {
-	return core.Configuration{
-		Observables: []core.Observable{
-			{Name: "audio-volume", EventName: "audio", ValueName: "volume", ModelVar: "volume", Threshold: 0.5, Tolerance: 1},
-			{Name: "channel", EventName: "screen", ValueName: "channel", ModelVar: "channel"},
-			{Name: "teletext-visible", EventName: "screen", ValueName: "teletext", ModelVar: "teletext"},
-			{Name: "teletext-fresh", EventName: "teletext", ValueName: "fresh", ModelVar: "teletextFresh", Tolerance: 2, EnableVar: "teletext"},
-			{Name: "frame-quality", EventName: "frame", ValueName: "quality", ModelVar: "quality", Threshold: 0.3, Tolerance: 3, EnableVar: "power",
-				MaxSilence: 200 * sim.Millisecond},
-			{Name: "swivel-angle", EventName: "swivel", ValueName: "angle", ModelVar: "swivelTarget", Threshold: 0.5, Tolerance: 60},
-		},
-	}
-}
-
-// NewMonitoredTV builds the standard monitored TV: simulator, spec model
-// (with the partial frame-quality expectation mirrored from the power
-// state), monitor attached to the TV bus.
+// NewMonitoredTV builds the standard monitored TV: the simulator with
+// tvsim's reference monitor attached to its bus.
 func NewMonitoredTV(seed int64, cfg tvsim.Config) (*sim.Kernel, *tvsim.TV, *core.Monitor, error) {
 	k := sim.NewKernel(seed)
 	tv := tvsim.New(k, cfg)
-	model := tvsim.BuildSpecModel(k, cfg)
-	tvsim.MirrorQuality(model)
-	mon, err := core.NewMonitor(k, model, TVObservables())
+	mon, err := tvsim.NewMonitor(k, cfg)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := mon.Start(); err != nil {
 		return nil, nil, nil, err
 	}
 	mon.AttachBus(tv.Bus())

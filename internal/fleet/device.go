@@ -7,7 +7,6 @@ import (
 	"trader/internal/event"
 	"trader/internal/sim"
 	"trader/internal/statemachine"
-	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -119,46 +118,6 @@ func lightMonitor(id string, k *sim.Kernel) (*core.Monitor, error) {
 		return nil, err
 	}
 	return mon, nil
-}
-
-// TVFactory returns a factory producing full monitored TVs: the tvsim
-// simulator on its SoC substrate, the TV spec model, and a monitor with the
-// given observable configuration attached to the TV's bus. Input events
-// named "key" press the carried remote key; other events are published on
-// the TV bus.
-func TVFactory(cfg tvsim.Config, obs core.Configuration) Factory {
-	return func(id string, seed int64) (*Device, error) {
-		k := sim.NewKernel(seed)
-		tv := tvsim.New(k, cfg)
-		model := tvsim.BuildSpecModel(k, cfg)
-		tvsim.MirrorQuality(model)
-		mon, err := core.NewMonitor(k, model, obs)
-		if err != nil {
-			return nil, err
-		}
-		if err := mon.Start(); err != nil {
-			return nil, err
-		}
-		mon.AttachBus(tv.Bus())
-		d := &Device{ID: id, Kernel: k, Monitor: mon}
-		d.Feed = func(e event.Event) {
-			if e.Kind == event.Input && e.Name == "key" {
-				if v, ok := e.Get("key"); ok {
-					tv.PressKey(tvsim.Key(int(v)))
-					return
-				}
-			}
-			tv.Bus().Publish(e)
-		}
-		d.Close = func() { mon.Stop() }
-		return d, nil
-	}
-}
-
-// KeyEvent builds the fleet-dispatchable remote-control event TVFactory
-// devices understand.
-func KeyEvent(k tvsim.Key) event.Event {
-	return event.Event{Kind: event.Input, Name: "key", Source: "fleet"}.With("key", float64(k))
 }
 
 // DeviceID formats the canonical fleet device ID for index i.

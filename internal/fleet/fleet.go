@@ -9,8 +9,8 @@
 // deterministic and a device's state is only ever touched by one goroutine
 // (the simulation kernel and state machine are single-threaded by design;
 // sharding restores concurrency *between* devices without locking *inside*
-// them). Broadcast and batched dispatch enqueue one command per shard, not
-// per device, keeping the channel traffic proportional to the shard count.
+// them). Broadcast and Advance enqueue one command per shard, not per
+// device, keeping the channel traffic proportional to the shard count.
 //
 // The Pool satisfies core.Member, so a core.Group can delegate an entire
 // fleet as one member next to individual monitors.
@@ -63,12 +63,6 @@ func (o *Options) fill() {
 	if o.Queue <= 0 {
 		o.Queue = 1024
 	}
-}
-
-// Targeted addresses one event to one device.
-type Targeted struct {
-	Device string
-	Event  event.Event
 }
 
 // Stats is the fleet-level rollup.
@@ -450,34 +444,6 @@ func (p *Pool) Latency() metrics.Snapshot {
 // must be visible apart from its healthy neighbours.
 func (p *Pool) ShardLatency(i int) metrics.Snapshot {
 	return p.shards[i].lat.Snapshot()
-}
-
-// DispatchBatch groups the batch by owning shard and submits one command
-// per shard, so channel traffic scales with the shard count rather than the
-// batch size.
-func (p *Pool) DispatchBatch(batch []Targeted) error {
-	perShard := make([][]Targeted, len(p.shards))
-	for _, t := range batch {
-		i := p.ShardOf(t.Device)
-		perShard[i] = append(perShard[i], t)
-	}
-	p.opMu.RLock()
-	defer p.opMu.RUnlock()
-	if p.stopped {
-		return ErrStopped
-	}
-	for i, part := range perShard {
-		if len(part) == 0 {
-			continue
-		}
-		part := part
-		p.shards[i].cmds <- func(s *shard) {
-			for _, t := range part {
-				s.deliver(p, t.Device, t.Event)
-			}
-		}
-	}
-	return nil
 }
 
 // Broadcast delivers the event to every non-quarantined device: one command

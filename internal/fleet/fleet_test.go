@@ -99,7 +99,7 @@ func TestDispatchUnknownDeviceCountsDropped(t *testing.T) {
 
 // TestStatsConservation is the property the fleet rollup must keep: the sum
 // of per-device monitor counters equals the fleet aggregate, whatever mix
-// of broadcast, batched and targeted traffic was dispatched.
+// of broadcast and targeted traffic was dispatched.
 func TestStatsConservation(t *testing.T) {
 	const devices = 60
 	p := newLightPool(t, 4, devices)
@@ -110,12 +110,10 @@ func TestStatsConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var batch []fleet.Targeted
 	for i := 0; i < devices; i += 2 {
-		batch = append(batch, fleet.Targeted{Device: fleet.DeviceID(i), Event: setEvent(1)})
-	}
-	if err := p.DispatchBatch(batch); err != nil {
-		t.Fatal(err)
+		if err := p.Dispatch(fleet.DeviceID(i), setEvent(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := p.Advance(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -351,8 +349,8 @@ func TestRollupSurvivesStop(t *testing.T) {
 	}
 }
 
-// Quarantine takes a device out of dispatch: targeted events, batches and
-// broadcasts all skip it (counted separately from unknown-device drops),
+// Quarantine takes a device out of dispatch: targeted events and
+// broadcasts both skip it (counted separately from unknown-device drops),
 // its monitor counters freeze, and a comparator reset re-arms detection.
 func TestQuarantineStopsDispatches(t *testing.T) {
 	pool := fleet.NewPool(fleet.Options{Shards: 2})
@@ -388,11 +386,10 @@ func TestQuarantineStopsDispatches(t *testing.T) {
 	if err := pool.Broadcast(in()); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.DispatchBatch([]fleet.Targeted{
-		{Device: fleet.DeviceID(0), Event: in()},
-		{Device: fleet.DeviceID(1), Event: in()},
-	}); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{fleet.DeviceID(0), fleet.DeviceID(1)} {
+		if err := pool.Dispatch(id, in()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := pool.Sync(); err != nil {
 		t.Fatal(err)
@@ -404,7 +401,7 @@ func TestQuarantineStopsDispatches(t *testing.T) {
 	if ro.Dropped != 0 {
 		t.Fatalf("unknown-device drops = %d, want 0", ro.Dropped)
 	}
-	// 1 pre-quarantine targeted + broadcast and batch to the healthy device.
+	// 1 pre-quarantine targeted + broadcast and targeted to the healthy device.
 	if ro.Dispatched != 3 {
 		t.Fatalf("dispatched = %d, want 3", ro.Dispatched)
 	}

@@ -11,6 +11,7 @@ package mediaplayer
 import (
 	"fmt"
 
+	"trader/internal/core"
 	"trader/internal/event"
 	"trader/internal/faults"
 	"trader/internal/sim"
@@ -226,4 +227,29 @@ func BuildSpecModel(kernel *sim.Kernel, cfg Config) *statemachine.Model {
 		},
 	})
 	return statemachine.MustModel("player-spec", kernel, r)
+}
+
+// Observables is the reference monitor configuration for the player: the
+// rendered frame rate (performance, with a stall caught as silence) and the
+// A/V drift (correctness), both compared only while playing.
+func Observables() core.Configuration {
+	return core.Configuration{Observables: []core.Observable{
+		{Name: "fps", EventName: "av", ValueName: "fps", ModelVar: "fps",
+			Threshold: 5, Tolerance: 1, EnableVar: "playing", MaxSilence: 500 * sim.Millisecond},
+		{Name: "av-drift", EventName: "av", ValueName: "drift", ModelVar: "drift",
+			Threshold: 80, Tolerance: 1, EnableVar: "playing"},
+	}}
+}
+
+// NewMonitor builds the reference awareness monitor for a player configured
+// by cfg, on kernel k: the spec model compared against Observables, started.
+func NewMonitor(k *sim.Kernel, cfg Config) (*core.Monitor, error) {
+	mon, err := core.NewMonitor(k, BuildSpecModel(k, cfg), Observables())
+	if err != nil {
+		return nil, err
+	}
+	if err := mon.Start(); err != nil {
+		return nil, err
+	}
+	return mon, nil
 }

@@ -53,6 +53,12 @@ var DefaultTVFeatures = []string{
 	"dual-screen", "sleep", "child-lock", "swivel", "epg", "settings",
 }
 
+// DefaultBlocks is the paper's program scale (Sect. 4.4 instruments 60 000
+// C blocks). Every device recorder and the fleet diagnosis engine must agree
+// on the block count, since spectra are compared block-by-block across
+// devices.
+const DefaultBlocks = 60000
+
 // GenerateTVProgram builds a synthetic TV control program with numBlocks
 // blocks: 12% common core, the rest split evenly across features, each with
 // a 10% core path and a 1% warm region. The proportions are calibrated so

@@ -1,6 +1,7 @@
 package tvsim
 
 import (
+	"trader/internal/core"
 	"trader/internal/sim"
 	"trader/internal/statemachine"
 )
@@ -280,13 +281,46 @@ func moveTarget(c *statemachine.Context, delta float64) {
 
 // MirrorQuality installs the standard partial expectation for frame
 // quality: full quality whenever the power mode is "on", zero otherwise
-// (the spec model itself abstracts the streaming side). Every monitored-TV
-// assembly — traderd, the experiment harness, fleet devices — uses this
-// same hook so their comparators judge against the same expectation.
+// (the spec model itself abstracts the streaming side). NewMonitor and the
+// experiments that configure their own comparators all use this same hook,
+// so every comparator judges against the same expectation.
 func MirrorQuality(model *statemachine.Model) {
 	model.OnConfig(func(region, leaf string) {
 		if region == "power" {
 			model.SetVar("quality", map[string]float64{"on": 1}[leaf])
 		}
 	})
+}
+
+// Observables is the reference monitor configuration for the TV: the
+// comparators traderd's tv profile and the experiments run.
+func Observables() core.Configuration {
+	return core.Configuration{
+		Observables: []core.Observable{
+			{Name: "audio-volume", EventName: "audio", ValueName: "volume", ModelVar: "volume", Threshold: 0.5, Tolerance: 1},
+			{Name: "channel", EventName: "screen", ValueName: "channel", ModelVar: "channel"},
+			{Name: "teletext-visible", EventName: "screen", ValueName: "teletext", ModelVar: "teletext"},
+			{Name: "teletext-fresh", EventName: "teletext", ValueName: "fresh", ModelVar: "teletextFresh", Tolerance: 2, EnableVar: "teletext"},
+			{Name: "frame-quality", EventName: "frame", ValueName: "quality", ModelVar: "quality", Threshold: 0.3, Tolerance: 3, EnableVar: "power",
+				MaxSilence: 200 * sim.Millisecond},
+			{Name: "swivel-angle", EventName: "swivel", ValueName: "angle", ModelVar: "swivelTarget", Threshold: 0.5, Tolerance: 60},
+		},
+	}
+}
+
+// NewMonitor builds the reference awareness monitor for a TV configured by
+// cfg, on kernel k: the spec model with the frame-quality expectation
+// mirrored from the power state, compared against Observables, started.
+// The caller attaches it to the TV's bus, or feeds it remote events.
+func NewMonitor(k *sim.Kernel, cfg Config) (*core.Monitor, error) {
+	model := BuildSpecModel(k, cfg)
+	MirrorQuality(model)
+	mon, err := core.NewMonitor(k, model, Observables())
+	if err != nil {
+		return nil, err
+	}
+	if err := mon.Start(); err != nil {
+		return nil, err
+	}
+	return mon, nil
 }

@@ -1,4 +1,4 @@
-package diagnose
+package tvsim
 
 import (
 	"sync"
@@ -7,29 +7,21 @@ import (
 	"trader/internal/hwmon"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
-	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
-// Defaults for the diagnosis plane. Blocks is the paper's program scale
-// (Sect. 4.4 instruments 60 000 C blocks); every recorder and the fleet
-// engine must agree on it, since spectra are compared block-by-block across
-// devices.
+// Defaults for the device-side spectral recorder.
 const (
-	DefaultBlocks   = 60000
-	DefaultWindows  = 8
-	DefaultEvents   = 256
-	DefaultCohort   = 8
-	DefaultRequery  = 2 * sim.Second
-	DefaultTrackTop = 10
+	DefaultWindows = 8
+	DefaultEvents  = 256
 )
 
 // RecorderOptions sizes a device-side Recorder.
 type RecorderOptions struct {
-	// Blocks is the instrumented block count (default DefaultBlocks). The
-	// program *layout* — which block belongs to which feature — is a pure
-	// function of this count, so every device in a fleet shares it and
-	// fleet-level folding compares like with like.
+	// Blocks is the instrumented block count (default
+	// spectrum.DefaultBlocks). The program *layout* — which block belongs
+	// to which feature — is a pure function of this count, so every device
+	// in a fleet shares it and fleet-level folding compares like with like.
 	Blocks int
 	// Windows is how many closed coverage windows the spectral ring
 	// retains (default DefaultWindows).
@@ -44,7 +36,7 @@ type RecorderOptions struct {
 
 func (o *RecorderOptions) fill() {
 	if o.Blocks <= 0 {
-		o.Blocks = DefaultBlocks
+		o.Blocks = spectrum.DefaultBlocks
 	}
 	if o.Windows <= 0 {
 		o.Windows = DefaultWindows
@@ -54,11 +46,11 @@ func (o *RecorderOptions) fill() {
 	}
 }
 
-// Recorder is the device-side half of the diagnosis plane: a spectral
-// flight recorder. It maps the device's observable activity (remote-key
-// presses, periodic component work) onto the synthetic instrumented program
-// of internal/spectrum, accumulating one block-coverage bitset per
-// heartbeat window, and retains the last few closed windows in a ring — the
+// Recorder is the device-side half of the diagnosis plane (the fleet half
+// is internal/diagnose's engine): a spectral flight recorder. It maps the
+// TV's observable activity (remote-key presses, periodic component work)
+// onto the synthetic instrumented program of internal/spectrum,
+// accumulating one block-coverage bitset per heartbeat window, and retains the last few closed windows in a ring — the
 // coverage analogue of the hwmon event flight recorder it also carries.
 // Snapshot captures the retained windows as a wire.Snapshot for the
 // monitor's diagnosis pull.
@@ -144,7 +136,7 @@ func (r *Recorder) Observe(e event.Event) {
 	defer r.mu.Unlock()
 	if e.Name == "key" {
 		if v, ok := e.Get("key"); ok {
-			if f, ok := FeatureOfKey(tvsim.Key(int(v))); ok {
+			if f, ok := FeatureOfKey(Key(int(v))); ok {
 				r.press(f)
 			}
 		}
@@ -214,23 +206,23 @@ func (r *Recorder) Snapshot() *wire.Snapshot {
 
 // keyFeature maps remote keys onto the features of the synthetic program
 // layout (spectrum.DefaultTVFeatures).
-var keyFeature = map[tvsim.Key]string{
-	tvsim.KeyPower:       "power",
-	tvsim.KeyVolUp:       "volume",
-	tvsim.KeyVolDown:     "volume",
-	tvsim.KeyMute:        "mute",
-	tvsim.KeyChUp:        "zapping",
-	tvsim.KeyChDown:      "zapping",
-	tvsim.KeyText:        "teletext",
-	tvsim.KeyMenu:        "menu",
-	tvsim.KeyDual:        "dual-screen",
-	tvsim.KeySleep:       "sleep",
-	tvsim.KeyLock:        "child-lock",
-	tvsim.KeySwivelLeft:  "swivel",
-	tvsim.KeySwivelRight: "swivel",
-	tvsim.KeyOK:          "menu",
-	tvsim.KeyBack:        "menu",
-	tvsim.KeySource:      "settings",
+var keyFeature = map[Key]string{
+	KeyPower:       "power",
+	KeyVolUp:       "volume",
+	KeyVolDown:     "volume",
+	KeyMute:        "mute",
+	KeyChUp:        "zapping",
+	KeyChDown:      "zapping",
+	KeyText:        "teletext",
+	KeyMenu:        "menu",
+	KeyDual:        "dual-screen",
+	KeySleep:       "sleep",
+	KeyLock:        "child-lock",
+	KeySwivelLeft:  "swivel",
+	KeySwivelRight: "swivel",
+	KeyOK:          "menu",
+	KeyBack:        "menu",
+	KeySource:      "settings",
 }
 
 // componentFeature maps event sources (and fault-injection targets) onto
@@ -247,7 +239,7 @@ var componentFeature = map[string]string{
 }
 
 // FeatureOfKey maps a remote key to the program feature it exercises.
-func FeatureOfKey(k tvsim.Key) (string, bool) {
+func FeatureOfKey(k Key) (string, bool) {
 	f, ok := keyFeature[k]
 	return f, ok
 }
