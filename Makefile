@@ -5,8 +5,8 @@
 # to keep wall time bounded (the long 120-device e2e and the shard sweep run
 # in CI's smoke job instead). `make docs` is the documentation gate: vet
 # plus a check that every package (and command) carries a godoc package
-# comment, and that ARCHITECTURE.md's frame registry and layering rule
-# still describe the code. `make fuzz` smoke-runs the wire codec and journal reader fuzz
+# comment, that ARCHITECTURE.md's frame registry and layering rule still
+# describe the code, and that no exported name ships that only tests call. `make fuzz` smoke-runs the wire codec and journal reader fuzz
 # targets for FUZZTIME each (default 10s) — the same invocation CI's smoke
 # job uses. `make bench` runs every go-test benchmark, tests excluded;
 # BENCHFLAGS threads extra `go test` flags through (CI's smoke job uses
@@ -65,7 +65,10 @@ cover:
 # (TestEveryFrameTypeHasADaemonDecision in internal/fleet), or when the
 # non-test import graph breaks ARCHITECTURE.md §1's layering rule
 # (TestImportGraph at the module root: generic planes import no product,
-# cmd/traderd links no experiment harness, cmd/tvsim no daemon plane).
+# cmd/traderd links no experiment harness, cmd/tvsim no daemon plane), or
+# when an exported name of a library package has no caller in any non-test
+# file of the root or benchmark module and no allowlist entry with a reason
+# (TestNoTestOnlyCode at the module root, type-checked with go/types).
 # The failure flag is checked in its own `if` statement: chaining it as
 # `[ $fail -eq 0 ] && echo ok || exit 1` would route a failed echo into the
 # exit-1 branch and make the target's status depend on the chain's last
@@ -85,6 +88,8 @@ docs: vet
 	@echo "docs: ARCHITECTURE.md §2.9 frame registry matches the codec and the daemon's handler table"
 	@$(GO) test . -run TestImportGraph >/dev/null
 	@echo "docs: the import graph keeps ARCHITECTURE.md §1's layering rule"
+	@out=$$($(GO) test . -run TestNoTestOnlyCode) || { echo "$$out"; exit 1; }
+	@echo "docs: every exported name has a non-test caller or an allowlisted reason"
 
 # loc counts, per package directory, the Go lines that are not in _test.go
 # files, not whole-line comments and not blank.

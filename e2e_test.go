@@ -15,8 +15,10 @@ import (
 
 	"trader/internal/core"
 	"trader/internal/event"
+	"trader/internal/faults"
 	"trader/internal/fleet"
 	"trader/internal/sim"
+	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
 
@@ -230,4 +232,92 @@ func TestE2EFleetIngestion(t *testing.T) {
 	defer re.conn.Close()
 	waitFor(t, "reconnect", func() bool { return pool.Size() == devices/2+1 })
 	re.stream(t, 5, 0, 1000)
+}
+
+// TestMonitorOverSocket is the Fig. 2 deployment on the paper's own SUO: a
+// simulated TV streams its bus over the wire into the daemon's ingestion
+// server, whose TV monitor reports an injected audio corruption back down
+// the same connection as an error frame.
+func TestMonitorOverSocket(t *testing.T) {
+	pool := fleet.NewPool(fleet.Options{Shards: 1})
+	defer pool.Stop()
+	srv := &fleet.Server{Pool: pool, HelloTimeout: 5 * time.Second,
+		Factory: func(_ string, seed int64) (*sim.Kernel, *core.Monitor, error) {
+			k := sim.NewKernel(seed)
+			mon, err := tvsim.NewMonitor(k, tvsim.Config{})
+			return k, mon, err
+		}}
+	defer srv.Close()
+	addr := "unix:" + filepath.Join(t.TempDir(), "tv.sock")
+	ln, err := wire.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go srv.Serve(ln)
+	conn, _, err := wire.Dial(addr, wire.Message{SUO: "tv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var gotErrors []wire.Message
+	echo := make(chan struct{})
+	go func() {
+		for {
+			msg, err := conn.Decode()
+			if err != nil {
+				return
+			}
+			switch msg.Type {
+			case wire.TypeError:
+				gotErrors = append(gotErrors, msg)
+			case wire.TypeHeartbeat:
+				close(echo)
+				return
+			}
+		}
+	}()
+
+	k := sim.NewKernel(6)
+	tv := tvsim.New(k, tvsim.Config{})
+	tv.Bus().Subscribe("", func(e event.Event) {
+		if e.Kind == event.Err {
+			return
+		}
+		if err := conn.SendEvent("tv", e); err != nil {
+			t.Error(err)
+		}
+	})
+	tv.PressKey(tvsim.KeyPower)
+	k.Run(200 * sim.Millisecond)
+	// Inject an audio corruption; the remote monitor must flag it.
+	tv.Injector().Schedule(faults.Fault{
+		ID: "skew", Kind: faults.ValueCorruption, Target: "audio",
+		At: k.Now(), Param: -20,
+	})
+	k.Run(k.Now() + 100*sim.Millisecond)
+	tv.PressKey(tvsim.KeyVolUp)
+	k.Run(k.Now() + 100*sim.Millisecond)
+	tv.PressKey(tvsim.KeyVolUp)
+	k.Run(k.Now() + 100*sim.Millisecond)
+
+	// The heartbeat echo is the drain barrier: every report the frames
+	// before it raised has been written ahead of it.
+	if err := conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "tv", At: k.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-echo:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no heartbeat echo")
+	}
+	found := false
+	for _, m := range gotErrors {
+		if m.Error != nil && m.Error.Observable == "audio-volume" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("remote monitor did not report audio corruption; got %v", gotErrors)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"trader/internal/event"
-	"trader/internal/hwmon"
 	"trader/internal/koala"
 	"trader/internal/sim"
 )
@@ -42,13 +41,14 @@ func TestThirdPartyComponentMonitoredWithoutModification(t *testing.T) {
 	ObserveCalls(sys.Weaver(), koala.Pointcut{Callee: "vendor-codec"}, bus, k)
 
 	// Detection: range check the woven call events.
-	rc := hwmon.NewRangeChecker(k, hwmon.RangeRule{
-		Name: "sample-range", EventName: "call:ICodec.decode", ValueName: "ret.sample",
-		Min: -1000, Max: 1000,
+	var violations []float64
+	checks := 0
+	bus.Subscribe("call:ICodec.decode", func(e event.Event) {
+		checks++
+		if v, ok := e.Get("ret.sample"); ok && (v < -1000 || v > 1000) {
+			violations = append(violations, v)
+		}
 	})
-	rc.AttachBus(bus)
-	var violations []hwmon.RangeViolation
-	rc.OnViolation(func(v hwmon.RangeViolation) { violations = append(violations, v) })
 
 	for i := 0; i < 20; i++ {
 		app.Call("ICodec", "decode", koala.Args{"in": float64(i)})
@@ -56,10 +56,10 @@ func TestThirdPartyComponentMonitoredWithoutModification(t *testing.T) {
 	if len(violations) != 1 {
 		t.Fatalf("violations = %d, want exactly the input-13 defect", len(violations))
 	}
-	if violations[0].Value != 1e6 {
-		t.Fatalf("violation = %+v", violations[0])
+	if violations[0] != 1e6 {
+		t.Fatalf("violation = %v", violations[0])
 	}
-	if rc.Checks != 20 {
-		t.Fatalf("checks = %d, want one per call", rc.Checks)
+	if checks != 20 {
+		t.Fatalf("checks = %d, want one per call", checks)
 	}
 }

@@ -1,61 +1,9 @@
 package core
 
-import (
-	"net"
-	"testing"
+import "testing"
 
-	"trader/internal/event"
-	"trader/internal/sim"
-	"trader/internal/wire"
-)
-
-// TestRemoteControlCommands exercises the IControl arrow of Fig. 2 over the
-// wire: the SUO side can stop and restart monitoring with control frames.
-func TestRemoteControlCommands(t *testing.T) {
-	k := sim.NewKernel(1)
-	m, err := NewMonitor(k, tinyModel(k), Configuration{Observables: []Observable{obsX(0, 0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	a, b := net.Pipe()
-	suo, monEnd := wire.NewConn(a), wire.NewConn(b)
-	done := make(chan error, 1)
-	go func() { done <- m.ServeConn(monEnd) }()
-
-	send := func(msg wire.Message) {
-		t.Helper()
-		if err := suo.Encode(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ev := event.Event{Kind: event.Output, Name: "out", At: 1}.With("x", 0)
-	send(wire.Message{Type: wire.TypeHello, SUO: "t"})
-	send(wire.Message{Type: wire.TypeOutput, Event: &ev})
-	send(wire.Message{Type: wire.TypeControl, Control: wire.CtrlStop})
-	ev2 := ev
-	ev2.At = 2
-	send(wire.Message{Type: wire.TypeOutput, Event: &ev2})
-	send(wire.Message{Type: wire.TypeControl, Control: wire.CtrlStart})
-	// Monitoring resumes: the model kept its state across the stop/start.
-	ev3 := ev
-	ev3.At = 3
-	send(wire.Message{Type: wire.TypeOutput, Event: &ev3})
-	send(wire.Message{Type: wire.TypeHeartbeat})
-	a.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	// Events 1 and 3 observed; event 2 arrived while stopped.
-	if st.OutputsSeen != 2 {
-		t.Fatalf("OutputsSeen = %d, want 2 (stop/start cycle)", st.OutputsSeen)
-	}
-}
-
-// TestMonitorResumeInProcess: the same stop/resume contract via the API.
+// TestMonitorResumeInProcess: monitoring stops and resumes through the API,
+// and the model keeps its state across the stop/start.
 func TestMonitorResumeInProcess(t *testing.T) {
 	_, m, reports := newTinyMonitor(t, Configuration{Observables: []Observable{obsX(0, 0)}})
 	m.HandleInput(setEvent(5))

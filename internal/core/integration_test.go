@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"net"
 	"testing"
 
 	"trader/internal/core"
@@ -158,76 +157,9 @@ func TestSwivelToleranceAvoidsFalsePositives(t *testing.T) {
 	}
 }
 
-func TestMonitorOverSocket(t *testing.T) {
-	// Full Fig. 2 deployment: SUO side forwards bus events over a pipe; the
-	// monitor serves the other end and reports errors back.
-	k := sim.NewKernel(6)
-	cfg := tvsim.Config{}
-	tv := tvsim.New(k, cfg)
-
-	monKernel := sim.NewKernel(7) // monitor has its own clock, driven by frames
-	model := tvsim.BuildSpecModel(monKernel, cfg)
-	mon, err := core.NewMonitor(monKernel, model, tvObservables())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	suoEnd, monEnd := net.Pipe()
-	suoConn, monConn := wire.NewConn(suoEnd), wire.NewConn(monEnd)
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- mon.ServeConn(monConn) }()
-
-	var gotErrors []wire.Message
-	errsDone := make(chan struct{})
-	go func() {
-		defer close(errsDone)
-		for {
-			msg, err := suoConn.Decode()
-			if err != nil {
-				return
-			}
-			if msg.Type == wire.TypeError {
-				gotErrors = append(gotErrors, msg)
-			}
-		}
-	}()
-
-	core.ForwardBus(tv.Bus(), suoConn, "tv", nil)
-	tv.PressKey(tvsim.KeyPower)
-	k.Run(200 * sim.Millisecond)
-	// Inject an audio corruption; the remote monitor must flag it.
-	tv.Injector().Schedule(faults.Fault{
-		ID: "skew", Kind: faults.ValueCorruption, Target: "audio",
-		At: k.Now(), Param: -20,
-	})
-	k.Run(k.Now() + 100*sim.Millisecond)
-	tv.PressKey(tvsim.KeyVolUp)
-	k.Run(k.Now() + 100*sim.Millisecond)
-	tv.PressKey(tvsim.KeyVolUp)
-	k.Run(k.Now() + 100*sim.Millisecond)
-
-	suoEnd.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("ServeConn: %v", err)
-	}
-	<-errsDone
-	found := false
-	for _, m := range gotErrors {
-		if m.Error != nil && m.Error.Observable == "audio-volume" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("remote monitor did not report audio corruption; got %v", gotErrors)
-	}
-}
-
 func TestEventKindsRoundTripThroughMonitor(t *testing.T) {
-	// State events over the socket are routed to the comparator path.
+	// State events are observations too: HandleOutput routes them to the
+	// comparator path.
 	k := sim.NewKernel(8)
 	model := tvsim.BuildSpecModel(k, tvsim.Config{})
 	mon, err := core.NewMonitor(k, model, core.Configuration{

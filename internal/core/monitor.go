@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"trader/internal/event"
 	"trader/internal/sim"
@@ -171,9 +170,6 @@ func (m *Monitor) OnError(fn func(wire.ErrorReport)) { m.handlers = append(m.han
 
 // Stats returns a copy of the monitor's counters.
 func (m *Monitor) Stats() MonitorStats { return m.stats }
-
-// Model returns the specification model (ISpecInfo).
-func (m *Monitor) Model() *statemachine.Model { return m.model }
 
 // Kernel returns the virtual clock the monitor and its spec model run on.
 func (m *Monitor) Kernel() *sim.Kernel { return m.kernel }
@@ -403,14 +399,4 @@ func (m *Monitor) observable(name string) *obsState {
 		}
 	}
 	return nil
-}
-
-// ObservableNames lists configured observables, sorted.
-func (m *Monitor) ObservableNames() []string {
-	out := make([]string, 0, len(m.obs))
-	for i := range m.obs {
-		out = append(out, m.obs[i].cfg.id())
-	}
-	sort.Strings(out)
-	return out
 }

@@ -219,10 +219,6 @@ func (b *Bus) Publish(e Event) {
 	}
 }
 
-// PublishedCount returns the total events published so far. Safe to call
-// while other goroutines publish.
-func (b *Bus) PublishedCount() uint64 { return atomic.LoadUint64(&b.Published) }
-
 // Log is a bounded in-memory event trace. When capacity is exceeded the
 // oldest events are dropped (ring-buffer semantics), mirroring on-chip trace
 // buffers.

@@ -1,12 +1,12 @@
 package exper
 
 import (
-	"net"
 	"time"
 
 	"trader/internal/core"
 	"trader/internal/event"
 	"trader/internal/faults"
+	"trader/internal/fleet"
 	"trader/internal/sim"
 	"trader/internal/statemachine"
 	"trader/internal/tvsim"
@@ -61,33 +61,50 @@ func E2InProcessThroughput(n int) (float64, error) {
 	return float64(n) / elapsed.Seconds(), nil
 }
 
-// E2SocketThroughput pushes n observations through the wire protocol over a
-// net.Pipe into a served monitor and returns events/second.
+// E2SocketThroughput pushes n observations through the daemon's ingestion
+// path — a fleet.Server on a loopback TCP listener, dialled with wire.Dial —
+// into one served monitor and returns events/second. A heartbeat closes the
+// run: its echo comes back once every observation before it was monitored.
 func E2SocketThroughput(n int) (float64, error) {
-	k := sim.NewKernel(1)
-	mon, err := core.NewMonitor(k, e2Model(k), e2Config())
+	pool := fleet.NewPool(fleet.Options{Shards: 1})
+	defer pool.Stop()
+	srv := &fleet.Server{Pool: pool, Factory: func(string, int64) (*sim.Kernel, *core.Monitor, error) {
+		k := sim.NewKernel(1)
+		mon, err := core.NewMonitor(k, e2Model(k), e2Config())
+		if err != nil {
+			return nil, nil, err
+		}
+		return k, mon, mon.Start()
+	}}
+	defer srv.Close()
+	ln, err := wire.Listen("tcp:127.0.0.1:0")
 	if err != nil {
 		return 0, err
 	}
-	if err := mon.Start(); err != nil {
+	go srv.Serve(ln)
+	conn, _, err := wire.Dial("tcp:"+ln.Addr().String(), wire.Message{SUO: "bench", Codec: wire.CodecBinary})
+	if err != nil {
 		return 0, err
 	}
-	a, b := net.Pipe()
-	suo, monEnd := wire.NewConn(a), wire.NewConn(b)
-	done := make(chan error, 1)
-	go func() { done <- mon.ServeConn(monEnd) }()
+	defer conn.Close()
 	e := event.Event{Kind: event.Output, Name: "out"}.With("x", 0)
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		e.At = sim.Time(i)
-		if err := suo.SendEvent("bench", e); err != nil {
+		if err := conn.SendEvent("bench", e); err != nil {
 			return 0, err
 		}
 	}
-	a.Close()
-	<-done
+	if err := conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "bench", At: sim.Time(n)}); err != nil {
+		return 0, err
+	}
+	for msg := (wire.Message{}); msg.Type != wire.TypeHeartbeat; {
+		if msg, err = conn.Decode(); err != nil {
+			return 0, err
+		}
+	}
 	elapsed := time.Since(start)
-	if got := mon.Stats().OutputsSeen; got != uint64(n) {
+	if got := pool.Rollup().Monitor.OutputsSeen; got != uint64(n) {
 		return 0, f2err("socket path lost events: %d of %d", got, n)
 	}
 	return float64(n) / elapsed.Seconds(), nil
@@ -126,7 +143,7 @@ func E2FrameworkOverhead() (*Table, error) {
 		Columns: []string{"metric", "value"},
 	}
 	t.AddRow("in-process observations/s", f("%.0f", inproc))
-	t.AddRow("cross-process (socket) observations/s", f("%.0f", sock))
+	t.AddRow("cross-process (fleet.Server, loopback TCP) observations/s", f("%.0f", sock))
 	t.AddRow("ns/event in-process", f("%.0f", 1e9/inproc))
 	t.AddRow("ns/event cross-process", f("%.0f", 1e9/sock))
 	t.AddRow("TV events observed in 10 s", f("%d", st.OutputsSeen+st.InputsSeen))

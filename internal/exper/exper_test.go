@@ -82,7 +82,7 @@ func TestE2OverheadShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc := cell(t, tab, findRow(t, tab, "in-process observations/s"), 1)
-	sock := cell(t, tab, findRow(t, tab, "cross-process (socket) observations/s"), 1)
+	sock := cell(t, tab, findRow(t, tab, "cross-process (fleet.Server, loopback TCP) observations/s"), 1)
 	if inproc < 10000 {
 		t.Fatalf("in-process throughput %v unreasonably low", inproc)
 	}

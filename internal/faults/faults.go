@@ -35,12 +35,9 @@ const (
 	// BadInput injects malformed input streams the product must tolerate
 	// ("deviations from coding standards or bad image quality").
 	BadInput Kind = "bad-input"
-	// Deadlock wedges two components waiting on each other (Sect. 4.3
-	// hardware deadlock detection).
+	// Deadlock wedges two components waiting on each other: a silent
+	// failure only output silence reveals (Sect. 4.3).
 	Deadlock Kind = "deadlock"
-	// ProgramDefect marks a software bug at a specific code block, the
-	// ground truth for spectrum-based diagnosis (Sect. 4.4).
-	ProgramDefect Kind = "program-defect"
 )
 
 // Fault is one scheduled fault.
@@ -152,20 +149,6 @@ func (i *Injector) AnyActive(k Kind, target string) bool {
 		}
 		f := i.faults[id]
 		if f.Kind == k && (target == "" || f.Target == target) {
-			return true
-		}
-	}
-	return false
-}
-
-// ActiveAt reports (from history) whether fault id was active at time t.
-// Usable after a run for ground-truth scoring.
-func (i *Injector) ActiveAt(id string, t sim.Time) bool {
-	for _, a := range i.history {
-		if a.Fault.ID != id {
-			continue
-		}
-		if t >= a.From && (a.To == 0 || t < a.To) {
 			return true
 		}
 	}

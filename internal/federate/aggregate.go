@@ -498,18 +498,6 @@ func (a *Aggregator) View() View {
 	return v
 }
 
-// Owners returns the range map's current assignment, range index → edge ID.
-func (a *Aggregator) Owners() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.init()
-	out := make([]string, a.Ranges)
-	for r := range out {
-		out[r] = a.rmap.Owner(r)
-	}
-	return out
-}
-
 // OwnerOf returns the edge a device currently belongs to.
 func (a *Aggregator) OwnerOf(device string) string {
 	a.mu.Lock()

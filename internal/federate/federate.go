@@ -168,9 +168,6 @@ func NewRangeMap(n int) *RangeMap {
 	return &RangeMap{owners: make([]string, n), moved: make(map[string]string)}
 }
 
-// Ranges returns the range count.
-func (m *RangeMap) Ranges() int { return len(m.owners) }
-
 // Assign points a range at an edge.
 func (m *RangeMap) Assign(r int, edge string) {
 	m.mu.Lock()

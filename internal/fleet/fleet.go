@@ -11,9 +11,6 @@
 // sharding restores concurrency *between* devices without locking *inside*
 // them). Broadcast and Advance enqueue one command per shard, not per
 // device, keeping the channel traffic proportional to the shard count.
-//
-// The Pool satisfies core.Member, so a core.Group can delegate an entire
-// fleet as one member next to individual monitors.
 package fleet
 
 import (
@@ -104,8 +101,7 @@ type Pool struct {
 	opMu    sync.RWMutex
 	stopped bool
 
-	mu       sync.Mutex // guards started and handlers
-	started  bool
+	mu       sync.Mutex // guards handlers
 	handlers []func(device string, r wire.ErrorReport)
 
 	devices atomic.Int64
@@ -147,7 +143,7 @@ type shard struct {
 }
 
 // NewPool creates the pool and starts its shard workers; devices can be
-// added immediately. Start/Stop manage the core.Member lifecycle.
+// added immediately. Stop shuts it down.
 func NewPool(opts Options) *Pool {
 	opts.fill()
 	p := &Pool{opts: opts, term: make(chan struct{})}
@@ -519,37 +515,6 @@ func (p *Pool) OnReport(fn func(device string, r wire.ErrorReport)) {
 	p.mu.Unlock()
 }
 
-// OnError satisfies core.Member: the device tag is folded into the report's
-// Detail so a Group sees which fleet device fired.
-func (p *Pool) OnError(fn func(wire.ErrorReport)) {
-	p.OnReport(func(device string, r wire.ErrorReport) {
-		if r.Detail == "" {
-			r.Detail = "device=" + device
-		} else {
-			r.Detail += " device=" + device
-		}
-		fn(r)
-	})
-}
-
-// Start satisfies core.Member. Shard workers already run from NewPool;
-// Start only guards against double-start like core.Group.
-func (p *Pool) Start() error {
-	p.opMu.RLock()
-	stopped := p.stopped
-	p.opMu.RUnlock()
-	if stopped {
-		return ErrStopped
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.started {
-		return errors.New("fleet: pool already started")
-	}
-	p.started = true
-	return nil
-}
-
 // Stop drains the shards, stops every device monitor and closes every
 // device. The pool cannot be restarted. The final monitor counters stay
 // readable through Stats/Rollup, like a stopped core.Monitor's. Stop
@@ -567,15 +532,8 @@ func (p *Pool) Stop() {
 	}
 	p.opMu.Unlock()
 	p.wg.Wait()
-	p.mu.Lock()
-	p.started = false
-	p.mu.Unlock()
 	close(p.term)
 }
-
-// Stats satisfies core.Member with the summed monitor counters; Rollup
-// carries the full fleet view.
-func (p *Pool) Stats() core.MonitorStats { return p.Rollup().Monitor }
 
 // Rollup gathers the fleet-level statistics. It is a barrier: commands
 // submitted before it are reflected in the result. On a stopped pool it

@@ -131,9 +131,6 @@ func TestStatsConservation(t *testing.T) {
 	if sum != ro.Monitor {
 		t.Fatalf("conservation violated: sum(devices) = %+v, fleet = %+v", sum, ro.Monitor)
 	}
-	if sum != p.Stats() {
-		t.Fatalf("Stats() = %+v diverges from device sum %+v", p.Stats(), sum)
-	}
 	wantDispatched := uint64(10*devices + devices/2)
 	if ro.Dispatched != wantDispatched {
 		t.Fatalf("Dispatched = %d, want %d", ro.Dispatched, wantDispatched)
@@ -252,48 +249,6 @@ func TestDuplicateAndRemovedDevices(t *testing.T) {
 	}
 }
 
-func TestPoolIsGroupMember(t *testing.T) {
-	var member core.Member = fleet.NewPool(fleet.Options{Shards: 2})
-	p := member.(*fleet.Pool)
-	if err := p.AddDevice("tv-a", 4, fleet.LightFactory(2)); err != nil { // seed 4: faulty
-		t.Fatal(err)
-	}
-	g := core.NewGroup()
-	if err := g.AddMember("fleet", p); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []string
-	g.OnError(func(name string, r wire.ErrorReport) {
-		mu.Lock()
-		got = append(got, name+":"+r.Detail)
-		mu.Unlock()
-	})
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := p.Broadcast(setEvent(3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != "fleet:device=tv-a" {
-		t.Fatalf("group fan-in = %v, want [fleet:device=tv-a]", got)
-	}
-	if g.Stats().Errors != 1 {
-		t.Fatalf("group stats errors = %d, want 1", g.Stats().Errors)
-	}
-	g.Stop()
-	if err := p.Broadcast(setEvent(1)); err != fleet.ErrStopped {
-		t.Fatalf("Broadcast after Stop = %v, want ErrStopped", err)
-	}
-}
-
 func TestStopIdempotentAndConcurrentOps(t *testing.T) {
 	p := newLightPool(t, 4, 8)
 	var wg sync.WaitGroup
@@ -343,9 +298,6 @@ func TestRollupSurvivesStop(t *testing.T) {
 	}
 	if after.Devices != 8 || after.Dispatched != before.Dispatched {
 		t.Fatalf("rollup after stop = %+v, want devices/dispatched preserved from %+v", after, before)
-	}
-	if p.Stats() != before.Monitor {
-		t.Fatalf("Stats() after stop = %+v, want %+v", p.Stats(), before.Monitor)
 	}
 }
 

@@ -13,16 +13,6 @@ import (
 // monitor state. The federation package orchestrates who captures and who
 // restores; the pool only guarantees the barrier semantics.
 
-// CaptureDevice snapshots one device's monitor state as a PlaneDevice
-// checkpoint, captured on the device's own shard goroutine: every command
-// submitted for the shard before the call — including in-flight dispatches —
-// is processed first, so the snapshot is a consistent point in the device's
-// monitored lifetime. The device keeps running; see HandoffDevice for the
-// capture-and-release used by migration.
-func (p *Pool) CaptureDevice(id string) (*wire.Checkpoint, error) {
-	return p.captureDevice(id, false)
-}
-
 // HandoffDevice captures a device exactly like CaptureDevice and removes it
 // from the pool in the same shard command, so no frame can be dispatched to
 // the device between the snapshot and its departure — the migration

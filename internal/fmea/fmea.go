@@ -77,13 +77,6 @@ func (a *Architecture) AddPropagation(p Propagation) {
 	a.edges[p.From] = append(a.edges[p.From], p)
 }
 
-// Components returns component names in insertion order.
-func (a *Architecture) Components() []string {
-	out := make([]string, len(a.order))
-	copy(out, a.order)
-	return out
-}
-
 // effectiveSeverity computes the worst user-visible severity a failure of
 // component name with base severity sev can cause, following propagation
 // paths (DFS with per-path attenuation; cycles are cut by the visited set).

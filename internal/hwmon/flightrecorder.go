@@ -1,3 +1,8 @@
+// Package hwmon models the on-chip debug and trace infrastructure of Sect.
+// 4.1: the trace buffer that keeps the last events of a SUO so the context
+// leading up to an error stays available. In the paper it exploits
+// "mechanisms already available in hardware"; here it records the
+// simulated SoC's event bus.
 package hwmon
 
 import (
@@ -13,16 +18,12 @@ import (
 // and log-based analyses start from.
 //
 // A FlightRecorder is safe for concurrent use: fleet buses deliver events
-// on whichever goroutine publishes, and the diagnosis plane captures
-// snapshots on demand while recording continues, so Record and Capture may
-// race freely without tearing the window.
+// on whichever goroutine publishes, and a snapshot may be captured while
+// recording continues, so Record and Capture may race freely without
+// tearing the window.
 type FlightRecorder struct {
 	mu  sync.Mutex
 	log *event.Log
-	sub *event.Subscription
-	// Captures counts snapshots taken. Guarded by the recorder's lock;
-	// read it after capturing stops (or via a captured snapshot's count).
-	Captures uint64
 }
 
 // NewFlightRecorder creates a recorder retaining the last capacity events.
@@ -30,27 +31,9 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{log: event.NewLog(capacity)}
 }
 
-// AttachBus starts recording every event on the bus.
-func (fr *FlightRecorder) AttachBus(bus *event.Bus) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	fr.sub = bus.Subscribe("", fr.Record)
-}
-
-// Detach stops recording (the retained window stays readable).
-func (fr *FlightRecorder) Detach() {
-	fr.mu.Lock()
-	sub := fr.sub
-	fr.sub = nil
-	fr.mu.Unlock()
-	if sub != nil {
-		sub.Unsubscribe()
-	}
-}
-
-// Record appends one event to the window — the bus handler AttachBus
-// registers, exported so recorders can be fed directly (e.g. by a device
-// client that sits between its bus and the wire).
+// Record appends one event to the window. It is a bus handler
+// (bus.Subscribe("", fr.Record)) and can be fed directly, e.g. by a device
+// client that sits between its bus and the wire.
 func (fr *FlightRecorder) Record(e event.Event) {
 	fr.mu.Lock()
 	fr.log.Append(e)
@@ -62,7 +45,6 @@ func (fr *FlightRecorder) Record(e event.Event) {
 func (fr *FlightRecorder) Capture() []event.Event {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	fr.Captures++
 	return fr.log.Snapshot()
 }
 
@@ -70,7 +52,6 @@ func (fr *FlightRecorder) Capture() []event.Event {
 func (fr *FlightRecorder) CaptureMatching(pred func(event.Event) bool) []event.Event {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	fr.Captures++
 	return fr.log.Filter(pred)
 }
 

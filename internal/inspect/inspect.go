@@ -114,18 +114,21 @@ func (g *Graph) Likelihood() map[string]float64 {
 	return like
 }
 
-// Severity levels of static-analysis warnings (QA-C style).
+// Severity is the level of a static-analysis warning (QA-C style).
+type Severity int
+
+// Severity levels, lowest first.
 const (
-	SevLow    = 1
-	SevMedium = 2
-	SevHigh   = 3
+	SevLow Severity = iota + 1
+	SevMedium
+	SevHigh
 )
 
 // Warning is one static-analysis finding.
 type Warning struct {
 	ID       int
 	Node     string
-	Severity int
+	Severity Severity
 	// TrueFault marks ground truth: this warning corresponds to a real
 	// defect (known in synthetic programs; the evaluation metric).
 	TrueFault bool
@@ -216,7 +219,7 @@ func GenerateProgram(seed int64, layers, nodesPerLayer, warnings int) *Synthetic
 	nodes := g.Nodes()
 	for w := 0; w < warnings; w++ {
 		node := nodes[rng.Intn(len(nodes))]
-		sev := SevLow + rng.Intn(3)
+		sev := SevLow + Severity(rng.Intn(3))
 		// Ground truth: the defect manifests iff the code runs often enough
 		// to be hit in the field.
 		manifest := rng.Float64() < like[node]

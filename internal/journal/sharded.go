@@ -210,9 +210,6 @@ func (s *Sharded) Stats() WriterStats {
 	return t
 }
 
-// ShardStats snapshots one stream's writer counters.
-func (s *Sharded) ShardStats(i int) WriterStats { return s.ws[i].Stats() }
-
 // Close closes every stream, returning the first error.
 func (s *Sharded) Close() error {
 	var first error

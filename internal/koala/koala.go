@@ -11,7 +11,6 @@ package koala
 
 import (
 	"fmt"
-	"sort"
 
 	"trader/internal/event"
 	"trader/internal/sim"
@@ -19,15 +18,6 @@ import (
 
 // Args carries named scalar arguments/results of a method call.
 type Args map[string]float64
-
-// Clone copies the args.
-func (a Args) Clone() Args {
-	out := make(Args, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
 
 // Method is one operation of an interface.
 type Method func(args Args) Args
@@ -108,16 +98,6 @@ func (s *System) AddComponent(name string) *Component {
 // Component returns the named component, or nil.
 func (s *System) Component(name string) *Component { return s.components[name] }
 
-// Components returns all components sorted by name.
-func (s *System) Components() []*Component {
-	out := make([]*Component, 0, len(s.components))
-	for _, c := range s.components {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Provide declares that c implements iface.
 func (c *Component) Provide(iface string, impl Iface) *Component {
 	if _, dup := c.provides[iface]; dup {
@@ -154,27 +134,6 @@ func (s *System) Bind(requirer, iface, provider string) error {
 	return nil
 }
 
-// Validate checks that every required interface is bound.
-func (s *System) Validate() error {
-	var missing []string
-	for _, c := range s.Components() {
-		ifaces := make([]string, 0, len(c.requires))
-		for i := range c.requires {
-			ifaces = append(ifaces, i)
-		}
-		sort.Strings(ifaces)
-		for _, i := range ifaces {
-			if c.requires[i].provider == nil {
-				missing = append(missing, c.Name+"."+i)
-			}
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("koala: unbound requires: %v", missing)
-	}
-	return nil
-}
-
 // Call invokes method on the component bound to c's required iface, routing
 // through the weaver. It panics on unbound interfaces (a wiring bug) and
 // returns the method result.
@@ -200,36 +159,6 @@ func (c *Component) now() sim.Time {
 		return c.system.kernel.Now()
 	}
 	return 0
-}
-
-// Provides lists the component's provided interface names, sorted.
-func (c *Component) Provides() []string {
-	out := make([]string, 0, len(c.provides))
-	for i := range c.provides {
-		out = append(out, i)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Requires lists the component's required interface names, sorted.
-func (c *Component) Requires() []string {
-	out := make([]string, 0, len(c.requires))
-	for i := range c.requires {
-		out = append(out, i)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BoundTo returns the provider bound to the required interface ("" when
-// unbound or unknown) — architecture introspection for tooling like the
-// FMEA model builder.
-func (c *Component) BoundTo(iface string) string {
-	if b := c.requires[iface]; b != nil && b.provider != nil {
-		return b.provider.Name
-	}
-	return ""
 }
 
 // Mode returns the component's current mode.

@@ -1,7 +1,5 @@
 package koala
 
-import "sort"
-
 // This file is the AspectKoala analogue ([19] in the paper): advice woven
 // onto inter-component call join points, so observation requires no change
 // to component code.
@@ -58,31 +56,6 @@ func NewWeaver() *Weaver { return &Weaver{} }
 func (w *Weaver) Weave(pc Pointcut, adv Advice) {
 	w.aspects = append(w.aspects, aspect{pc: pc, advice: adv, id: w.nextID})
 	w.nextID++
-}
-
-// Unweave removes all aspects with the given name.
-func (w *Weaver) Unweave(name string) {
-	kept := w.aspects[:0]
-	for _, a := range w.aspects {
-		if a.advice.Name != name {
-			kept = append(kept, a)
-		}
-	}
-	w.aspects = kept
-}
-
-// AspectNames lists woven aspect names, sorted and deduplicated.
-func (w *Weaver) AspectNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, a := range w.aspects {
-		if !seen[a.advice.Name] {
-			seen[a.advice.Name] = true
-			names = append(names, a.advice.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // invoke routes a call through matching advice down to the target method.

@@ -79,14 +79,6 @@ func (b *Balancer) Start() {
 	b.rep = b.kernel.Every(b.policy.CheckEvery, b.check)
 }
 
-// Stop halts balancing.
-func (b *Balancer) Stop() {
-	if b.rep != nil {
-		b.rep.Stop()
-		b.rep = nil
-	}
-}
-
 func (b *Balancer) check() {
 	b.Checks++
 	type health struct {

@@ -195,16 +195,6 @@ func (s *Snapshot) Exemplar(q float64) uint64 {
 	return 0
 }
 
-// Max returns the upper edge of the highest non-empty bucket (0 when empty).
-func (s *Snapshot) Max() time.Duration {
-	for i := numBuckets - 1; i >= 0; i-- {
-		if s.counts[i] != 0 {
-			return time.Duration(upperOf(i))
-		}
-	}
-	return 0
-}
-
 // CountAtMost returns how many observations fall in buckets entirely at or
 // below d — the cumulative count a Prometheus `le` bucket reports.
 func (s *Snapshot) CountAtMost(d time.Duration) uint64 {

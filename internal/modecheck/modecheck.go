@@ -103,9 +103,6 @@ func NewChecker(kernel *sim.Kernel, rules ...Rule) *Checker {
 // OnViolation registers a violation handler.
 func (c *Checker) OnViolation(fn func(Violation)) { c.onViol = append(c.onViol, fn) }
 
-// Mode returns the last reported mode of a component ("" if unseen).
-func (c *Checker) Mode(component string) string { return c.modes[component] }
-
 // AttachBus subscribes to a SUO bus; koala components publish State events
 // carrying interned mode ids, which the checker decodes via koala.ModeName.
 func (c *Checker) AttachBus(bus *event.Bus) {
@@ -119,14 +116,6 @@ func (c *Checker) AttachBus(bus *event.Bus) {
 		}
 		c.Update(e.Source, koala.ModeName(int(id)))
 	})
-}
-
-// Detach unsubscribes from the bus.
-func (c *Checker) Detach() {
-	if c.sub != nil {
-		c.sub.Unsubscribe()
-		c.sub = nil
-	}
 }
 
 // Update records a component's mode and re-evaluates the rules that involve
@@ -161,14 +150,6 @@ func (c *Checker) evaluate(r *Rule) {
 		for _, fn := range c.onViol {
 			fn(v)
 		}
-	}
-}
-
-// Recheck re-evaluates every rule against the current modes (time-based
-// checking, for rules that can be violated without any new mode event).
-func (c *Checker) Recheck() {
-	for _, r := range c.rules {
-		c.evaluate(r)
 	}
 }
 

@@ -13,8 +13,10 @@
 package perception
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"trader/internal/sim"
@@ -155,11 +157,13 @@ func NewPanel(seed int64, nPerGroup int, groups []GroupProfile) *Panel {
 				Tolerance:        g.Tolerance * (1 + 0.2*(rng.Float64()-0.5)),
 				ExternalDiscount: g.ExternalDiscount * (1 + 0.3*(rng.Float64()-0.5)),
 			}
-			for fn, v := range DefaultImportance {
-				u.Importance[fn] = jitter(v)
+			// Draw in key order: map order is random per run, and the
+			// panel must be a function of its seed.
+			for _, fn := range slices.Sorted(maps.Keys(DefaultImportance)) {
+				u.Importance[fn] = jitter(DefaultImportance[fn])
 			}
-			for fn, v := range DefaultUsage {
-				u.Usage[fn] = jitter(v)
+			for _, fn := range slices.Sorted(maps.Keys(DefaultUsage)) {
+				u.Usage[fn] = jitter(DefaultUsage[fn])
 			}
 			p.Users = append(p.Users, u)
 		}

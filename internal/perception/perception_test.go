@@ -1,6 +1,7 @@
 package perception
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,18 @@ func TestPanelGeneration(t *testing.T) {
 	p2 := NewPanel(1, 10, DefaultGroups)
 	if p2.Users[5].Tolerance != p.Users[5].Tolerance {
 		t.Fatal("panel generation not deterministic")
+	}
+}
+
+// TestPanelIsAFunctionOfItsSeed builds the same panel many times: every
+// user's jittered importance and usage must come out identical, whatever
+// order the runtime iterates the default maps in.
+func TestPanelIsAFunctionOfItsSeed(t *testing.T) {
+	want := NewPanel(7, 5, DefaultGroups)
+	for i := 0; i < 20; i++ {
+		if got := NewPanel(7, 5, DefaultGroups); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d of the seed-7 panel differs from the first", i+1)
+		}
 	}
 }
 

@@ -134,9 +134,6 @@ func (cm *CommManager) flush(unit string) {
 	}
 }
 
-// PendingFor returns the number of queued messages for a unit.
-func (cm *CommManager) PendingFor(unit string) int { return len(cm.queues[unit]) }
-
 // Scope selects how much of the system one recovery action restarts.
 type Scope int
 

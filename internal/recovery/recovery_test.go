@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"errors"
 	"testing"
 
 	"trader/internal/sim"
@@ -223,91 +222,4 @@ func TestTransitiveDependents(t *testing.T) {
 		t.Fatal("independent unit touched")
 	}
 	k.RunAll()
-}
-
-func TestRetrySucceedsAfterFailures(t *testing.T) {
-	k := sim.NewKernel(1)
-	calls := 0
-	var result error = errors.New("sentinel")
-	Retry(k, 5, 10, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}, func(err error) { result = err })
-	k.RunAll()
-	if result != nil {
-		t.Fatalf("result = %v", result)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	// Backoff: attempt 2 at t=10, attempt 3 at t=10+20.
-	if k.Now() != 30 {
-		t.Fatalf("finished at %v, want 30", k.Now())
-	}
-}
-
-func TestRetryExhausts(t *testing.T) {
-	k := sim.NewKernel(1)
-	var result error
-	Retry(k, 3, 5, func() error { return errors.New("always") }, func(err error) { result = err })
-	k.RunAll()
-	if !errors.Is(result, ErrRetriesExhausted) {
-		t.Fatalf("result = %v", result)
-	}
-	var zero error
-	Retry(k, 0, 5, func() error { return nil }, func(err error) { zero = err })
-	if !errors.Is(zero, ErrRetriesExhausted) {
-		t.Fatal("zero attempts must fail immediately")
-	}
-}
-
-func TestCheckpointSaveRollback(t *testing.T) {
-	var cp Checkpoint
-	if cp.Latest() != nil || cp.Rollback() != nil {
-		t.Fatal("empty checkpoint should be nil")
-	}
-	cp.Save(map[string]float64{"page": 100})
-	cp.Save(map[string]float64{"page": 101})
-	if cp.Latest()["page"] != 101 {
-		t.Fatal("Latest wrong")
-	}
-	back := cp.Rollback()
-	if back["page"] != 100 {
-		t.Fatalf("Rollback = %v", back)
-	}
-	if cp.Depth() != 1 {
-		t.Fatalf("Depth = %d", cp.Depth())
-	}
-	// Saved maps are copies.
-	state := map[string]float64{"x": 1}
-	cp.Save(state)
-	state["x"] = 999
-	if cp.Latest()["x"] != 1 {
-		t.Fatal("Save must copy")
-	}
-}
-
-func TestCheckpointKeepBound(t *testing.T) {
-	cp := Checkpoint{Keep: 3}
-	for i := 0; i < 10; i++ {
-		cp.Save(map[string]float64{"i": float64(i)})
-	}
-	if cp.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", cp.Depth())
-	}
-	if cp.Latest()["i"] != 9 {
-		t.Fatal("should keep newest")
-	}
-}
-
-func TestGuardContainsPanic(t *testing.T) {
-	if err := Guard(func() { panic("boom") }); err == nil {
-		t.Fatal("panic not contained")
-	}
-	if err := Guard(func() {}); err != nil {
-		t.Fatalf("clean run errored: %v", err)
-	}
 }

@@ -52,9 +52,6 @@ type Event struct {
 	kernel *Kernel
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Cancel removes the event from the queue. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancel reports whether the event was
 // still pending.
@@ -67,9 +64,6 @@ func (e *Event) Cancel() bool {
 	return true
 }
 
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.index >= 0 }
-
 // Kernel is a discrete-event simulator. It is not safe for concurrent use;
 // drive it from a single goroutine.
 type Kernel struct {
@@ -79,9 +73,6 @@ type Kernel struct {
 	seed    int64
 	rng     *rand.Rand // built from seed by the first Rand call
 	stopped bool
-
-	// Stats
-	fired uint64
 }
 
 // NewKernel returns a kernel with virtual time 0 and a deterministic RNG
@@ -104,12 +95,6 @@ func (k *Kernel) Rand() *rand.Rand {
 	}
 	return k.rng
 }
-
-// Fired returns the number of events executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.pq) }
 
 // Schedule queues fn to run after delay. A negative delay is treated as zero
 // (run at the current instant, after already-queued events for that instant).
@@ -182,7 +167,6 @@ func (k *Kernel) Step() bool {
 	e := heap.Pop(&k.pq).(*Event)
 	e.dead = true
 	k.now = e.at
-	k.fired++
 	e.fn()
 	return true
 }
@@ -225,13 +209,6 @@ func (k *Kernel) RunAll() Time {
 	}
 	return k.now
 }
-
-// Stop halts the kernel: no further events fire. Pending events remain
-// queued so tests can inspect them.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 // eventHeap orders events by (time, seq).
 type eventHeap []*Event

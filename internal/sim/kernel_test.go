@@ -303,32 +303,6 @@ func TestSeriesEmpty(t *testing.T) {
 	}
 }
 
-func TestBusyUtilisation(t *testing.T) {
-	var b Busy
-	b.Start(0)
-	b.SetBusy(10, true)
-	b.SetBusy(30, false)
-	b.SetBusy(50, true)
-	// At t=60: busy 20 (10..30) + 10 (50..60) of 60 => 0.5
-	if u := b.Utilisation(60); u != 0.5 {
-		t.Fatalf("Utilisation = %v, want 0.5", u)
-	}
-	// Redundant transitions are no-ops.
-	b.SetBusy(70, true)
-	if u := b.Utilisation(70); u < 0.57 || u > 0.58 {
-		t.Fatalf("Utilisation = %v, want ~0.571", u)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := map[Time]string{
 		5:               "5ns",

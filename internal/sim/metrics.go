@@ -6,21 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing tally.
-type Counter struct {
-	Name string
-	n    uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current tally.
-func (c *Counter) Value() uint64 { return c.n }
-
 // Series accumulates scalar samples and offers summary statistics. The zero
 // value is ready to use.
 type Series struct {
@@ -77,22 +62,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// samples.
-func (s *Series) StdDev() float64 {
-	n := len(s.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
 // sorted samples. It returns 0 for an empty series.
 func (s *Series) Quantile(q float64) float64 {
@@ -120,49 +89,4 @@ func (s *Series) Quantile(q float64) float64 {
 func (s *Series) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
 		s.Name, s.N(), s.Mean(), s.Min(), s.Quantile(0.5), s.Quantile(0.95), s.Max())
-}
-
-// Busy tracks utilisation of a resource over virtual time: total busy time
-// divided by observed span.
-type Busy struct {
-	busy      Time
-	busySince Time
-	busyNow   bool
-	start     Time
-	started   bool
-}
-
-// Start marks the beginning of the observation window.
-func (b *Busy) Start(now Time) {
-	b.start = now
-	b.started = true
-}
-
-// SetBusy switches the resource busy/idle at virtual time now.
-func (b *Busy) SetBusy(now Time, busy bool) {
-	if !b.started {
-		b.Start(now)
-	}
-	if busy == b.busyNow {
-		return
-	}
-	if b.busyNow {
-		b.busy += now - b.busySince
-	} else {
-		b.busySince = now
-	}
-	b.busyNow = busy
-}
-
-// Utilisation returns busy/(now-start) in [0,1].
-func (b *Busy) Utilisation(now Time) float64 {
-	total := now - b.start
-	if total <= 0 {
-		return 0
-	}
-	busy := b.busy
-	if b.busyNow && now > b.busySince {
-		busy += now - b.busySince
-	}
-	return float64(busy) / float64(total)
 }

@@ -3,9 +3,8 @@
 // system-on-chip with multiple processors, various types of memory, and
 // dedicated hardware accelerators". It provides:
 //
-//   - preemptive fixed-priority CPUs with periodic and aperiodic tasks,
-//     deadline accounting and utilisation tracking (cpu.go),
-//   - a shared bus with bandwidth arbitration (bus.go), and
+//   - preemptive fixed-priority CPUs with periodic tasks and deadline
+//     accounting (cpu.go), and
 //   - a memory controller with pluggable arbiters, including the run-time
 //     adaptive arbiter investigated by NXP Research in Sect. 4.5 (memory.go).
 //
@@ -87,7 +86,6 @@ type CPU struct {
 
 	tasks map[string]*Task
 	stats CPUStats
-	busy  sim.Busy
 
 	// Speed scales execution: demand is divided by Speed. 1.0 = nominal.
 	Speed float64
@@ -95,16 +93,11 @@ type CPU struct {
 
 // NewCPU creates a processor on the kernel.
 func NewCPU(kernel *sim.Kernel, name string) *CPU {
-	c := &CPU{Name: name, kernel: kernel, tasks: make(map[string]*Task), Speed: 1.0}
-	c.busy.Start(kernel.Now())
-	return c
+	return &CPU{Name: name, kernel: kernel, tasks: make(map[string]*Task), Speed: 1.0}
 }
 
 // Stats returns a snapshot of scheduler metrics.
 func (c *CPU) Stats() *CPUStats { return &c.stats }
-
-// Utilisation returns the fraction of time the CPU was busy.
-func (c *CPU) Utilisation() float64 { return c.busy.Utilisation(c.kernel.Now()) }
 
 // Tasks returns the attached tasks sorted by name.
 func (c *CPU) Tasks() []*Task {
@@ -183,18 +176,6 @@ func (c *CPU) Migrate(t *Task, to *CPU) error {
 	return nil
 }
 
-// Release triggers one aperiodic job with the task's WCET.
-func (c *CPU) Release(t *Task) { c.ReleaseDemand(t, t.WCET) }
-
-// ReleaseDemand triggers one job with an explicit execution demand, allowing
-// data-dependent load (e.g. heavy error correction on a bad signal).
-func (c *CPU) ReleaseDemand(t *Task, demand sim.Time) {
-	if t.cpu != c {
-		panic(fmt.Sprintf("soc: release of task %q not attached to CPU %q", t.Name, c.Name))
-	}
-	c.release(t, demand)
-}
-
 func (c *CPU) release(t *Task, demand sim.Time) {
 	if demand <= 0 {
 		demand = 1
@@ -244,7 +225,6 @@ func (c *CPU) stopRunning(requeue bool) {
 		c.enqueue(c.running)
 	}
 	c.running = nil
-	c.busy.SetBusy(c.kernel.Now(), false)
 }
 
 // dispatch gives the CPU to the highest-priority ready job, preempting if
@@ -265,7 +245,6 @@ func (c *CPU) dispatch() {
 	c.ready = c.ready[1:]
 	c.running = top
 	c.runFrom = c.kernel.Now()
-	c.busy.SetBusy(c.kernel.Now(), true)
 	dur := sim.Time(float64(top.remaining) / c.Speed)
 	if dur < 1 {
 		dur = 1
@@ -281,7 +260,6 @@ func (c *CPU) complete() {
 	j.remaining = 0
 	c.done = nil
 	c.running = nil
-	c.busy.SetBusy(c.kernel.Now(), false)
 	c.stats.JobsCompleted++
 	resp := c.kernel.Now() - j.release
 	c.stats.Response.Observe(resp.Seconds())
@@ -296,9 +274,6 @@ func (c *CPU) complete() {
 	}
 	c.dispatch()
 }
-
-// QueueLen returns the number of ready (not running) jobs.
-func (c *CPU) QueueLen() int { return len(c.ready) }
 
 // Load returns the total utilisation demand of attached periodic tasks
 // (sum WCET/Period), a static overload indicator.

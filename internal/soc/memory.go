@@ -22,7 +22,6 @@ type MemController struct {
 	order      []string // registration order, for deterministic iteration
 	requestors map[string]*Requestor
 	busyNow    bool
-	busy       sim.Busy
 }
 
 // Requestor is one client of the memory port.
@@ -41,15 +40,6 @@ type Requestor struct {
 	Latency sim.Series
 	// ewma tracks smoothed latency (virtual ns) for adaptation.
 	ewma float64
-}
-
-// Starvation returns the smoothed latency divided by the target — >1 means
-// the requestor is not meeting its target.
-func (r *Requestor) Starvation() float64 {
-	if r.LatencyTarget <= 0 {
-		return 0
-	}
-	return r.ewma / float64(r.LatencyTarget)
 }
 
 type memReq struct {
@@ -71,12 +61,10 @@ func NewMemController(kernel *sim.Kernel, name string, serviceTime sim.Time, arb
 	if serviceTime <= 0 {
 		panic("soc: memory service time must be positive")
 	}
-	m := &MemController{
+	return &MemController{
 		Name: name, kernel: kernel, ServiceTime: serviceTime, arbiter: arb,
 		requestors: make(map[string]*Requestor),
 	}
-	m.busy.Start(kernel.Now())
-	return m
 }
 
 // Register adds a requestor.
@@ -91,21 +79,6 @@ func (m *MemController) Register(r *Requestor) {
 // Requestor returns the named requestor, or nil.
 func (m *MemController) Requestor(name string) *Requestor { return m.requestors[name] }
 
-// Requestors returns all requestors in registration order.
-func (m *MemController) Requestors() []*Requestor {
-	out := make([]*Requestor, len(m.order))
-	for i, n := range m.order {
-		out[i] = m.requestors[n]
-	}
-	return out
-}
-
-// SetArbiter swaps the arbitration policy at run time.
-func (m *MemController) SetArbiter(a Arbiter) { m.arbiter = a }
-
-// ArbiterName returns the active policy name.
-func (m *MemController) ArbiterName() string { return m.arbiter.Name() }
-
 // Request enqueues a memory request for the named requestor; done (may be
 // nil) runs at completion.
 func (m *MemController) Request(requestor string, done func()) {
@@ -116,17 +89,6 @@ func (m *MemController) Request(requestor string, done func()) {
 	r.queue = append(r.queue, memReq{enqueued: m.kernel.Now(), done: done})
 	m.pump()
 }
-
-// Pending returns the number of queued requests for the named requestor.
-func (m *MemController) Pending(requestor string) int {
-	if r := m.requestors[requestor]; r != nil {
-		return len(r.queue)
-	}
-	return 0
-}
-
-// Utilisation returns the busy fraction of the memory port.
-func (m *MemController) Utilisation() float64 { return m.busy.Utilisation(m.kernel.Now()) }
 
 func (m *MemController) pump() {
 	if m.busyNow {
@@ -148,7 +110,6 @@ func (m *MemController) pump() {
 	req := r.queue[0]
 	r.queue = r.queue[1:]
 	m.busyNow = true
-	m.busy.SetBusy(m.kernel.Now(), true)
 	m.kernel.Schedule(m.ServiceTime, func() {
 		lat := m.kernel.Now() - req.enqueued
 		r.Served++
@@ -156,7 +117,6 @@ func (m *MemController) pump() {
 		const alpha = 0.2
 		r.ewma = alpha*float64(lat) + (1-alpha)*r.ewma
 		m.busyNow = false
-		m.busy.SetBusy(m.kernel.Now(), false)
 		if req.done != nil {
 			req.done()
 		}
@@ -211,34 +171,6 @@ func (rr *RoundRobin) Pick(m *MemController) (string, sim.Time) {
 		}
 	}
 	return "", 0
-}
-
-// TDMA serves fixed time slots in a repeating frame; a slot whose owner has
-// no pending request idles (non-work-conserving, giving hard isolation).
-type TDMA struct {
-	// Slots lists the owner of each slot in frame order.
-	Slots []string
-	// SlotLen is the duration of one slot.
-	SlotLen sim.Time
-}
-
-// Name implements Arbiter.
-func (t *TDMA) Name() string { return "tdma" }
-
-// Pick implements Arbiter.
-func (t *TDMA) Pick(m *MemController) (string, sim.Time) {
-	if len(t.Slots) == 0 || t.SlotLen <= 0 {
-		return "", 0
-	}
-	now := m.kernel.Now()
-	slot := int(now/t.SlotLen) % len(t.Slots)
-	owner := t.Slots[slot]
-	if r := m.requestors[owner]; r != nil && len(r.queue) > 0 {
-		return owner, 0
-	}
-	// Idle until the next slot boundary.
-	next := (now/t.SlotLen + 1) * t.SlotLen
-	return "", next
 }
 
 // Adaptive is the run-time flexible arbiter: it serves the pending requestor

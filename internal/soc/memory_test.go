@@ -7,64 +7,6 @@ import (
 	"trader/internal/sim"
 )
 
-func TestBusServesFIFO(t *testing.T) {
-	k := sim.NewKernel(1)
-	bus := NewBus(k, "axi", 1000) // 1000 B/s => 1 byte per ms
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		bus.Transfer(100, 0, func() { order = append(order, i) })
-	}
-	k.RunAll()
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	if bus.Transfers != 3 || bus.Bytes != 300 {
-		t.Fatalf("stats: %d transfers, %d bytes", bus.Transfers, bus.Bytes)
-	}
-	// 3 transfers of 100 bytes at 1000 B/s = 0.3 s total.
-	if k.Now() != 300*sim.Millisecond {
-		t.Fatalf("finished at %v, want 300ms", k.Now())
-	}
-}
-
-func TestBusPriority(t *testing.T) {
-	k := sim.NewKernel(1)
-	bus := NewBus(k, "axi", 1000)
-	var order []string
-	bus.Transfer(100, 5, func() { order = append(order, "lo1") })
-	bus.Transfer(100, 5, func() { order = append(order, "lo2") })
-	bus.Transfer(100, 0, func() { order = append(order, "hi") })
-	k.RunAll()
-	// lo1 is already in service; hi must overtake lo2.
-	if len(order) != 3 || order[0] != "lo1" || order[1] != "hi" || order[2] != "lo2" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestBusUtilisationAndLatency(t *testing.T) {
-	k := sim.NewKernel(1)
-	bus := NewBus(k, "axi", 1000)
-	bus.Transfer(500, 0, nil)
-	k.Run(1 * sim.Second)
-	u := bus.Utilisation()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("Utilisation = %v, want ~0.5", u)
-	}
-	if bus.Latency.N() != 1 {
-		t.Fatalf("latency samples = %d", bus.Latency.N())
-	}
-}
-
-func TestBusBandwidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBus(sim.NewKernel(1), "bad", 0)
-}
-
 func newMem(t *testing.T, arb Arbiter) (*sim.Kernel, *MemController) {
 	t.Helper()
 	k := sim.NewKernel(1)

@@ -44,13 +44,6 @@ func (b *BitSet) Count() int {
 	return total
 }
 
-// Clone copies the bitset.
-func (b *BitSet) Clone() *BitSet {
-	c := &BitSet{n: b.n, words: make([]uint64, len(b.words))}
-	copy(c.words, b.words)
-	return c
-}
-
 // Or unions o into b. Both bitsets must have the same capacity.
 func (b *BitSet) Or(o *BitSet) {
 	if b.n != o.n {

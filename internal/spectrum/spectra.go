@@ -77,23 +77,11 @@ func NewSpectra(blocks, stripes int) *Spectra {
 // Blocks returns the block capacity.
 func (s *Spectra) Blocks() int { return s.blocks }
 
-// Stripes returns the stripe count.
-func (s *Spectra) Stripes() int { return len(s.stripes) }
-
 // Transactions returns the number of folded transactions.
 func (s *Spectra) Transactions() int { return s.nFail + s.nPass }
 
 // Failures returns the number of folded failing transactions.
 func (s *Spectra) Failures() int { return s.nFail }
-
-// Fold accumulates one transaction's hit spectrum under its verdict. The
-// bitset is read, not retained.
-func (s *Spectra) Fold(hits *BitSet, failed bool) {
-	if hits.Len() != s.blocks {
-		panic("spectrum: spectrum capacity does not match")
-	}
-	s.FoldWords(hits.words, failed)
-}
 
 // FoldWords accumulates one transaction given as packed 64-bit words (the
 // wire representation of a coverage window, see BitSet.Words). Short word
@@ -309,24 +297,4 @@ func (s *Spectra) Import(cells []Cell, nFail, nPass int) error {
 		s.top.valid = false
 	}
 	return nil
-}
-
-// RankOf returns the 1-based pessimistic rank of the block (ties counted
-// against it) and the size of its tie group, like Matrix.RankOf.
-func (s *Spectra) RankOf(block int, c Coefficient) (rank, ties int) {
-	target := c.F(s.CountsFor(block))
-	higher, equal := 0, 0
-	for si := range s.stripes {
-		st := &s.stripes[si]
-		for b := 0; b < st.n; b++ {
-			aef, aep := int(st.aef[b]), int(st.aep[b])
-			score := c.F(Counts{Aef: aef, Aep: aep, Anf: s.nFail - aef, Anp: s.nPass - aep})
-			if score > target {
-				higher++
-			} else if score == target {
-				equal++
-			}
-		}
-	}
-	return higher + equal, equal
 }

@@ -47,16 +47,6 @@ func (c *Context) SetBool(name string, b bool) {
 	}
 }
 
-// Bool reads a variable as a boolean (non-zero = true).
-func (c *Context) Bool(name string) bool { return c.Vars[name] != 0 }
-
-// Emit publishes a model output event (expected behaviour).
-func (c *Context) Emit(name string, values ...event.Value) {
-	if c.emit != nil {
-		c.emit(name, values)
-	}
-}
-
 // Transition is an edge of the machine.
 type Transition struct {
 	// Event is the trigger name. Empty means a completion transition,
@@ -138,12 +128,6 @@ func (r *Region) Add(s *State) *Region {
 			r.initial = s.Name
 		}
 	}
-	return r
-}
-
-// SetInitial overrides the region's initial top-level state.
-func (r *Region) SetInitial(name string) *Region {
-	r.initial = name
 	return r
 }
 
@@ -394,17 +378,11 @@ func (m *Model) AddInvariant(name string, pred func(m *Model) bool) {
 // OnConfig registers a hook called whenever a region changes leaf state.
 func (m *Model) OnConfig(fn func(region, leaf string)) { m.onConfig = fn }
 
-// OnOutput registers a hook receiving events emitted by model actions.
-func (m *Model) OnOutput(fn func(e event.Event)) { m.onOutput = fn }
-
 // Var reads a model variable.
 func (m *Model) Var(name string) float64 { return m.vars[name] }
 
 // SetVar writes a model variable (for test setup and exploration seeding).
 func (m *Model) SetVar(name string, v float64) { m.vars[name] = v }
-
-// Vars returns the live variable map (callers must not retain across steps).
-func (m *Model) Vars() map[string]float64 { return m.vars }
 
 // Region returns the named region, or nil.
 func (m *Model) Region(name string) *Region {
@@ -415,9 +393,6 @@ func (m *Model) Region(name string) *Region {
 	}
 	return nil
 }
-
-// Regions returns the model's regions in order.
-func (m *Model) Regions() []*Region { return m.regions }
 
 func (m *Model) now() sim.Time {
 	if m.kernel != nil {

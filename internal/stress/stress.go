@@ -18,10 +18,9 @@ import (
 // priority. Activate/Deactivate can be toggled at run time, as system
 // testers do.
 type CPUEater struct {
-	cpu      *soc.CPU
-	task     *soc.Task
-	fraction float64
-	active   bool
+	cpu    *soc.CPU
+	task   *soc.Task
+	active bool
 }
 
 // NewCPUEater builds an eater for the CPU consuming the given utilisation
@@ -33,8 +32,7 @@ func NewCPUEater(cpu *soc.CPU, fraction float64, priority int) *CPUEater {
 	}
 	const period = 10 * sim.Millisecond
 	return &CPUEater{
-		cpu:      cpu,
-		fraction: fraction,
+		cpu: cpu,
 		task: &soc.Task{
 			Name:     fmt.Sprintf("cpu-eater-%s", cpu.Name),
 			Period:   period,
@@ -43,12 +41,6 @@ func NewCPUEater(cpu *soc.CPU, fraction float64, priority int) *CPUEater {
 		},
 	}
 }
-
-// Fraction returns the configured utilisation bite.
-func (e *CPUEater) Fraction() float64 { return e.fraction }
-
-// Active reports whether the eater is running.
-func (e *CPUEater) Active() bool { return e.active }
 
 // Activate attaches the eater task.
 func (e *CPUEater) Activate() {
@@ -66,119 +58,4 @@ func (e *CPUEater) Deactivate() {
 	}
 	e.cpu.Detach(e.task)
 	e.active = false
-}
-
-// BusEater consumes bus bandwidth with periodic high-priority transfers.
-type BusEater struct {
-	kernel   *sim.Kernel
-	bus      *soc.Bus
-	rep      *sim.Repeater
-	size     int
-	period   sim.Time
-	priority int
-}
-
-// NewBusEater issues a transfer of size bytes every period at the given
-// priority.
-func NewBusEater(kernel *sim.Kernel, bus *soc.Bus, size int, period sim.Time, priority int) *BusEater {
-	if size <= 0 || period <= 0 {
-		panic("stress: bus eater needs positive size and period")
-	}
-	return &BusEater{kernel: kernel, bus: bus, size: size, period: period, priority: priority}
-}
-
-// Activate starts the transfer stream.
-func (e *BusEater) Activate() {
-	if e.rep != nil {
-		return
-	}
-	e.rep = e.kernel.Every(e.period, func() {
-		e.bus.Transfer(e.size, e.priority, nil)
-	})
-}
-
-// Deactivate stops the stream (in-flight transfers complete).
-func (e *BusEater) Deactivate() {
-	if e.rep != nil {
-		e.rep.Stop()
-		e.rep = nil
-	}
-}
-
-// MemEater floods a memory-controller requestor.
-type MemEater struct {
-	kernel    *sim.Kernel
-	mem       *soc.MemController
-	requestor string
-	rep       *sim.Repeater
-	period    sim.Time
-	burst     int
-}
-
-// NewMemEater issues burst requests on the named requestor every period.
-// The requestor must already be registered.
-func NewMemEater(kernel *sim.Kernel, mem *soc.MemController, requestor string, burst int, period sim.Time) *MemEater {
-	if burst <= 0 || period <= 0 {
-		panic("stress: mem eater needs positive burst and period")
-	}
-	return &MemEater{kernel: kernel, mem: mem, requestor: requestor, burst: burst, period: period}
-}
-
-// Activate starts the request stream.
-func (e *MemEater) Activate() {
-	if e.rep != nil {
-		return
-	}
-	e.rep = e.kernel.Every(e.period, func() {
-		for i := 0; i < e.burst; i++ {
-			e.mem.Request(e.requestor, nil)
-		}
-	})
-}
-
-// Deactivate stops the stream.
-func (e *MemEater) Deactivate() {
-	if e.rep != nil {
-		e.rep.Stop()
-		e.rep = nil
-	}
-}
-
-// Level is one stress step in a sweep.
-type Level struct {
-	// Fraction of CPU taken by the eater.
-	Fraction float64
-	// Result metrics filled by the sweep.
-	DeadlineMisses uint64
-	JobsCompleted  uint64
-	MissRate       float64
-}
-
-// SweepCPU runs fn under increasing CPU-eater pressure on the given CPU and
-// reports the miss rate observed at each level. fn receives the level and
-// must advance the kernel; the sweep activates the eater before and
-// deactivates it after each level. setup creates a fresh system per level
-// (stress tests are destructive) and returns the CPU to pressure.
-func SweepCPU(fractions []float64, priority int,
-	setup func() (*sim.Kernel, *soc.CPU), run func(k *sim.Kernel)) []Level {
-	var out []Level
-	for _, f := range fractions {
-		k, cpu := setup()
-		var eater *CPUEater
-		if f > 0 {
-			eater = NewCPUEater(cpu, f, priority)
-			eater.Activate()
-		}
-		run(k)
-		if eater != nil {
-			eater.Deactivate()
-		}
-		st := cpu.Stats()
-		lv := Level{Fraction: f, DeadlineMisses: st.DeadlineMisses, JobsCompleted: st.JobsCompleted}
-		if st.JobsCompleted > 0 {
-			lv.MissRate = float64(st.DeadlineMisses) / float64(st.JobsCompleted)
-		}
-		out = append(out, lv)
-	}
-	return out
 }

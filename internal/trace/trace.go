@@ -113,9 +113,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{slots: make([]slot, n), mask: uint64(n - 1)}
 }
 
-// Cap reports the ring's slot count.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Written reports how many spans have ever been put into the ring.
 func (r *Ring) Written() uint64 { return r.head.Load() }
 

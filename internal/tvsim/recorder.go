@@ -86,9 +86,6 @@ func NewRecorder(o RecorderOptions) *Recorder {
 	}
 }
 
-// Blocks returns the instrumented block count.
-func (r *Recorder) Blocks() int { return r.cur.Len() }
-
 // InjectFault marks this device's build of the named feature as defective:
 // every invocation of the feature from now on also executes the fault block
 // (spectrum.Program.FaultInFeature — a rarely-taken path healthy devices
@@ -99,13 +96,6 @@ func (r *Recorder) InjectFault(feature string) int {
 	defer r.mu.Unlock()
 	r.fault = r.prog.FaultInFeature(feature)
 	r.faultIn = feature
-	return r.fault
-}
-
-// Fault returns the injected fault block, or -1 for a healthy device.
-func (r *Recorder) Fault() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.fault
 }
 

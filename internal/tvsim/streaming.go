@@ -190,17 +190,11 @@ func (tv *TV) wireFaults() {
 		if on {
 			// The decode and render stages wedge waiting on each other: a
 			// silent deadlock — tasks stop producing but every component
-			// mode still claims "playing". Only the hardware wait-for-graph
-			// monitor (internal/hwmon) or output silence can see it.
+			// mode still claims "playing". Only output silence (the frame
+			// observable's MaxSilence) can see it.
 			tv.detachEverywhere(tv.videoTask)
-			tv.waits.AddWait("video-decode", "video-render")
-			tv.waits.AddWait("video-render", "video-decode")
-		} else {
-			tv.waits.RemoveWait("video-decode", "video-render")
-			tv.waits.RemoveWait("video-render", "video-decode")
-			if tv.powered && !tv.attached(tv.videoTask) {
-				tv.cpus[0].Attach(tv.videoTask)
-			}
+		} else if tv.powered && !tv.attached(tv.videoTask) {
+			tv.cpus[0].Attach(tv.videoTask)
 		}
 	})
 	inj.OnKind(faults.TaskCrash, func(f faults.Fault, on bool) {
@@ -247,36 +241,3 @@ func (tv *TV) detachEverywhere(task *soc.Task) {
 func (tv *TV) applyVideoDemand() {
 	tv.videoTask.WCET = sim.Time(float64(tv.cfg.VideoWCET) * tv.overloadMul)
 }
-
-// MigrateVideo moves the video pipeline to the least-loaded other CPU — the
-// IMEC recovery action (Sect. 4.5). It returns an error when no target CPU
-// exists or the task is not currently attached.
-func (tv *TV) MigrateVideo() error {
-	var from *soc.CPU
-	for _, cpu := range tv.cpus {
-		for _, t := range cpu.Tasks() {
-			if t == tv.videoTask {
-				from = cpu
-			}
-		}
-	}
-	if from == nil {
-		return fmt.Errorf("tvsim: video task not attached")
-	}
-	var to *soc.CPU
-	for _, cpu := range tv.cpus {
-		if cpu == from {
-			continue
-		}
-		if to == nil || cpu.Load() < to.Load() {
-			to = cpu
-		}
-	}
-	if to == nil {
-		return fmt.Errorf("tvsim: no migration target CPU")
-	}
-	return from.Migrate(tv.videoTask, to)
-}
-
-// Mem returns the memory controller (for arbiter experiments).
-func (tv *TV) Mem() *soc.MemController { return tv.mem }

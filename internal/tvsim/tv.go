@@ -25,7 +25,6 @@ import (
 
 	"trader/internal/event"
 	"trader/internal/faults"
-	"trader/internal/hwmon"
 	"trader/internal/koala"
 	"trader/internal/sim"
 	"trader/internal/soc"
@@ -70,16 +69,6 @@ func (k Key) String() string {
 		return fmt.Sprintf("key(%d)", int(k))
 	}
 	return keyNames[k]
-}
-
-// AllKeys returns every key once (for exploration alphabets and random
-// scenario generation).
-func AllKeys() []Key {
-	out := make([]Key, numKeys)
-	for i := range out {
-		out[i] = Key(i)
-	}
-	return out
 }
 
 // Config sizes the simulated platform.
@@ -145,9 +134,8 @@ type TV struct {
 	system   *koala.System
 	injector *faults.Injector
 
-	cpus  []*soc.CPU
-	mem   *soc.MemController
-	waits *hwmon.WaitGraph
+	cpus []*soc.CPU
+	mem  *soc.MemController
 
 	// control state (the SUO's real state; the spec model mirrors it)
 	powered  bool
@@ -201,7 +189,6 @@ func New(kernel *sim.Kernel, cfg Config) *TV {
 		volume:      20,
 		signalQ:     1.0,
 		overloadMul: 1.0,
-		waits:       hwmon.NewWaitGraph(),
 	}
 	tv.system = koala.NewSystem(kernel, "tv", tv.bus)
 	tv.buildComponents()
@@ -210,27 +197,14 @@ func New(kernel *sim.Kernel, cfg Config) *TV {
 	return tv
 }
 
-// Kernel returns the simulation kernel.
-func (tv *TV) Kernel() *sim.Kernel { return tv.kernel }
-
 // Bus returns the observation bus carrying all TV events.
 func (tv *TV) Bus() *event.Bus { return tv.bus }
-
-// System returns the koala component system (for weaving observation).
-func (tv *TV) System() *koala.System { return tv.system }
 
 // Injector returns the fault injector (ground truth for experiments).
 func (tv *TV) Injector() *faults.Injector { return tv.injector }
 
 // CPUs returns the SoC processors.
 func (tv *TV) CPUs() []*soc.CPU { return tv.cpus }
-
-// Waits returns the SoC's resource wait-for graph, the observation point of
-// the hardware deadlock detector (internal/hwmon).
-func (tv *TV) Waits() *hwmon.WaitGraph { return tv.waits }
-
-// VideoTask returns the video processing task (for migration experiments).
-func (tv *TV) VideoTask() *soc.Task { return tv.videoTask }
 
 func (tv *TV) buildComponents() {
 	s := tv.system
@@ -557,9 +531,6 @@ func (tv *TV) Snapshot() map[string]float64 {
 		"angle":    float64(tv.angle),
 	}
 }
-
-// Powered reports the power state.
-func (tv *TV) Powered() bool { return tv.powered }
 
 // FrameMisses returns the number of video frame deadline misses so far.
 func (tv *TV) FrameMisses() uint64 { return tv.frameMisses }

@@ -348,29 +348,6 @@ func TestTaskCrashStopsFramesAndRepairRestores(t *testing.T) {
 	}
 }
 
-func TestMigrateVideo(t *testing.T) {
-	k, tv := newTV(t)
-	tv.PressKey(KeyPower)
-	k.Run(sim.Second)
-	if err := tv.MigrateVideo(); err != nil {
-		t.Fatal(err)
-	}
-	base := tv.CPUs()[1].Stats().JobsCompleted
-	k.Run(2 * sim.Second)
-	if tv.CPUs()[1].Stats().JobsCompleted <= base {
-		t.Fatal("video task should run on cpu1 after migration")
-	}
-}
-
-func TestMigrateVideoNoTarget(t *testing.T) {
-	k := sim.NewKernel(1)
-	tv := New(k, Config{CPUCount: 1})
-	tv.PressKey(KeyPower)
-	if err := tv.MigrateVideo(); err == nil {
-		t.Fatal("single-CPU migration should fail")
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	if KeyPower.String() != "power" || Key(99).String() != "key(99)" {
 		t.Fatal("key names wrong")

@@ -1,10 +1,20 @@
 package trader_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"go/ast"
 	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -150,5 +160,383 @@ func TestImportGraph(t *testing.T) {
 	planes := []string{"internal/fleet", "internal/journal", "internal/control", "internal/diagnose", "internal/federate"}
 	if chain := reach(graph, "cmd/tvsim", planes); chain != nil {
 		t.Errorf("the TV client reaches a daemon plane: %s", strings.Join(chain, " → "))
+	}
+}
+
+// keepReason is why an exported name that only tests call still ships. The
+// set is closed: a new entry takes one of these or the code goes.
+type keepReason string
+
+const (
+	// sharedOracle: a test oracle or harness other packages' tests share.
+	sharedOracle keepReason = "test oracle or harness shared across packages' tests"
+	// paperConcept: a paper concept the ROADMAP audit keeps.
+	paperConcept keepReason = "paper concept the ROADMAP audit keeps"
+	// migrationInitiator: the only initiator of ARCHITECTURE §7.3's live
+	// migration protocol; whether live migration ships is decided apart.
+	migrationInitiator keepReason = "sole initiator of the live-migration protocol (ARCHITECTURE §7.3)"
+)
+
+// testOnlyAllowed lists the exported names kept although no non-test code
+// refers to them, keyed "pkg.Name" or "pkg.Type.Method" (pkg relative to the
+// module root); a bare package key keeps the whole package. An entry the
+// gate no longer flags fails it too, so the list cannot go stale.
+var testOnlyAllowed = map[string]keepReason{
+	// Oracles and harnesses the tests of other packages drive.
+	"internal/diagnose.Replay":                      sharedOracle, // replay-equality oracle of the diagnose tests and the e2e diagnosis suites
+	"internal/statemachine.Model.RunScript":         sharedOracle, // scripted-conformance harness of the statemachine and tvsim tests
+	"internal/wire.MsgTypes":                        sharedOracle, // the codec's frame-type list the fleet session tests walk
+	"internal/sim.Kernel.RunAll":                    sharedOracle, // runs a kernel to quiescence in the sim, soc, faults, recovery and statemachine tests
+	"internal/tvsim.Recorder.Press":                 sharedOracle, // drives device-side coverage in the diagnose, traderd and e2e tests
+	"internal/federate.Aggregator.OwnerOf":          sharedOracle, // device-ownership oracle of the federate and e2e federation tests
+	"internal/journal.Reader.Records":               sharedOracle, // record count the traderd boot and diagnose checkpoint tests read
+	"internal/core.Monitor.Kernel":                  sharedOracle, // the cmd/traderd profile tests check a factory's monitor runs on the kernel it returns
+	"internal/hwmon.FlightRecorder.Capture":         paperConcept, // Sect. 4.1 trace buffer: the pre-error window
+	"internal/hwmon.FlightRecorder.CaptureMatching": paperConcept,
+	// Sect. 4.1 aspect-oriented observation, and the Koala binding API it
+	// weaves on.
+	"internal/aspect":                      paperConcept,
+	"internal/koala.Component.Provide":     paperConcept,
+	"internal/koala.Component.Require":     paperConcept,
+	"internal/koala.Component.Call":        paperConcept,
+	"internal/koala.System.Bind":           paperConcept,
+	"internal/koala.System.Bus":            paperConcept,
+	"internal/koala.System.Weaver":         paperConcept,
+	"internal/federate.Aggregator.Migrate": migrationInitiator,
+}
+
+// listedPackage is the part of `go list -json` the gate reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Name       string
+	GoFiles    []string
+	Module     *struct{} // nil for the standard library
+}
+
+// listModule runs `go list -deps -json ./...` in dir and returns the
+// packages that belong to a module (not the standard library), in
+// dependency order.
+func listModule(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Module != nil {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
+}
+
+// checkedPackage is one type-checked module package.
+type checkedPackage struct {
+	listedPackage
+	files []*ast.File
+	info  *types.Info
+}
+
+// moduleImporter resolves module packages to the ones already checked and
+// everything else from standard-library source.
+type moduleImporter struct {
+	pkgs map[string]*types.Package
+	std  types.Importer
+}
+
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	return m.std.Import(path)
+}
+
+// typeCheckModules type-checks the non-test files of every package of the
+// root module and of the nested benchmark module, in dependency order and
+// sharing one *types.Package per import path.
+func typeCheckModules(t *testing.T, fset *token.FileSet) ([]checkedPackage, moduleImporter) {
+	t.Helper()
+	build.Default.CgoEnabled = false // the source importer then type-checks the pure-Go standard library
+	imp := moduleImporter{pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
+	var checked []checkedPackage
+	for _, p := range append(listModule(t, "."), listModule(t, "benchmark")...) {
+		if _, seen := imp.pkgs[p.ImportPath]; seen {
+			continue
+		}
+		cp := checkedPackage{listedPackage: p, info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.files = append(cp.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p.ImportPath, fset, cp.files, cp.info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		imp.pkgs[p.ImportPath] = pkg
+		checked = append(checked, cp)
+	}
+	return checked, imp
+}
+
+// exportedDecl is one exported name the gate requires a caller for.
+type exportedDecl struct {
+	key   string       // "pkg.Name" or "pkg.Type.Method"
+	pos   token.Pos    // where it is declared
+	own   []ast.Node   // its own declaration: uses inside do not count
+	block *ast.GenDecl // the const block it is declared in, if any
+}
+
+// exportedDecls collects the exported top-level funcs, types, vars and
+// consts and the exported methods of a package (not package main).
+func exportedDecls(cp checkedPackage) map[types.Object]*exportedDecl {
+	rel := strings.TrimPrefix(strings.TrimPrefix(cp.ImportPath, module), "/")
+	decls := map[types.Object]*exportedDecl{}
+	methods := map[string][]ast.Node{} // receiver type name → its method declarations
+	for _, f := range cp.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					base := receiverBase(d.Recv.List[0].Type)
+					methods[base] = append(methods[base], d)
+					if d.Name.IsExported() {
+						decls[cp.info.Defs[d.Name]] = &exportedDecl{key: rel + "." + base + "." + d.Name.Name, pos: d.Pos(), own: []ast.Node{d}}
+					}
+				} else if d.Name.IsExported() {
+					decls[cp.info.Defs[d.Name]] = &exportedDecl{key: rel + "." + d.Name.Name, pos: d.Pos(), own: []ast.Node{d}}
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls[cp.info.Defs[s.Name]] = &exportedDecl{key: rel + "." + s.Name.Name, pos: s.Pos(), own: []ast.Node{s}}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								decls[cp.info.Defs[n]] = &exportedDecl{key: rel + "." + n.Name, pos: n.Pos(), own: []ast.Node{s}, block: d}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// A type's own declaration includes its methods: a reference from one
+	// of them is not a caller.
+	for obj, d := range decls {
+		if _, ok := obj.(*types.TypeName); ok {
+			d.own = append(d.own, methods[obj.Name()]...)
+		}
+	}
+	return decls
+}
+
+// receiverBase returns the type name of a method receiver expression.
+func receiverBase(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// origin maps an instantiated generic object back to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// within reports whether pos lies inside one of nodes.
+func within(pos token.Pos, nodes []ast.Node) bool {
+	return slices.ContainsFunc(nodes, func(n ast.Node) bool { return n.Pos() <= pos && pos < n.End() })
+}
+
+// usedInterfaces returns the non-empty method-set interfaces non-test code
+// uses, plus the standard ones a method may satisfy implicitly (error,
+// fmt.Stringer, heap and sort, io, http.Handler).
+func usedInterfaces(t *testing.T, checked []checkedPackage, imp moduleImporter) []*types.Interface {
+	t.Helper()
+	var out []*types.Interface
+	seen := map[types.Type]bool{}
+	add := func(typ types.Type) {
+		iface, ok := typ.Underlying().(*types.Interface)
+		if ok && !seen[typ] && iface.NumMethods() > 0 && iface.IsMethodSet() {
+			seen[typ] = true
+			out = append(out, iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	for path, names := range map[string][]string{
+		"fmt": {"Stringer"}, "container/heap": {"Interface"}, "sort": {"Interface"}, "net/http": {"Handler"}, "io": nil,
+	} {
+		pkg, err := imp.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names == nil {
+			names = pkg.Scope().Names()
+		}
+		for _, n := range names {
+			if obj, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && obj.Exported() {
+				add(obj.Type())
+			}
+		}
+	}
+	for _, cp := range checked {
+		for _, tv := range cp.info.Types {
+			if tv.Type != nil {
+				add(tv.Type)
+			}
+		}
+	}
+	return out
+}
+
+// satisfiesInterface reports whether method m of a named type is one of the
+// methods by which that type implements an interface in ifaces.
+func satisfiesInterface(m *types.Func, ifaces []*types.Interface) bool {
+	recv := m.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	for _, iface := range ifaces {
+		for i := range iface.NumMethods() {
+			if iface.Method(i).Name() != m.Name() {
+				continue
+			}
+			if types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestNoTestOnlyCode fails when an exported name of a non-main package has
+// no caller outside its own declaration in any non-test file of the root
+// module or the benchmark module. Exempt by construction: methods by which
+// a type satisfies an interface non-test code uses (or a standard one a
+// method meets implicitly), and unused members of a typed const block one
+// of whose members is used. Everything else needs a testOnlyAllowed entry.
+// The gate is a fixed point: deleting a name can leave the names only it
+// used without a caller, and the next run flags those.
+func TestNoTestOnlyCode(t *testing.T) {
+	fset := token.NewFileSet()
+	checked, imp := typeCheckModules(t, fset)
+
+	decls := map[types.Object]*exportedDecl{}
+	for _, cp := range checked {
+		if cp.Name != "main" {
+			maps.Copy(decls, exportedDecls(cp))
+		}
+	}
+	used := map[types.Object]bool{}
+	for _, cp := range checked {
+		for id, obj := range cp.info.Uses {
+			obj = origin(obj)
+			if d, ok := decls[obj]; ok && !within(id.Pos(), d.own) {
+				used[obj] = true
+			}
+		}
+	}
+	usedBlocks := map[*ast.GenDecl]bool{}
+	for obj := range used {
+		if d := decls[obj]; d.block != nil && d.block.Tok == token.CONST {
+			usedBlocks[d.block] = true
+		}
+	}
+	ifaces := usedInterfaces(t, checked, imp)
+
+	flagged := map[string]token.Pos{}
+	for obj, d := range decls {
+		if used[obj] {
+			continue
+		}
+		if _, named := obj.Type().(*types.Named); named && usedBlocks[d.block] {
+			continue
+		}
+		if m, ok := obj.(*types.Func); ok && satisfiesInterface(m, ifaces) {
+			continue
+		}
+		flagged[d.key] = d.pos
+	}
+
+	// allowlisted returns the entry covering key: the name itself, its
+	// type, or its package.
+	allowlisted := func(key string) (string, bool) {
+		for {
+			if _, ok := testOnlyAllowed[key]; ok {
+				return key, true
+			}
+			i := strings.LastIndex(key, ".")
+			if i < 0 {
+				return "", false
+			}
+			key = key[:i]
+		}
+	}
+	wd, _ := os.Getwd()
+	var bad []string
+	hit := map[string]bool{}
+	for key, pos := range flagged {
+		if k, ok := allowlisted(key); ok {
+			hit[k] = true
+			continue
+		}
+		at := fset.Position(pos)
+		if rel, err := filepath.Rel(wd, at.Filename); err == nil {
+			at.Filename = rel
+		}
+		bad = append(bad, fmt.Sprintf("%s (%s)", key, at))
+	}
+	slices.Sort(bad)
+	if len(bad) > 0 {
+		t.Errorf("%d exported names have no non-test caller; delete them, move them into an export_test.go, or allowlist them with a reason:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+	for k, why := range testOnlyAllowed {
+		if why != sharedOracle && why != paperConcept && why != migrationInitiator {
+			t.Errorf("allowlist entry %s: reason %q is not one of the closed set", k, why)
+		}
+		if !hit[k] {
+			t.Errorf("allowlist entry %s is stale: the gate no longer flags it", k)
+		}
 	}
 }
