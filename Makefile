@@ -6,9 +6,11 @@
 # in CI's smoke job instead). `make docs` is the documentation gate: vet
 # plus a check that every package (and command) carries a godoc package
 # comment, that ARCHITECTURE.md's frame registry and layering rule still
-# describe the code, and that no exported name ships that only tests call. `make fuzz` smoke-runs the wire codec and journal reader fuzz
-# targets for FUZZTIME each (default 10s) — the same invocation CI's smoke
-# job uses. `make bench` runs every go-test benchmark, tests excluded;
+# describe the code, that no exported name ships that only tests call, and
+# that every *.md file a Go comment or document names exists. `make fuzz`
+# smoke-runs the wire codec and journal reader fuzz targets for FUZZTIME
+# each (default 10s) — the same invocation CI's smoke job uses. `make
+# bench` runs every go-test benchmark, tests excluded;
 # BENCHFLAGS threads extra `go test` flags through (CI's smoke job uses
 # `-benchtime=1x` for a fast correctness pass). The repo's benchmark — the
 # one a performance claim is measured on — is benchmark/, declared in
@@ -64,11 +66,14 @@ cover:
 # column with the ingestion server's frame-handler table
 # (TestEveryFrameTypeHasADaemonDecision in internal/fleet), or when the
 # non-test import graph breaks ARCHITECTURE.md §1's layering rule
-# (TestImportGraph at the module root: generic planes import no product,
-# cmd/traderd links no experiment harness, cmd/tvsim no daemon plane), or
-# when an exported name of a library package has no caller in any non-test
-# file of the root or benchmark module and no allowlist entry with a reason
-# (TestNoTestOnlyCode at the module root, type-checked with go/types).
+# (TestImportGraph at the module root: generic planes and the device client
+# import no product, cmd/traderd links no experiment harness, cmd/tvsim and
+# internal/device no daemon plane), or when an exported name of a library
+# package has no caller in any non-test file of the root or benchmark
+# module and no allowlist entry with a reason (TestNoTestOnlyCode at the
+# module root, type-checked with go/types), or when a Go comment or a
+# Markdown document names a *.md file that does not exist
+# (TestDocReferencesExist at the module root).
 # The failure flag is checked in its own `if` statement: chaining it as
 # `[ $fail -eq 0 ] && echo ok || exit 1` would route a failed echo into the
 # exit-1 branch and make the target's status depend on the chain's last
@@ -90,6 +95,8 @@ docs: vet
 	@echo "docs: the import graph keeps ARCHITECTURE.md §1's layering rule"
 	@out=$$($(GO) test . -run TestNoTestOnlyCode) || { echo "$$out"; exit 1; }
 	@echo "docs: every exported name has a non-test caller or an allowlisted reason"
+	@out=$$($(GO) test . -run TestDocReferencesExist) || { echo "$$out"; exit 1; }
+	@echo "docs: every *.md file a Go comment or document names exists"
 
 # loc counts, per package directory, the Go lines that are not in _test.go
 # files, not whole-line comments and not blank.

@@ -1,10 +1,11 @@
 package trader_test
 
-// One benchmark per experiment of DESIGN.md §4. Each regenerates the
-// corresponding figure/claim of the paper; `go test -bench=. -benchmem`
-// therefore reproduces the full evaluation. The per-iteration wall time is
-// the cost of simulating the whole experiment (tens of virtual seconds of
-// TV operation per iteration for the system-level ones).
+// One benchmark per experiment of internal/exper (ARCHITECTURE.md §1's
+// experiments row). Each regenerates the corresponding figure/claim of the
+// paper; `go test -bench=. -benchmem` therefore reproduces the full
+// evaluation. The per-iteration wall time is the cost of simulating the
+// whole experiment (tens of virtual seconds of TV operation per iteration
+// for the system-level ones).
 
 import (
 	"bytes"

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/sim"
 	"trader/internal/wire"
@@ -49,11 +50,11 @@ type chaosTally struct {
 	frames    atomic.Uint64 // observation frames pushed onto the wire
 	drops     atomic.Uint64 // connections the daemon terminated on us
 	errFrames atomic.Uint64 // error frames received (violations, vetting)
-	stalls    atomic.Uint64 // credit-window stalls honored (compliant roles)
+	stalls    atomic.Uint64 // grant solicits on an empty credit window (compliant roles)
 }
 
-// chaosDial hands back the raw conn next to the wire conn: chaos roles need
-// read deadlines (a shed heartbeat has no echo; a blocked Decode must not
+// chaosDial hands back the raw conn next to the wire conn: the
+// non-compliant roles need read deadlines (a blocked Decode must not
 // outlive the soak) and raw byte access (byzantine frames).
 func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Conn, uint32, error) {
 	network, address, err := wire.SplitAddr(addr)
@@ -73,11 +74,10 @@ func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Con
 	return raw, wc, reply.Credits, nil
 }
 
-// chaosObsMessage is the observation chaos devices stream: in-spec (x = 0),
-// so admitted frames cost the monitors comparisons, not deviation handling.
-func chaosObsMessage(id string, at sim.Time) wire.Message {
-	ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
-	return wire.Message{Type: wire.TypeOutput, SUO: id, Event: &ev, At: at}
+// chaosObs is the observation chaos devices stream: in-spec (x = 0), so
+// admitted frames cost the monitors comparisons, not deviation handling.
+func chaosObs(id string, at sim.Time) event.Event {
+	return event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
 }
 
 // runChaos drives the soak: n devices, one goroutine each, playing their
@@ -91,11 +91,9 @@ func runChaos(addr, prefix string, n int, codec string, seed int64, wallSecs int
 		slog.Info("compliant roles piggyback spectrum deltas", "component", "chaos", "blocks", blocks)
 	}
 	deadline := time.Now().Add(time.Duration(wallSecs) * time.Second)
-	tallies := make(map[string]*chaosTally, len(chaosRoles))
+	tallies := map[string]*chaosTally{}
 	for _, r := range chaosRoles {
-		if tallies[r] == nil {
-			tallies[r] = &chaosTally{}
-		}
+		tallies[r] = &chaosTally{}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -148,89 +146,48 @@ func runChaos(addr, prefix string, n int, codec string, seed int64, wallSecs int
 	return nil
 }
 
-// chaosCompliant is one compliant session: stream observations honoring the
-// credit window (solicit-and-drain on exhaustion), heartbeat periodically,
+// chaosCompliant is one compliant session on the device client: stream
+// observations within the credit window (an empty window solicits a grant
+// and blocks), flush with a heartbeat every 500ms of virtual time,
 // disconnect cleanly at the deadline. pace 0 floods as fast as grants
-// allow; otherwise it sleeps pace per frame. With deltas on, every drain
+// allow; otherwise it sleeps pace per frame. With deltas on, every
 // heartbeat carries a small spectrum delta first — the continuous-diagnosis
 // traffic a real device piggybacks, kept flowing while the hostile roles
 // rage, so the soak proves the diagnosis inbox sheds nothing
 // (trader_diagnose_dropped_total stays 0).
 func chaosCompliant(addr, id, codec string, dur wire.Durability, t *chaosTally, deadline time.Time, pace time.Duration, deltas bool, blocks int) {
-	raw, wc, credits, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
+	c := &device.Client{}
+	if deltas {
+		// Seq tracks virtual time, so it is strictly increasing within the
+		// session; a later session's restart from low Seqs is simply
+		// deduped by the engine's fold mark, never an error.
+		c.Delta = func(at sim.Time) *wire.SpectrumDelta {
+			return &wire.SpectrumDelta{Seq: uint64(at), Blocks: blocks, Index: []uint32{0}, Words: []uint64{1}}
+		}
+	}
+	if _, err := c.Dial(addr, wire.Message{SUO: id, Codec: codec, Durability: dur}); err != nil {
 		t.dialErrs.Add(1)
 		return
 	}
 	t.conns.Add(1)
-	defer raw.Close()
-	window := credits != 0
-	at := sim.Time(0)
-	// drain sends a heartbeat and reads until its echo, crediting every
-	// grant on the way. A shed heartbeat (tier 2) yields no echo: the read
-	// deadline turns that silence into a retry, exactly like a real client
-	// waiting out the daemon's backpressure.
-	drain := func() bool {
-		at += 10 * sim.Millisecond
-		if deltas {
-			// Seq tracks virtual time, so it is strictly increasing within
-			// the session; a later session's restart from low Seqs is simply
-			// deduped by the engine's fold mark, never an error.
-			d := &wire.SpectrumDelta{Seq: uint64(at), Blocks: blocks,
-				Index: []uint32{0}, Words: []uint64{1}}
-			if wc.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: at, Delta: d}) != nil {
-				t.drops.Add(1)
-				return false
-			}
-		}
-		if wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}) != nil {
-			t.drops.Add(1)
-			return false
-		}
-		for {
-			_ = raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-			msg, err := wc.Decode()
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					return time.Now().Before(deadline) // shed echo: retry outside
-				}
-				t.drops.Add(1)
-				return false
-			}
-			switch msg.Type {
-			case wire.TypeCredit:
-				credits += msg.Credits
-			case wire.TypeHeartbeat:
-				credits += msg.Credits
-				if msg.At == at {
-					return true
-				}
-			case wire.TypeError:
-				t.errFrames.Add(1)
-			}
-		}
-	}
-	for time.Now().Before(deadline) {
-		if window && credits == 0 {
-			t.stalls.Add(1)
-			if !drain() {
-				return
-			}
-			continue
-		}
+	defer func() {
+		st := c.Stats()
+		t.frames.Add(st.Sent)
+		t.errFrames.Add(st.Reports)
+		t.stalls.Add(st.Stalls)
+		c.Close()
+	}()
+	for at := sim.Time(0); time.Now().Before(deadline); {
 		at += 5 * sim.Millisecond
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
+		if c.Send(chaosObs(id, at)) != nil {
 			t.drops.Add(1)
 			return
-		}
-		t.frames.Add(1)
-		if window {
-			credits--
 		}
 		if pace > 0 {
 			time.Sleep(pace)
 		}
-		if at%(500*sim.Millisecond) == 0 && !drain() {
+		if at%(500*sim.Millisecond) == 0 && c.Heartbeat(at) != nil {
+			t.drops.Add(1)
 			return
 		}
 	}
@@ -250,23 +207,14 @@ func chaosHostile(addr, id, codec string, dur wire.Durability, t *chaosTally, de
 	at := sim.Time(0)
 	for i := 0; i < 10000 && time.Now().Before(deadline); i++ {
 		at += sim.Millisecond
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
+		if wc.SendEvent(id, chaosObs(id, at)) != nil {
 			t.drops.Add(1)
 			break
 		}
 		t.frames.Add(1)
 	}
 	// Read out the verdict (the violation error frame, then the close).
-	for {
-		_ = raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		msg, err := wc.Decode()
-		if err != nil {
-			return
-		}
-		if msg.Type == wire.TypeError {
-			t.errFrames.Add(1)
-		}
-	}
+	readVerdict(raw, wc, t, 500*time.Millisecond)
 }
 
 // chaosChurn is registration pressure: stream briefly, leave cleanly,
@@ -286,7 +234,7 @@ func chaosChurn(addr, id, codec string, dur wire.Durability, t *chaosTally) {
 	at := sim.Time(0)
 	for i := 0; i < burst; i++ {
 		at += sim.Millisecond
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
+		if wc.SendEvent(id, chaosObs(id, at)) != nil {
 			t.drops.Add(1)
 			return
 		}
@@ -335,7 +283,7 @@ func chaosSlowRead(addr, id, codec string, dur wire.Durability, t *chaosTally, d
 			budget = int64(credits)
 			continue
 		}
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
+		if wc.SendEvent(id, chaosObs(id, at)) != nil {
 			t.drops.Add(1)
 			return
 		}
@@ -375,8 +323,14 @@ func chaosByzantine(addr, id, codec string, dur wire.Durability, t *chaosTally, 
 		_ = wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: sim.Time(1) << 62})
 	}
 	// The daemon answers with an error frame and/or a close; read it out.
+	readVerdict(raw, wc, t, time.Second)
+}
+
+// readVerdict reads a misbehaving session's downstream until the daemon
+// closes it or it stays silent for idle, counting the error frames.
+func readVerdict(raw net.Conn, wc *wire.Conn, t *chaosTally, idle time.Duration) {
 	for {
-		_ = raw.SetReadDeadline(time.Now().Add(time.Second))
+		_ = raw.SetReadDeadline(time.Now().Add(idle))
 		msg, err := wc.Decode()
 		if err != nil {
 			return

@@ -32,9 +32,8 @@
 // and a SIGKILLed edge's devices are adopted from its journal by a
 // surviving peer with byte-identical monitor state.
 //
-// See ARCHITECTURE.md for the concept-to-package map and the full wire
-// protocol specification, README.md for the layout, DESIGN.md for the
-// system inventory and experiment index, and EXPERIMENTS.md for
-// paper-vs-measured results. The benchmarks in bench_test.go regenerate
-// every experiment (E1–E14).
+// See ARCHITECTURE.md for the concept-to-package map (its experiments row
+// indexes E1–E14) and the full wire protocol specification, README.md for
+// the layout, and cmd/experiments for the paper-vs-measured tables. The
+// benchmarks in bench_test.go regenerate every experiment (E1–E14).
 package trader

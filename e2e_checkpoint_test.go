@@ -18,40 +18,13 @@ import (
 	"testing"
 	"time"
 
+	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/wire"
 )
-
-// dialE2ETiered is dialE2E with a durability request in the Hello, returning
-// the class the server granted alongside the client.
-func dialE2ETiered(t *testing.T, addr, id, codec string, dur wire.Durability) (*e2eClient, wire.Durability) {
-	t.Helper()
-	conn, reply, err := wire.Dial(addr, wire.Message{SUO: id, Codec: codec, Durability: dur})
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	c := &e2eClient{id: id, conn: conn, echo: make(chan sim.Time, 16)}
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.mu.Lock()
-				c.reports++
-				c.mu.Unlock()
-			case wire.TypeHeartbeat:
-				c.echo <- msg.At
-			}
-		}
-	}()
-	return c, reply.Durability
-}
 
 func TestE2ECheckpointReplay(t *testing.T) {
 	const (
@@ -112,7 +85,7 @@ func TestE2ECheckpointReplay(t *testing.T) {
 
 	// Phase A: the whole fleet connects — odd devices request the relaxed
 	// ack-on-dispatch tier — and streams framesA observations each.
-	clients := make([]*e2eClient, devices)
+	clients := make([]*device.Client, devices)
 	granted := make([]wire.Durability, devices)
 	var wg sync.WaitGroup
 	for i := 0; i < devices; i++ {
@@ -123,8 +96,14 @@ func TestE2ECheckpointReplay(t *testing.T) {
 			if i%2 == 1 {
 				req = wire.DurDispatch
 			}
-			clients[i], granted[i] = dialE2ETiered(t, addr, cpID(i), wire.CodecBinary, req)
-			clients[i].stream(t, framesA, levelOf(i), 10)
+			clients[i] = &device.Client{}
+			reply, err := clients[i].Dial(addr, wire.Message{SUO: cpID(i), Codec: wire.CodecBinary, Durability: req})
+			if err != nil {
+				t.Errorf("%s: %v", cpID(i), err)
+				return
+			}
+			granted[i] = reply.Durability
+			stream(t, clients[i], cpID(i), framesA, levelOf(i), 10)
 		}(i)
 	}
 	wg.Wait()
@@ -162,9 +141,9 @@ func TestE2ECheckpointReplay(t *testing.T) {
 	// re-dispatch.
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c *e2eClient) {
+		go func(i int, c *device.Client) {
 			defer wg.Done()
-			c.stream(t, framesB, levelOf(i), fromB)
+			stream(t, c, cpID(i), framesB, levelOf(i), fromB)
 		}(i, c)
 	}
 	wg.Wait()

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"trader/internal/device"
 	"trader/internal/federate"
 	"trader/internal/fleet"
 	"trader/internal/journal"
@@ -114,20 +115,22 @@ func TestE2EFederation(t *testing.T) {
 
 	// 32 devices, each connected to the edge owning its hash range — the
 	// same FNV fold that routes devices to pool shards.
-	clients := make(map[string][]*e2eClient) // edge ID → its clients
+	clients := make(map[string][]string) // edge ID → its devices
+	conns := make(map[string]*device.Client)
 	for i := 0; i < devices; i++ {
 		id := fmt.Sprintf("fdev-%03d", i)
 		e := edges[fleet.RangeOf(id, ranges)]
 		c := dialE2E(t, e.addr, id, wire.CodecBinary)
-		defer c.conn.Close()
-		clients[e.id] = append(clients[e.id], c)
+		defer c.Close()
+		clients[e.id] = append(clients[e.id], id)
+		conns[id] = c
 	}
 	if len(clients["edge-0"]) == 0 || len(clients["edge-1"]) == 0 {
 		t.Fatalf("degenerate hash split: %d/%d", len(clients["edge-0"]), len(clients["edge-1"]))
 	}
-	for _, cs := range clients {
-		for _, c := range cs {
-			c.stream(t, phase1, 0.0, 0)
+	for _, ids := range clients {
+		for _, id := range ids {
+			stream(t, conns[id], id, phase1, 0.0, 0)
 		}
 	}
 
@@ -163,8 +166,8 @@ func TestE2EFederation(t *testing.T) {
 	// clients keep streaming while the aggregator times out the corpse and
 	// directs edge-1 to adopt its journal.
 	edges[0].kill()
-	for _, c := range clients["edge-1"] {
-		c.stream(t, phase2, 0.0, phase1*10)
+	for _, id := range clients["edge-1"] {
+		stream(t, conns[id], id, phase2, 0.0, phase1*10)
 	}
 	waitFor(t, "failover adoption to complete", func() bool {
 		v := agg.View()
@@ -177,9 +180,9 @@ func TestE2EFederation(t *testing.T) {
 	waitFor(t, "all devices on the survivor", func() bool {
 		return survivor.pool.Rollup().Devices == devices
 	})
-	for _, c := range clients["edge-0"] {
-		if owner := agg.OwnerOf(c.id); owner != "edge-1" {
-			t.Fatalf("device %s owned by %q after failover, want edge-1", c.id, owner)
+	for _, id := range clients["edge-0"] {
+		if owner := agg.OwnerOf(id); owner != "edge-1" {
+			t.Fatalf("device %s owned by %q after failover, want edge-1", id, owner)
 		}
 	}
 

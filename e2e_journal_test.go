@@ -66,7 +66,7 @@ func TestE2EJournalCrashRecovery(t *testing.T) {
 			if i%2 == 1 {
 				codec = wire.CodecJSON
 			}
-			dialE2E(t, addr, crashID(i), codec).stream(t, framesEach, levelOf(i), 10)
+			stream(t, dialE2E(t, addr, crashID(i), codec), crashID(i), framesEach, levelOf(i), 10)
 		}(i)
 	}
 	wg.Wait()
@@ -181,7 +181,7 @@ func TestE2EJournalCrashRecovery(t *testing.T) {
 	go srv2.Serve(ln2)
 
 	re := dialE2E(t, addr2, crashID(1), wire.CodecBinary)
-	re.stream(t, 5, 0, 1000) // timestamps continue past the recovered clock
+	stream(t, re, crashID(1), 5, 0, 1000) // timestamps continue past the recovered clock
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -196,14 +196,14 @@ func TestE2EJournalCrashRecovery(t *testing.T) {
 	// Journal-mode disconnects detach rather than remove: dropping the
 	// connection must keep the device (and its timeline), and the next
 	// connection for the ID adopts it again — no daemon restart involved.
-	re.conn.Close()
+	re.Close()
 	waitFor(t, "disconnect observed", func() bool { return srv2.Stats().Disconnected == 1 })
 	if n := rec.Size(); n != devices {
 		t.Fatalf("fleet size after disconnect = %d, want %d (journal mode keeps devices)", n, devices)
 	}
 	re2 := dialE2E(t, addr2, crashID(1), wire.CodecBinary)
-	defer re2.conn.Close()
-	re2.stream(t, 3, 0, 1100) // resumes the same timeline, within MaxAdvance of 1050ms
+	defer re2.Close()
+	stream(t, re2, crashID(1), 3, 0, 1100) // resumes the same timeline, within MaxAdvance of 1050ms
 	if t.Failed() {
 		t.FailNow()
 	}

@@ -22,7 +22,9 @@ import (
 	"time"
 
 	"trader/internal/control"
+	"trader/internal/device"
 	"trader/internal/diagnose"
+	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
@@ -30,24 +32,6 @@ import (
 	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
-
-// heartbeatDelta closes the round like heartbeat, but ships the closing
-// coverage window as a spectrum delta right before the heartbeat — the
-// continuous-diagnosis client behavior (tvsim -deltas).
-func (c *diagClient) heartbeatDelta(at sim.Time) {
-	c.lastAt.Store(int64(at))
-	d := c.rec.RotateDelta(at)
-	if c.wc.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: c.id, At: at, Delta: d}) != nil {
-		return
-	}
-	if c.wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}) != nil {
-		return
-	}
-	select {
-	case <-c.echo:
-	case <-time.After(2 * time.Second):
-	}
-}
 
 func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 	if testing.Short() {
@@ -121,8 +105,15 @@ func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialDiag(t, addr, id(i), recs[i])
-			defer c.wc.Close()
+			// Each heartbeat ships the closing coverage window as a
+			// spectrum delta right before it — the continuous-diagnosis
+			// client behavior (tvsim -deltas).
+			c := &device.Client{Snapshot: recs[i].Snapshot, Delta: recs[i].RotateDelta}
+			if _, err := c.Dial(addr, wire.Message{SUO: id(i), Codec: wire.CodecBinary}); err != nil {
+				t.Errorf("%s: %v", id(i), err)
+				return
+			}
+			defer c.Close()
 			x := 0.0
 			if _, bad := faultFeature[i]; bad {
 				x = 2.0 // persistent deviation: every compare flags it
@@ -132,8 +123,8 @@ func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 				recs[i].Press("teletext")
 				recs[i].Press("volume")
 				recs[i].Press("zapping")
-				c.frame(at, x)
-				c.heartbeatDelta(at)
+				_ = c.Send(event.Event{Kind: event.Output, Name: "out", Source: id(i), At: at}.With("x", x))
+				_ = c.Heartbeat(at)
 			}
 		}(i)
 	}

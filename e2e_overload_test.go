@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
@@ -25,102 +25,44 @@ import (
 	"trader/internal/wire"
 )
 
-// ovlClient is one flow-controlled remote SUO: a wire.Dial connection plus a
-// reader goroutine that books replenishment grants (heartbeat echoes and
-// mid-stream TypeCredit frames), error frames and control pushes.
-type ovlClient struct {
-	id      string
-	conn    *wire.Conn
-	credits atomic.Int64
-	echoes  chan sim.Time
-	reports atomic.Uint64
-	ctrls   atomic.Uint64
-	sent    atomic.Uint64 // observation frames put on the wire
-}
-
-func dialOvl(t *testing.T, addr, id string, wantWindow uint32) *ovlClient {
+// dialOvl connects one flow-controlled remote SUO and checks the Hello
+// granted the expected credit window.
+func dialOvl(t *testing.T, addr, id string, wantWindow uint32) *device.Client {
 	t.Helper()
-	conn, reply, err := wire.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary, Durability: wire.DurFsync})
+	c := &device.Client{}
+	reply, err := c.Dial(addr, wire.Message{SUO: id, Codec: wire.CodecBinary, Durability: wire.DurFsync})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	granted := reply.Credits
-	if granted != wantWindow {
+	if granted := reply.Credits; granted != wantWindow {
 		t.Fatalf("%s: hello granted %d credits, want %d", id, granted, wantWindow)
 	}
-	c := &ovlClient{id: id, conn: conn, echoes: make(chan sim.Time, 64)}
-	c.credits.Store(int64(granted))
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.reports.Add(1)
-			case wire.TypeControl:
-				c.ctrls.Add(1)
-			case wire.TypeCredit:
-				c.credits.Add(int64(msg.Credits))
-			case wire.TypeHeartbeat:
-				c.credits.Add(int64(msg.Credits))
-				c.echoes <- msg.At
-			}
-		}
-	}()
 	return c
 }
 
-// sendObs streams n observations at 1ms spacing from fromMs, honoring the
-// credit window: it never puts a frame on the wire without a local credit,
-// so the server's balance (always ≥ ours) cannot hit a violation.
-func (c *ovlClient) sendObs(t *testing.T, n int, fromMs int64) {
+// sendObs streams n observations at 1ms spacing from fromMs. The client
+// honours the credit window: it never puts a frame on the wire without a
+// local credit, so the server's balance (always ≥ ours) cannot hit a
+// violation.
+func sendObs(t *testing.T, c *device.Client, id string, n int, fromMs int64) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		deadline := time.Now().Add(10 * time.Second)
-		for c.credits.Load() <= 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: credit window never replenished", c.id)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		c.credits.Add(-1)
 		at := sim.Time(fromMs+int64(i)) * sim.Millisecond
-		ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", 0)
-		if err := c.conn.SendEvent(c.id, ev); err != nil {
-			t.Fatalf("%s: send: %v", c.id, err)
+		ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
+		if err := c.Send(ev); err != nil {
+			t.Fatalf("%s: send: %v", id, err)
 		}
-		c.sent.Add(1)
 	}
 }
 
 // drain heartbeats at atMs and waits for its echo — the flush barrier that
 // also carries the replenishment grant. Near saturation the heartbeat
-// itself may be tier-2 shed (no echo); drain retries with a nudged
-// timestamp until one lands, exactly like a paced real client would.
-func (c *ovlClient) drain(t *testing.T, atMs int64) {
+// itself may be tier-2 shed (no echo); the client re-sends it until one
+// lands, exactly like a paced real client would.
+func drain(t *testing.T, c *device.Client, id string, atMs int64) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for try := int64(0); ; try++ {
-		at := sim.Time(atMs+try) * sim.Millisecond
-		if err := c.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}); err != nil {
-			t.Fatalf("%s: heartbeat: %v", c.id, err)
-		}
-		for {
-			select {
-			case got := <-c.echoes:
-				if got >= at {
-					return
-				}
-			case <-time.After(2 * time.Second):
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: no heartbeat echo after %d attempts", c.id, try+1)
-				}
-				goto retry
-			}
-		}
-	retry:
+	if err := flushWithin(c, sim.Time(atMs)*sim.Millisecond, 30*time.Second); err != nil {
+		t.Fatalf("%s: %v", id, err)
 	}
 }
 
@@ -178,7 +120,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 
 	staller := dialOvl(t, addr, stallerID, window)
 	flooder := dialOvl(t, addr, flooderID, window)
-	bases := make([]*ovlClient, nBase)
+	bases := make([]*device.Client, nBase)
 	for i, id := range baseIDs {
 		bases[i] = dialOvl(t, addr, id, window)
 	}
@@ -187,17 +129,17 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// Baseline fleet: paced steady streaming on the healthy shards, running
 	// concurrently with the flood so its latency is measured under fire.
 	var wg sync.WaitGroup
-	for _, c := range bases {
+	for i, c := range bases {
 		wg.Add(1)
-		go func(c *ovlClient) {
+		go func(id string, c *device.Client) {
 			defer wg.Done()
 			for cycle := 0; cycle < nCycles; cycle++ {
 				from := int64(1 + cycle*(baseObs+10))
-				c.sendObs(t, baseObs, from)
-				c.drain(t, from+baseObs)
+				sendObs(t, c, id, baseObs, from)
+				drain(t, c, id, from+baseObs)
 				time.Sleep(20 * time.Millisecond)
 			}
-		}(c)
+		}(baseIDs[i], c)
 	}
 
 	// The attack: each round, the staller's heartbeat jumps its clock 200
@@ -210,11 +152,11 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// keeps the compliant flooder streaming round after round.
 	for burst := 0; burst < bursts; burst++ {
 		at := sim.Time(burst+1) * stall
-		if err := staller.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: stallerID, At: at}); err != nil {
-			t.Fatalf("staller heartbeat: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond) // let the advance occupy the shard
-		flooder.sendObs(t, window, int64(1+burst*(window+10)))
+		// The echo comes once the stalled shard has advanced; the sleep
+		// lets the advance occupy the shard first.
+		go staller.Heartbeat(at)
+		time.Sleep(10 * time.Millisecond)
+		sendObs(t, flooder, flooderID, window, int64(1+burst*(window+10)))
 		if burst == 1 {
 			// Mid-flood, the control plane must cut through: a push to the
 			// device on the most pressured shard, never shed, never queued.
@@ -222,21 +164,21 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 				t.Fatalf("control push during flood: %v", err)
 			}
 		}
-		flooder.drain(t, int64(1+burst*(window+10)+window))
+		drain(t, flooder, flooderID, int64(1+burst*(window+10)+window))
 	}
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
-	staller.drain(t, int64((bursts+1)*200_000))
-	waitFor(t, "control push delivered", func() bool { return staller.ctrls.Load() >= 1 })
+	drain(t, staller, stallerID, int64((bursts+1)*200_000))
+	waitFor(t, "control push delivered", func() bool { return staller.Stats().Controls >= 1 })
 
 	// Everything is flushed (every client holds a final echo). Close the
 	// clients and read the books.
-	staller.conn.Close()
-	flooder.conn.Close()
+	staller.Close()
+	flooder.Close()
 	for _, c := range bases {
-		c.conn.Close()
+		c.Close()
 	}
 	waitFor(t, "disconnects observed", func() bool {
 		return srv.Stats().Disconnected == uint64(2+nBase)
@@ -248,7 +190,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// Tier ordering: observations shed (the queue was overrun four times),
 	// control never — and nothing punched through out of order.
 	if ro.ShedObservations == 0 {
-		t.Fatalf("no observations shed: %d frames through a %d-deep queue never built pressure", flooder.sent.Load(), queue)
+		t.Fatalf("no observations shed: %d frames through a %d-deep queue never built pressure", flooder.Stats().Sent, queue)
 	}
 	if ro.ShedControl != 0 {
 		t.Fatalf("control traffic shed %d times — the never-shed tier broke", ro.ShedControl)
@@ -265,7 +207,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 		t.Fatalf("%d credit violations from compliant clients", cs.CreditViolations)
 	}
 	wantSent := uint64(bursts * window)
-	if got := flooder.sent.Load(); got != wantSent {
+	if got := flooder.Stats().Sent; got != wantSent {
 		t.Fatalf("flooder sent %d frames, want %d — replenishment stalled it", got, wantSent)
 	}
 
@@ -273,8 +215,8 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// was either dispatched through a monitor or counted refused. Nothing
 	// vanished, nothing was double-counted.
 	var sent uint64
-	for _, c := range append([]*ovlClient{staller, flooder}, bases...) {
-		sent += c.sent.Load()
+	for _, c := range append([]*device.Client{staller, flooder}, bases...) {
+		sent += c.Stats().Sent
 	}
 	if ro.Dispatched+ro.ShedObservations != sent || ro.Dropped != 0 || ro.Quarantined != 0 {
 		t.Fatalf("conservation broke: sent %d != dispatched %d + shed %d (dropped %d, quarantined %d)",

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"trader/internal/core"
+	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/faults"
 	"trader/internal/fleet"
@@ -22,71 +23,47 @@ import (
 	"trader/internal/wire"
 )
 
-// e2eClient is one remote SUO: a handshaken connection plus a reader
-// goroutine that counts the monitor's error frames and signals heartbeat
-// echoes (the drain barrier).
-type e2eClient struct {
-	id      string
-	conn    *wire.Conn
-	mu      sync.Mutex
-	reports int
-	echo    chan sim.Time
-}
-
-func dialE2E(t *testing.T, addr, id, codec string) *e2eClient {
+// dialE2E connects one remote SUO through the compliant device client —
+// the client `tvsim -connect` streams through — failing the test when the
+// handshake does.
+func dialE2E(t *testing.T, addr, id, codec string) *device.Client {
 	t.Helper()
-	conn, _, err := wire.Dial(addr, wire.Message{SUO: id, Codec: codec})
-	if err != nil {
+	c := &device.Client{}
+	if _, err := c.Dial(addr, wire.Message{SUO: id, Codec: codec}); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	c := &e2eClient{id: id, conn: conn, echo: make(chan sim.Time, 16)}
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.mu.Lock()
-				c.reports++
-				c.mu.Unlock()
-			case wire.TypeHeartbeat:
-				c.echo <- msg.At
-			}
-		}
-	}()
 	return c
-}
-
-func (c *e2eClient) reportCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reports
 }
 
 // stream sends n observations of the commanded level x at 10ms spacing
 // starting from fromMs, then heartbeats and waits for the echo, so on
 // return every observation has been through this device's monitor.
-func (c *e2eClient) stream(t *testing.T, n int, x float64, fromMs int64) {
+func stream(t *testing.T, c *device.Client, id string, n int, x float64, fromMs int64) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		at := sim.Time(fromMs+int64(i)*10) * sim.Millisecond
-		ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", x)
-		if err := c.conn.SendEvent(c.id, ev); err != nil {
-			t.Errorf("%s: send: %v", c.id, err)
+		ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", x)
+		if err := c.Send(ev); err != nil {
+			t.Errorf("%s: send: %v", id, err)
 			return
 		}
 	}
 	hbAt := sim.Time(fromMs+int64(n)*10) * sim.Millisecond
-	if err := c.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: hbAt}); err != nil {
-		t.Errorf("%s: heartbeat: %v", c.id, err)
-		return
+	if err := flushWithin(c, hbAt, 10*time.Second); err != nil {
+		t.Errorf("%s: heartbeat: %v", id, err)
 	}
+}
+
+// flushWithin is c.Heartbeat(at) bounded by d: an echo that has not
+// arrived by then fails the flush.
+func flushWithin(c *device.Client, at sim.Time, d time.Duration) error {
+	done := make(chan error, 1)
+	go func() { done <- c.Heartbeat(at) }()
 	select {
-	case <-c.echo:
-	case <-time.After(10 * time.Second):
-		t.Errorf("%s: heartbeat echo never arrived", c.id)
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		return fmt.Errorf("heartbeat echo never arrived within %v", d)
 	}
 }
 
@@ -127,7 +104,8 @@ func TestE2EFleetIngestion(t *testing.T) {
 	go srv.Serve(ln)
 
 	// Phase 1: connect the whole fleet, alternating codecs per connection.
-	clients := make([]*e2eClient, devices)
+	clients := make([]*device.Client, devices)
+	ids := make([]string, devices)
 	var wg sync.WaitGroup
 	for i := 0; i < devices; i++ {
 		wg.Add(1)
@@ -137,7 +115,8 @@ func TestE2EFleetIngestion(t *testing.T) {
 			if i%2 == 1 {
 				codec = wire.CodecJSON
 			}
-			clients[i] = dialE2E(t, addr, fmt.Sprintf("e2e-%06d", i), codec)
+			ids[i] = fmt.Sprintf("e2e-%06d", i)
+			clients[i] = dialE2E(t, addr, ids[i], codec)
 		}(i)
 	}
 	wg.Wait()
@@ -150,13 +129,13 @@ func TestE2EFleetIngestion(t *testing.T) {
 	// the spec model's commanded level 0 and must be flagged.
 	for i, c := range clients {
 		wg.Add(1)
-		go func(i int, c *e2eClient) {
+		go func(i int, c *device.Client) {
 			defer wg.Done()
 			x := 0.0
 			if i%faultyEvery == 0 {
 				x = 2.0
 			}
-			c.stream(t, framesEach, x, 10)
+			stream(t, c, ids[i], framesEach, x, 10)
 		}(i, c)
 	}
 	wg.Wait()
@@ -195,8 +174,8 @@ func TestE2EFleetIngestion(t *testing.T) {
 		if i%faultyEvery == 0 {
 			want = 1
 		}
-		if got := c.reportCount(); got != want {
-			t.Errorf("%s received %d error frames, want %d", c.id, got, want)
+		if got := int(c.Stats().Reports); got != want {
+			t.Errorf("%s received %d error frames, want %d", ids[i], got, want)
 		}
 	}
 	cs := srv.Stats()
@@ -208,15 +187,15 @@ func TestE2EFleetIngestion(t *testing.T) {
 	// the survivors keep streaming; the daemon must shed exactly the
 	// departed devices and keep ingesting.
 	for i := 0; i < devices/2; i++ {
-		clients[i].conn.Close()
+		clients[i].Close()
 	}
 	waitFor(t, "departed devices removed", func() bool { return pool.Size() == devices/2 })
-	for _, c := range clients[devices/2:] {
+	for i := devices / 2; i < devices; i++ {
 		wg.Add(1)
-		go func(c *e2eClient) {
+		go func(i int) {
 			defer wg.Done()
-			c.stream(t, 10, 0, 10+framesEach*10)
-		}(c)
+			stream(t, clients[i], ids[i], 10, 0, 10+framesEach*10)
+		}(i)
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -228,10 +207,10 @@ func TestE2EFleetIngestion(t *testing.T) {
 	}
 
 	// A departed ID's shard slot is free: it can reconnect immediately.
-	re := dialE2E(t, addr, clients[0].id, wire.CodecBinary)
-	defer re.conn.Close()
+	re := dialE2E(t, addr, ids[0], wire.CodecBinary)
+	defer re.Close()
 	waitFor(t, "reconnect", func() bool { return pool.Size() == devices/2+1 })
-	re.stream(t, 5, 0, 1000)
+	stream(t, re, ids[0], 5, 0, 1000)
 }
 
 // TestMonitorOverSocket is the Fig. 2 deployment on the paper's own SUO: a
@@ -255,28 +234,17 @@ func TestMonitorOverSocket(t *testing.T) {
 	}
 	defer ln.Close()
 	go srv.Serve(ln)
-	conn, _, err := wire.Dial(addr, wire.Message{SUO: "tv"})
-	if err != nil {
+	var mu sync.Mutex
+	var gotErrors []wire.Message
+	c := &device.Client{OnError: func(m wire.Message) {
+		mu.Lock()
+		gotErrors = append(gotErrors, m)
+		mu.Unlock()
+	}}
+	if _, err := c.Dial(addr, wire.Message{SUO: "tv"}); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	var gotErrors []wire.Message
-	echo := make(chan struct{})
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				gotErrors = append(gotErrors, msg)
-			case wire.TypeHeartbeat:
-				close(echo)
-				return
-			}
-		}
-	}()
+	defer c.Close()
 
 	k := sim.NewKernel(6)
 	tv := tvsim.New(k, tvsim.Config{})
@@ -284,7 +252,7 @@ func TestMonitorOverSocket(t *testing.T) {
 		if e.Kind == event.Err {
 			return
 		}
-		if err := conn.SendEvent("tv", e); err != nil {
+		if err := c.Send(e); err != nil {
 			t.Error(err)
 		}
 	})
@@ -303,14 +271,11 @@ func TestMonitorOverSocket(t *testing.T) {
 
 	// The heartbeat echo is the drain barrier: every report the frames
 	// before it raised has been written ahead of it.
-	if err := conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "tv", At: k.Now()}); err != nil {
+	if err := flushWithin(c, k.Now(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-echo:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no heartbeat echo")
-	}
+	mu.Lock()
+	defer mu.Unlock()
 	found := false
 	for _, m := range gotErrors {
 		if m.Error != nil && m.Error.Observable == "audio-volume" {

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"trader/internal/control"
+	"trader/internal/event"
 	"trader/internal/federate"
 	"trader/internal/fleet"
 	"trader/internal/journal"
@@ -103,8 +104,8 @@ func TestE2ETraceExemplarFederation(t *testing.T) {
 		id := fmt.Sprintf("tdev-%03d", i)
 		e := edges[fleet.RangeOf(id, ranges)]
 		c := dialE2E(t, e.addr, id, wire.CodecBinary)
-		defer c.conn.Close()
-		c.stream(t, frames, 0.0, 0)
+		defer c.Close()
+		stream(t, c, id, frames, 0.0, 0)
 	}
 	waitFor(t, "aggregator sees every device", func() bool {
 		return agg.View().Devices == devices
@@ -314,29 +315,31 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialRecovery(t, addr, id(i))
-			defer c.close()
+			c := dialE2E(t, addr, id(i), wire.CodecBinary)
+			defer c.Close()
 			x := 0.0
 			if i == 0 {
 				x = 2.0
 			}
+			// step streams tick n; an error means the device is down.
+			step := func(n int) error {
+				at := sim.Time(n) * tick
+				err := c.Send(event.Event{Kind: event.Output, Name: "out", Source: id(i), At: at}.With("x", x))
+				if n%10 == 0 {
+					err = c.Heartbeat(at)
+				}
+				return err
+			}
+			quarantined := func() bool { return c.Stats().Quarantines > 0 }
 			for n := 1; n <= ticks; n++ {
-				if c.isQuarantined() {
+				if quarantined() {
 					return
 				}
-				c.frame(sim.Time(n)*tick, x)
-				if n%10 == 0 {
-					c.flush(sim.Time(n) * tick)
-				}
+				step(n)
 			}
-			for n := ticks + 1; n <= 2000 && !c.isQuarantined(); n++ {
-				if c.conn() == nil {
+			for n := ticks + 1; n <= 2000 && !quarantined(); n++ {
+				if step(n) != nil {
 					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				c.frame(sim.Time(n)*tick, x)
-				if n%10 == 0 {
-					c.flush(sim.Time(n) * tick)
 				}
 			}
 		}(i)

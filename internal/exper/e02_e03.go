@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"trader/internal/core"
+	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/faults"
 	"trader/internal/fleet"
@@ -62,9 +63,10 @@ func E2InProcessThroughput(n int) (float64, error) {
 }
 
 // E2SocketThroughput pushes n observations through the daemon's ingestion
-// path — a fleet.Server on a loopback TCP listener, dialled with wire.Dial —
-// into one served monitor and returns events/second. A heartbeat closes the
-// run: its echo comes back once every observation before it was monitored.
+// path — a fleet.Server on a loopback TCP listener, dialled with the device
+// client — into one served monitor and returns events/second. A heartbeat
+// closes the run: its echo comes back once every observation before it was
+// monitored.
 func E2SocketThroughput(n int) (float64, error) {
 	pool := fleet.NewPool(fleet.Options{Shards: 1})
 	defer pool.Stop()
@@ -82,26 +84,21 @@ func E2SocketThroughput(n int) (float64, error) {
 		return 0, err
 	}
 	go srv.Serve(ln)
-	conn, _, err := wire.Dial("tcp:"+ln.Addr().String(), wire.Message{SUO: "bench", Codec: wire.CodecBinary})
-	if err != nil {
+	c := &device.Client{}
+	if _, err := c.Dial("tcp:"+ln.Addr().String(), wire.Message{SUO: "bench", Codec: wire.CodecBinary}); err != nil {
 		return 0, err
 	}
-	defer conn.Close()
+	defer c.Close()
 	e := event.Event{Kind: event.Output, Name: "out"}.With("x", 0)
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		e.At = sim.Time(i)
-		if err := conn.SendEvent("bench", e); err != nil {
+		if err := c.Send(e); err != nil {
 			return 0, err
 		}
 	}
-	if err := conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "bench", At: sim.Time(n)}); err != nil {
+	if err := c.Heartbeat(sim.Time(n)); err != nil {
 		return 0, err
-	}
-	for msg := (wire.Message{}); msg.Type != wire.TypeHeartbeat; {
-		if msg, err = conn.Decode(); err != nil {
-			return 0, err
-		}
 	}
 	elapsed := time.Since(start)
 	if got := pool.Rollup().Monitor.OutputsSeen; got != uint64(n) {

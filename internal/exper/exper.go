@@ -1,6 +1,7 @@
 // Package exper implements the experiment harness: one function per
-// experiment in DESIGN.md §4 (E1–E13), each regenerating the corresponding
-// figure or case-study claim of the paper as a printable table.
+// experiment (E1–E13; ARCHITECTURE.md §1's experiments row indexes them),
+// each regenerating the corresponding figure or case-study claim of the
+// paper as a printable table.
 // cmd/experiments runs them all; the repository-root benchmarks wrap them
 // as testing.B targets.
 package exper
@@ -22,8 +23,8 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-	// Notes carry the paper-vs-measured commentary recorded in
-	// EXPERIMENTS.md.
+	// Notes carry the paper-vs-measured commentary printed under the
+	// table.
 	Notes []string
 }
 

@@ -11,6 +11,7 @@ package koala
 
 import (
 	"fmt"
+	"sync"
 
 	"trader/internal/event"
 	"trader/internal/sim"
@@ -184,11 +185,16 @@ func (c *Component) SetMode(mode string) {
 }
 
 // modeIDs interns mode strings process-wide so modes can travel as scalars.
+// Systems in different goroutines (a fleet of simulated TVs) intern
+// concurrently, so modeMu guards both tables.
+var modeMu sync.Mutex
 var modeIDs = map[string]int{}
 var modeNames []string
 
 // ModeID returns a stable small integer for a mode string.
 func ModeID(mode string) int {
+	modeMu.Lock()
+	defer modeMu.Unlock()
 	if id, ok := modeIDs[mode]; ok {
 		return id
 	}
@@ -200,6 +206,8 @@ func ModeID(mode string) int {
 
 // ModeName returns the string for a mode id, or "".
 func ModeName(id int) string {
+	modeMu.Lock()
+	defer modeMu.Unlock()
 	if id < 0 || id >= len(modeNames) {
 		return ""
 	}

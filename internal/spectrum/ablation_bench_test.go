@@ -1,7 +1,7 @@
 package spectrum
 
-// Ablation benches for the design choices DESIGN.md calls out: the packed
-// bitset representation of spectra versus a naive map-based one, at the
+// Ablation benches for the package's design choices: the packed bitset
+// representation of spectra versus a naive map-based one, at the
 // paper's scale (60 000 blocks).
 
 import (

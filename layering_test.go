@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -129,14 +130,16 @@ func harnessOnly(graph map[string][]string) []string {
 }
 
 // TestImportGraph pins the layering rule of ARCHITECTURE.md §1: the
-// generic planes name no product, the daemon links no experiment harness,
-// and the TV client links no daemon plane. Products are composed only in
+// generic planes and the device client name no product, the daemon links no
+// experiment harness, and neither the TV client nor the device client it
+// streams through links a daemon plane. Products are composed only in
 // cmd/traderd's profiles table.
 func TestImportGraph(t *testing.T) {
 	graph := importGraph(t, ".")
 	products := []string{"internal/tvsim", "internal/mediaplayer", "internal/exper"}
 	for _, p := range []string{"internal/core", "internal/fleet", "internal/journal", "internal/wire",
-		"internal/control", "internal/diagnose", "internal/federate", "internal/trace", "internal/metrics"} {
+		"internal/control", "internal/diagnose", "internal/federate", "internal/trace", "internal/metrics",
+		"internal/device"} {
 		if _, ok := graph[p]; !ok {
 			t.Errorf("generic plane %s not found", p)
 		}
@@ -158,8 +161,10 @@ func TestImportGraph(t *testing.T) {
 	}
 
 	planes := []string{"internal/fleet", "internal/journal", "internal/control", "internal/diagnose", "internal/federate"}
-	if chain := reach(graph, "cmd/tvsim", planes); chain != nil {
-		t.Errorf("the TV client reaches a daemon plane: %s", strings.Join(chain, " → "))
+	for _, client := range []string{"cmd/tvsim", "internal/device"} {
+		if chain := reach(graph, client, planes); chain != nil {
+			t.Errorf("device-side %s reaches a daemon plane: %s", client, strings.Join(chain, " → "))
+		}
 	}
 }
 
@@ -538,5 +543,58 @@ func TestNoTestOnlyCode(t *testing.T) {
 		if !hit[k] {
 			t.Errorf("allowlist entry %s is stale: the gate no longer flags it", k)
 		}
+	}
+}
+
+// mdRef matches a Markdown file named in text: ARCHITECTURE.md,
+// benchmark/README.md, .claude/skills/verify/SKILL.md.
+var mdRef = regexp.MustCompile(`\.?[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// codeSpan matches a Markdown code span. A name in one is under discussion
+// — a file to write, or one that was deleted — rather than a reference.
+var codeSpan = regexp.MustCompile("`[^`\n]*`")
+
+// TestDocReferencesExist fails when a Go comment of either module or a
+// Markdown document of the repository names a *.md file that does not
+// exist, relative to the repository root or to the naming file's
+// directory. Not references: Markdown code spans, and SNIPPETS.md and
+// PAPERS.md, which quote other repositories' paths.
+func TestDocReferencesExist(t *testing.T) {
+	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
+	check := func(path, text string) {
+		for _, ref := range mdRef.FindAllString(text, -1) {
+			if !exists(ref) && !exists(filepath.Join(filepath.Dir(path), ref)) {
+				t.Errorf("%s names %s, which does not exist", path, ref)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(path, ".go"):
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			for _, cg := range f.Comments {
+				check(path, cg.Text())
+			}
+		case strings.HasSuffix(path, ".md") && path != "SNIPPETS.md" && path != "PAPERS.md":
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			check(path, codeSpan.ReplaceAllString(string(b), ""))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
