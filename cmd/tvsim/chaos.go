@@ -55,23 +55,26 @@ type chaosTally struct {
 
 // chaosDial hands back the raw conn next to the wire conn: the
 // non-compliant roles need read deadlines (a blocked Decode must not
-// outlive the soak) and raw byte access (byzantine frames).
-func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Conn, uint32, error) {
+// outlive the soak) and raw byte access (byzantine frames). It books the
+// handshake, or the failed dial, in t; raw is nil after a failure.
+func chaosDial(addr, id, codec string, dur wire.Durability, t *chaosTally) (raw net.Conn, wc *wire.Conn, credits uint32) {
 	network, address, err := wire.SplitAddr(addr)
-	if err != nil {
-		return nil, nil, 0, err
+	if err == nil {
+		raw, err = net.Dial(network, address)
 	}
-	raw, err := net.Dial(network, address)
-	if err != nil {
-		return nil, nil, 0, err
+	var reply wire.Message
+	if err == nil {
+		wc = wire.NewConn(raw)
+		if reply, err = wc.Handshake(wire.Message{SUO: id, Codec: codec, Durability: dur}); err != nil {
+			raw.Close()
+		}
 	}
-	wc := wire.NewConn(raw)
-	reply, err := wc.Handshake(wire.Message{SUO: id, Codec: codec, Durability: dur})
 	if err != nil {
-		raw.Close()
-		return nil, nil, 0, err
+		t.dialErrs.Add(1)
+		return nil, nil, 0
 	}
-	return raw, wc, reply.Credits, nil
+	t.conns.Add(1)
+	return raw, wc, reply.Credits
 }
 
 // chaosObs is the observation chaos devices stream: in-spec (x = 0), so
@@ -179,14 +182,12 @@ func chaosCompliant(addr, id, codec string, dur wire.Durability, t *chaosTally, 
 	}()
 	for at := sim.Time(0); time.Now().Before(deadline); {
 		at += 5 * sim.Millisecond
-		if c.Send(chaosObs(id, at)) != nil {
-			t.drops.Add(1)
-			return
+		err := c.Send(chaosObs(id, at))
+		time.Sleep(pace) // the flood's zero pace sleeps not at all
+		if err == nil && at%(500*sim.Millisecond) == 0 {
+			err = c.Heartbeat(at)
 		}
-		if pace > 0 {
-			time.Sleep(pace)
-		}
-		if at%(500*sim.Millisecond) == 0 && c.Heartbeat(at) != nil {
+		if err != nil {
 			t.drops.Add(1)
 			return
 		}
@@ -197,12 +198,10 @@ func chaosCompliant(addr, id, codec string, dur wire.Durability, t *chaosTally, 
 // ever heartbeating. Under flow control the daemon must kill it with a
 // credit-violation error; without, the burst bound ends the session.
 func chaosHostile(addr, id, codec string, dur wire.Durability, t *chaosTally, deadline time.Time) {
-	raw, wc, _, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
-		t.dialErrs.Add(1)
+	raw, wc, _ := chaosDial(addr, id, codec, dur, t)
+	if raw == nil {
 		return
 	}
-	t.conns.Add(1)
 	defer raw.Close()
 	at := sim.Time(0)
 	for i := 0; i < 10000 && time.Now().Before(deadline); i++ {
@@ -220,12 +219,10 @@ func chaosHostile(addr, id, codec string, dur wire.Durability, t *chaosTally, de
 // chaosChurn is registration pressure: stream briefly, leave cleanly,
 // reconnect (the caller loops).
 func chaosChurn(addr, id, codec string, dur wire.Durability, t *chaosTally) {
-	raw, wc, credits, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
-		t.dialErrs.Add(1)
+	raw, wc, credits := chaosDial(addr, id, codec, dur, t)
+	if raw == nil {
 		return
 	}
-	t.conns.Add(1)
 	defer raw.Close()
 	burst := 5
 	if credits != 0 && int(credits) < burst {
@@ -247,12 +244,10 @@ func chaosChurn(addr, id, codec string, dur wire.Durability, t *chaosTally) {
 // daemon's reaper (heartbeat-less connections, write deadlines) must keep
 // the registration table from leaking.
 func chaosFlap(addr, id, codec string, dur wire.Durability, t *chaosTally, idleMs int) {
-	raw, _, _, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
-		t.dialErrs.Add(1)
+	raw, _, _ := chaosDial(addr, id, codec, dur, t)
+	if raw == nil {
 		return
 	}
-	t.conns.Add(1)
 	time.Sleep(time.Duration(50+idleMs) * time.Millisecond)
 	raw.Close() // abrupt: no drain heartbeat, no goodbye
 }
@@ -261,12 +256,10 @@ func chaosFlap(addr, id, codec string, dur wire.Durability, t *chaosTally, idleM
 // back up into the socket until the daemon's write deadline fires and it
 // drops us — the stalled-reader defense, exercised.
 func chaosSlowRead(addr, id, codec string, dur wire.Durability, t *chaosTally, deadline time.Time) {
-	raw, wc, credits, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
-		t.dialErrs.Add(1)
+	raw, wc, credits := chaosDial(addr, id, codec, dur, t)
+	if raw == nil {
 		return
 	}
-	t.conns.Add(1)
 	defer raw.Close()
 	at := sim.Time(0)
 	budget := int64(credits)
@@ -288,9 +281,7 @@ func chaosSlowRead(addr, id, codec string, dur wire.Durability, t *chaosTally, d
 			return
 		}
 		t.frames.Add(1)
-		if credits != 0 {
-			budget--
-		}
+		budget-- // negative and unread without flow control
 	}
 }
 
@@ -298,12 +289,10 @@ func chaosSlowRead(addr, id, codec string, dur wire.Durability, t *chaosTally, d
 // of three dialects. Every variant must end with the daemon closing just
 // this connection.
 func chaosByzantine(addr, id, codec string, dur wire.Durability, t *chaosTally, variant int) {
-	raw, wc, _, err := chaosDial(addr, id, codec, dur)
-	if err != nil {
-		t.dialErrs.Add(1)
+	raw, wc, _ := chaosDial(addr, id, codec, dur, t)
+	if raw == nil {
 		return
 	}
-	t.conns.Add(1)
 	defer raw.Close()
 	switch variant {
 	case 0:

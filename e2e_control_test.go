@@ -124,8 +124,8 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 			if faulty(i) && !silent(i) {
 				x = 2.0
 			}
-			// step streams tick n; an error means the device is down (a
-			// frame lost to a restart, or quarantine).
+			// step streams tick n; an error means the device is down, and
+			// a frame lost while it is down is the downtime.
 			step := func(n int) error {
 				at := sim.Time(n) * tick
 				switch {
@@ -142,27 +142,21 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 					return err
 				}
 			}
-			// run streams ticks from..to until quarantine. A tick lost to a
-			// restart is streamed again once the device is back, so the
-			// re-dial costs wall time rather than a gap in the stream that
-			// the silence detector would report; a device that stays down
-			// stops after a second of waiting.
-			run := func(from, to int) {
-				for n, waits := from, 0; n <= to && waits < 200 && c.Stats().Quarantines == 0; {
-					if step(n) != nil {
-						waits++
-						time.Sleep(5 * time.Millisecond) // mid-restart: wait it out
-						continue
-					}
-					n++
+			for n := 1; n <= ticks; n++ {
+				if c.Stats().Quarantines != 0 {
+					return
 				}
+				step(n)
 			}
-			run(1, ticks)
 			if !faulty(i) {
 				c.Heartbeat(sim.Time(ticks) * tick)
 				return
 			}
-			run(ticks+1, 2000)
+			for n := ticks + 1; n <= 2000 && c.Stats().Quarantines == 0; n++ {
+				if step(n) != nil {
+					time.Sleep(5 * time.Millisecond) // mid-restart: wait it out
+				}
+			}
 		}(i)
 	}
 	wg.Wait()

@@ -49,8 +49,15 @@ func sendObs(t *testing.T, c *device.Client, id string, n int, fromMs int64) {
 	for i := 0; i < n; i++ {
 		at := sim.Time(fromMs+int64(i)) * sim.Millisecond
 		ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
-		if err := c.Send(ev); err != nil {
-			t.Fatalf("%s: send: %v", id, err)
+		done := make(chan error, 1)
+		go func() { done <- c.Send(ev) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: send: %v", id, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: credit window never replenished", id)
 		}
 	}
 }

@@ -23,20 +23,24 @@ import (
 	"trader/internal/wire"
 )
 
-// The restart re-dial schedule: the daemon may still be tearing the old
-// registration down, and the ID frees up within a removal round trip, so
-// a restarting device tries for one second in all. The short step keeps
-// the downtime a restart costs close to that round trip.
 const (
+	// The restart re-dial schedule: the daemon may still be tearing the
+	// old registration down, and the ID frees up within a removal round
+	// trip, so a restarting device tries for one second in all. The short
+	// step keeps the downtime a restart costs close to that round trip.
 	redials     = 100
 	redialEvery = 10 * time.Millisecond
-)
 
-// resendAfter is how long a heartbeat — a flush, or a grant solicit on an
-// empty window — waits for its answer before it is sent again. Near
-// saturation the daemon sheds heartbeats (tier 2) without a word; the
-// silence is the backpressure, and a re-send is the retry.
-const resendAfter = 2 * time.Second
+	// How long a heartbeat waits for its answer before it is sent again: a
+	// grant solicit on an empty window, and a flush. Near saturation the
+	// daemon sheds heartbeats (tier 2) without a word; the silence is the
+	// backpressure, and a re-send is the retry. A solicit is cheap to
+	// repeat and a stalled device idles until it lands; a flush waits
+	// behind its shard's backlog, so it is given longer before it counts
+	// as shed.
+	solicitEvery = 50 * time.Millisecond
+	flushEvery   = 500 * time.Millisecond
+)
 
 // errDown reports a frame the device could not send: it is restarting,
 // quarantined, closed or lost its connection. Callers count the frame as
@@ -72,6 +76,9 @@ type Client struct {
 	hello wire.Message
 
 	mu sync.Mutex
+	// hb is held from numbering a heartbeat until it is written, so
+	// heartbeats go on the wire in sequence order. It is taken before mu.
+	hb sync.Mutex
 	// wc is the live connection, nil while the device is down.
 	wc *wire.Conn
 	// latched is set by quarantine, Close, a lost connection and a failed
@@ -83,9 +90,17 @@ type Client struct {
 	// granted (0: no flow control), credits the local balance.
 	window  uint32
 	credits int64
-	// echoed is the highest heartbeat time the daemon has echoed: the
-	// flush-barrier watermark. The reader only raises it, never blocks.
-	echoed sim.Time
+	// Heartbeats are numbered from 1 in the order they go on the wire,
+	// across connections; sent is the last number. pending holds the times
+	// of those sent on the live connection whose echo has not come, oldest
+	// first, so the last is number sent. echoed is the number of the latest
+	// one echoed: the flush-barrier watermark, which the reader only
+	// raises, never blocks on. The daemon echoes in order and sheds without
+	// a word, so an echo answers the oldest pending heartbeat with its
+	// time, and those ahead of it were shed.
+	pending []sim.Time
+	sent    uint64
+	echoed  uint64
 	// lastAt is the latest virtual time the device put on the wire; acks
 	// and snapshot answers carry it.
 	lastAt sim.Time
@@ -113,7 +128,9 @@ func (c *Client) Dial(addr string, hello wire.Message) (wire.Message, error) {
 
 // Send streams one observation, spending one credit under flow control.
 // On an empty window it solicits a grant with a heartbeat and blocks until
-// one arrives. While the device is down it returns an error at once.
+// one arrives. The solicit carries the time of the last frame already on
+// the wire, so its echo vouches for no frame still unsent. While the device
+// is down it returns an error at once.
 func (c *Client) Send(e event.Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,9 +138,9 @@ func (c *Client) Send(e event.Event) error {
 		wake := c.wake
 		if resend {
 			c.stats.Stalls++
-			_ = c.write(wire.Message{Type: wire.TypeHeartbeat, SUO: c.hello.SUO, At: e.At})
+			c.write(wire.Message{Type: wire.TypeHeartbeat, SUO: c.hello.SUO, At: c.lastAt})
 		}
-		resend = c.wait(wake)
+		resend = c.wait(wake, solicitEvery)
 	}
 	wc := c.wc
 	if wc == nil {
@@ -142,31 +159,36 @@ func (c *Client) Send(e event.Event) error {
 
 // Heartbeat sends a heartbeat at virtual time at — preceded by the Delta
 // callback's spectrum delta, when set — and returns once the daemon has
-// echoed it: every frame sent before it has then been monitored, and the
-// error frames it raised have arrived. A heartbeat the daemon shed is sent
-// again, and so is one a restart overtook, on the re-dialed connection. It
-// returns an error once the device is down for good.
+// echoed it, or echoed one sent after it: every frame sent before it has
+// then been monitored, and the error frames it raised have arrived. An echo
+// of an earlier heartbeat with the same time does not count. A heartbeat
+// the daemon shed is sent again, and so is one a restart overtook, on the
+// re-dialed connection. It returns an error once the device is down for
+// good.
 func (c *Client) Heartbeat(at sim.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.wc != nil && c.Delta != nil {
 		// A delta lost with the connection only thins the evidence; the
 		// heartbeat below reports the connection.
-		_ = c.write(wire.Message{Type: wire.TypeSpectrumDelta, SUO: c.hello.SUO, At: at, Delta: c.Delta(at)})
+		c.write(wire.Message{Type: wire.TypeSpectrumDelta, SUO: c.hello.SUO, At: at, Delta: c.Delta(at)})
 	}
 	var sentOn *wire.Conn
-	for resend := true; sentOn == nil || c.echoed < at; {
-		wake := c.wake
-		// Send it again when shed or when a restart re-dialed since; wait
-		// out a re-dial in flight, and fail the write once down for good.
-		if c.wc != nil && (resend || c.wc != sentOn) || c.latched {
-			sentOn = c.wc
-			if err := c.write(wire.Message{Type: wire.TypeHeartbeat, SUO: c.hello.SUO, At: at}); err != nil {
-				return err
-			}
-			c.lastAt = max(c.lastAt, at)
+	var first uint64 // this call's first heartbeat on sentOn
+	for resend := true; sentOn == nil || c.echoed < first; {
+		if c.latched {
+			return errDown
 		}
-		resend = c.wait(wake)
+		wake := c.wake
+		// Send it again when shed or when a restart re-dialed since, and
+		// wait out a re-dial in flight. A failed write leaves the reader
+		// to take the device down.
+		if c.wc != nil && (resend || c.wc != sentOn) {
+			if wc, seq := c.write(wire.Message{Type: wire.TypeHeartbeat, SUO: c.hello.SUO, At: at}); wc != sentOn {
+				sentOn, first = wc, seq
+			}
+		}
+		resend = c.wait(wake, flushEvery)
 	}
 	return nil
 }
@@ -182,13 +204,12 @@ func (c *Client) Stats() Stats {
 // Heartbeat blocked on it returns.
 func (c *Client) Close() {
 	c.mu.Lock()
-	wc := c.wc
+	defer c.mu.Unlock()
+	if c.wc != nil {
+		c.wc.Close()
+	}
 	c.wc, c.latched = nil, true
 	c.signal()
-	c.mu.Unlock()
-	if wc != nil {
-		wc.Close()
-	}
 }
 
 // signal wakes every waiter. mu is held.
@@ -198,29 +219,43 @@ func (c *Client) signal() {
 }
 
 // wait parks until wake, taken from c.wake before the caller last let go
-// of mu, is signalled or until resendAfter passes, and reports whether it
-// timed out. mu is held on entry and on return.
-func (c *Client) wait(wake chan struct{}) bool {
+// of mu, is signalled or until d passes, and reports whether it timed out.
+// mu is held on entry and on return.
+func (c *Client) wait(wake chan struct{}, d time.Duration) bool {
 	c.mu.Unlock()
 	defer c.mu.Lock()
 	select {
 	case <-wake:
 		return false
-	case <-time.After(resendAfter):
+	case <-time.After(d):
 		return true
 	}
 }
 
-// write sends m on the live connection. mu is held on entry and on return
-// but not across the write, so the reader keeps booking grants meanwhile.
-func (c *Client) write(m wire.Message) error {
+// write sends m on the live connection and returns that connection, nil
+// when the device is down, and the number of the last heartbeat sent: m's
+// own when m is one. A heartbeat is pending before it is written, so its
+// echo cannot outrun the booking. mu is held on entry and on return but
+// not across the write, so the reader keeps booking grants meanwhile.
+func (c *Client) write(m wire.Message) (*wire.Conn, uint64) {
+	c.mu.Unlock()
+	c.hb.Lock()
+	defer c.hb.Unlock()
+	c.mu.Lock()
 	wc := c.wc
 	if wc == nil {
-		return errDown
+		return nil, 0
 	}
+	if m.Type == wire.TypeHeartbeat {
+		c.sent++
+		c.pending = append(c.pending, m.At)
+	}
+	seq := c.sent
+	c.lastAt = max(c.lastAt, m.At)
 	c.mu.Unlock()
 	defer c.mu.Lock()
-	return wc.Encode(m)
+	_ = wc.Encode(m)
+	return wc, seq
 }
 
 // answer sends m on wc, stamped with the device's ID and latest time.
@@ -232,14 +267,15 @@ func (c *Client) answer(wc *wire.Conn, m wire.Message) {
 }
 
 // drop takes the device down if wc is still its live connection (nil
-// while a restart re-dials), for good when latch is set. It reports
-// whether wc was live.
+// while a restart re-dials), for good when latch is set, and closes wc. It
+// reports whether wc was live.
 func (c *Client) drop(wc *wire.Conn, latch bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	live := c.wc == wc
-	if live {
+	if live && wc != nil {
 		c.wc = nil
+		wc.Close()
 	}
 	c.latched = c.latched || latch && live
 	c.signal()
@@ -271,13 +307,18 @@ func (c *Client) read(wc *wire.Conn) {
 			}
 		case wire.TypeHeartbeat, wire.TypeCredit:
 			// Echoes and credit frames both carry a delta grant; a grant
-			// for a connection that is no longer live is void.
+			// for a connection that is no longer live is void. An echo
+			// answers the oldest pending heartbeat with its time.
 			c.mu.Lock()
-			if m.Type == wire.TypeHeartbeat {
-				c.echoed = max(c.echoed, m.At)
-			}
 			if c.wc == wc {
 				c.credits += int64(m.Credits)
+				for i, at := range c.pending {
+					if m.Type == wire.TypeHeartbeat && at == m.At {
+						c.echoed = c.sent - uint64(len(c.pending)-1-i)
+						c.pending = c.pending[i+1:]
+						break
+					}
+				}
 			}
 			c.signal()
 			c.mu.Unlock()
@@ -301,7 +342,6 @@ func (c *Client) read(wc *wire.Conn) {
 				c.answer(wc, wire.Message{Type: wire.TypeAck, Control: m.Control, Trace: m.Trace})
 				c.drop(wc, true)
 				c.count(&c.stats.Quarantines)
-				wc.Close()
 				return
 			}
 		}
@@ -317,7 +357,6 @@ func (c *Client) restart(old *wire.Conn, push wire.Message) {
 	if !c.drop(old, false) { // quarantined or closed meanwhile
 		return
 	}
-	old.Close()
 	wc, reply, err := wire.Dial(c.addr, c.hello)
 	for try := 1; err != nil && try < redials; try++ {
 		time.Sleep(redialEvery)
@@ -335,6 +374,7 @@ func (c *Client) restart(old *wire.Conn, push wire.Message) {
 		return
 	}
 	c.wc, c.window, c.credits = wc, reply.Credits, int64(reply.Credits)
+	c.pending = nil // the dead connection's heartbeats will never be echoed
 	c.stats.Restarts++
 	c.signal()
 	go c.read(wc)

@@ -191,15 +191,17 @@ func TestSendBlocksOnEmptyWindowAndResumesOnGrant(t *testing.T) {
 		}
 	}
 	// The third observation has no credit: the device solicits a grant
-	// with a heartbeat and waits for it.
-	m := p.must()
-	if m.Type != wire.TypeHeartbeat || m.At != 3*sim.Millisecond {
-		t.Fatalf("got %s at %s, want the soliciting heartbeat at 3ms", m.Type, m.At)
+	// with a heartbeat at the last time it sent, and waits for it,
+	// soliciting again while none comes.
+	for i := 0; i < 2; i++ {
+		if m := p.must(); m.Type != wire.TypeHeartbeat || m.At != 2*sim.Millisecond {
+			t.Fatalf("got %s at %s, want the soliciting heartbeat at 2ms", m.Type, m.At)
+		}
 	}
 	select {
 	case err := <-sent:
 		t.Fatalf("Send returned %v on an empty window", err)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	if err := p.Encode(wire.Message{Type: wire.TypeCredit, SUO: "dev", Credits: 2}); err != nil {
 		t.Fatal(err)
@@ -207,11 +209,75 @@ func TestSendBlocksOnEmptyWindowAndResumesOnGrant(t *testing.T) {
 	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
-	if m := p.must(); m.Type != wire.TypeOutput || m.At != 3*sim.Millisecond {
+	m := p.must()
+	for m.Type == wire.TypeHeartbeat { // solicits sent before the grant landed
+		m = p.must()
+	}
+	if m.Type != wire.TypeOutput || m.At != 3*sim.Millisecond {
 		t.Fatalf("got %s at %s, want the third observation", m.Type, m.At)
 	}
-	if st := c.Stats(); st.Sent != 3 || st.Stalls != 1 {
-		t.Fatalf("stats %+v, want 3 sent after 1 stall", st)
+	if st := c.Stats(); st.Sent != 3 || st.Stalls < 2 {
+		t.Fatalf("stats %+v, want 3 sent after at least 2 solicits", st)
+	}
+}
+
+// TestHeartbeatWaitsForItsOwnEcho stalls an observation at the time of the
+// one before it, so the soliciting heartbeat and the flush after the
+// observation carry the same time: the solicit's late echo, and a credit
+// frame with it, must not release the flush.
+func TestHeartbeatWaitsForItsOwnEcho(t *testing.T) {
+	addr, ch := listen(t)
+	c := &Client{}
+	p := dialed(t, c, addr, ch, 1)
+	if err := c.Send(obsAt(1)); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send(obsAt(1)) }() // no credit left
+	if m := p.must(); m.Type != wire.TypeOutput {
+		t.Fatalf("got %s, want the first observation", m.Type)
+	}
+	solicit := p.must()
+	if solicit.Type != wire.TypeHeartbeat || solicit.At != sim.Millisecond {
+		t.Fatalf("got %s at %s, want the soliciting heartbeat at 1ms", solicit.Type, solicit.At)
+	}
+	if err := p.Encode(wire.Message{Type: wire.TypeCredit, SUO: "dev", Credits: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Heartbeat(sim.Millisecond) }()
+	m := p.must()
+	for m.Type == wire.TypeHeartbeat { // solicits sent before the grant landed
+		m = p.must()
+	}
+	if m.Type != wire.TypeOutput {
+		t.Fatalf("got %s, want the second observation", m.Type)
+	}
+	if m = p.must(); m.Type != wire.TypeHeartbeat || m.At != sim.Millisecond {
+		t.Fatalf("got %s at %s, want the flush at 1ms", m.Type, m.At)
+	}
+	// The daemon answers the solicit late, then tops the window up.
+	for _, f := range []wire.Message{
+		{Type: wire.TypeHeartbeat, SUO: "dev", At: solicit.At},
+		{Type: wire.TypeCredit, SUO: "dev", Credits: 1},
+	} {
+		if err := p.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Heartbeat returned %v on the echo of a solicit sent before its observation", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := p.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "dev", At: sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

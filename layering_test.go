@@ -557,8 +557,9 @@ var codeSpan = regexp.MustCompile("`[^`\n]*`")
 // TestDocReferencesExist fails when a Go comment of either module or a
 // Markdown document of the repository names a *.md file that does not
 // exist, relative to the repository root or to the naming file's
-// directory. Not references: Markdown code spans, and SNIPPETS.md and
-// PAPERS.md, which quote other repositories' paths.
+// directory. Tracked dot-directories (.claude, .github) are checked too.
+// Not references: Markdown code spans, and SNIPPETS.md and PAPERS.md, which
+// quote other repositories' paths.
 func TestDocReferencesExist(t *testing.T) {
 	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
 	check := func(path, text string) {
@@ -574,7 +575,8 @@ func TestDocReferencesExist(t *testing.T) {
 		case err != nil:
 			return err
 		case d.IsDir():
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			switch d.Name() {
+			case ".git", ".bench_build", "testdata": // history, build output, fixtures
 				return filepath.SkipDir
 			}
 		case strings.HasSuffix(path, ".go"):
