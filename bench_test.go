@@ -52,7 +52,7 @@ func BenchmarkE2FrameworkOverhead(b *testing.B) {
 	k := sim.NewKernel(1)
 	r := statemachine.NewRegion("r")
 	r.Add(&statemachine.State{Name: "s", Entry: func(c *statemachine.Context) { c.Set("x", 0) }})
-	model := statemachine.MustModel("bench", k, r)
+	model := statemachine.MustDefine("bench", []string{"x"}, r).New(k)
 	mon, err := core.NewMonitor(k, model, core.Configuration{Observables: []core.Observable{
 		{EventName: "out", ValueName: "x", ModelVar: "x", Threshold: 0.5, Tolerance: 1},
 	}})

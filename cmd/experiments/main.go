@@ -1,6 +1,7 @@
-// Command experiments runs every experiment of internal/exper (E1–E13, plus
-// the fleet-scaling experiment E14; ARCHITECTURE.md §1's experiments row
-// indexes them) and prints their paper-vs-measured tables.
+// Command experiments runs all 14 experiments of internal/exper (E1–E14:
+// the paper's figures and case-study claims, then the fleet-scaling sweep;
+// ARCHITECTURE.md §1's experiments row indexes them) and prints their
+// paper-vs-measured tables.
 //
 // Usage:
 //

@@ -21,11 +21,12 @@ import (
 // in-process journaling daemon with the recovery controller attached, as
 // `traderd -journal -recover default` runs: every restart and quarantine
 // the controller decides for a device is one the device honoured, and
-// healthy devices see no error frame. The faulty device runs audio-skew,
-// which deviates at every volume press, four virtual seconds apart: the
-// ladder reaches quarantine inside the 40 s session, with each push
-// landing on a live connection. Pacing at 10× leaves the controller wall
-// time to act before the session ends.
+// healthy devices see no error frame. The faulty device runs video-crash,
+// txt-sync and audio-skew, so its reports come from silence as well as
+// deviation and the ladder reaches quarantine inside the 40 s session —
+// often while the device is still re-dialling after its restart, the race
+// in which the quarantine verdict must still reach it. Pacing at 10×
+// leaves the controller wall time to act before the session ends.
 func TestFleetHonoursTheControllerLadder(t *testing.T) {
 	const n, faultEvery = 5, 5
 	jw, err := journal.Create(t.TempDir(), journal.Options{})
@@ -60,7 +61,7 @@ func TestFleetHonoursTheControllerLadder(t *testing.T) {
 	defer ln.Close()
 	go srv.Serve(ln)
 
-	schedule, err := parseFaults("audio-skew")
+	schedule, err := parseFaults("video-crash,txt-sync,audio-skew")
 	if err != nil {
 		t.Fatal(err)
 	}

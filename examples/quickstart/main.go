@@ -52,7 +52,7 @@ func main() {
 			}},
 		},
 	})
-	model := statemachine.MustModel("thermo-spec", k, r)
+	model := statemachine.MustDefine("thermo-spec", []string{"setpoint"}, r).New(k)
 
 	// --- The awareness monitor (Fig. 2, in-process). ---
 	mon, err := core.NewMonitor(k, model, core.Configuration{

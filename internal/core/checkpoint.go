@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"trader/internal/wire"
 )
@@ -21,7 +20,8 @@ import (
 //     last-active child (shallow history), both sorted for determinism.
 //   - Obs carry per-observable comparator state keyed by Observable.id().
 
-// statOrder fixes the Counters layout so records are byte-stable across runs.
+// statOrder fixes the Counters layout so records are byte-stable across
+// runs; it names MonitorStats.fields in order.
 var statOrder = [...]string{
 	"InputsSeen", "OutputsSeen", "Comparisons", "Deviations",
 	"Errors", "ModelErrors", "SilenceScans",
@@ -32,26 +32,8 @@ var statOrder = [...]string{
 // observables. The monitor must be driven from the kernel goroutine (the
 // usual shard-worker discipline); CaptureInto takes no locks.
 func (m *Monitor) CaptureInto(cp *wire.Checkpoint) {
-	s := m.stats
-	for _, name := range statOrder {
-		var v uint64
-		switch name {
-		case "InputsSeen":
-			v = s.InputsSeen
-		case "OutputsSeen":
-			v = s.OutputsSeen
-		case "Comparisons":
-			v = s.Comparisons
-		case "Deviations":
-			v = s.Deviations
-		case "Errors":
-			v = s.Errors
-		case "ModelErrors":
-			v = s.ModelErrors
-		case "SilenceScans":
-			v = s.SilenceScans
-		}
-		cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: name, V: v})
+	for i, v := range m.stats.fields() {
+		cp.Counters = append(cp.Counters, wire.CheckpointCounter{Name: statOrder[i], V: *v})
 	}
 	for i := range m.obs {
 		st := &m.obs[i]
@@ -65,33 +47,11 @@ func (m *Monitor) CaptureInto(cp *wire.Checkpoint) {
 			LastSeen:    st.lastSeen,
 		})
 	}
-	snap := m.model.CaptureState()
-	vars := make([]string, 0, len(snap.Vars))
-	for n := range snap.Vars {
-		vars = append(vars, n)
-	}
-	sort.Strings(vars)
-	for _, n := range vars {
-		cp.Vars = append(cp.Vars, wire.CheckpointVar{Name: n, V: snap.Vars[n]})
-	}
-	regs := make([]string, 0, len(snap.Current))
-	for r := range snap.Current {
-		regs = append(regs, r)
-	}
-	sort.Strings(regs)
-	for _, r := range regs {
-		cp.States = append(cp.States, wire.CheckpointState{Name: "r:" + r, V: snap.Current[r]})
-		parents := make([]string, 0, len(snap.History[r]))
-		for p := range snap.History[r] {
-			parents = append(parents, p)
-		}
-		sort.Strings(parents)
-		for _, p := range parents {
-			cp.States = append(cp.States, wire.CheckpointState{
-				Name: "h:" + r + "/" + p, V: snap.History[r][p],
-			})
-		}
-	}
+	m.model.Record(func(name string, v float64) {
+		cp.Vars = append(cp.Vars, wire.CheckpointVar{Name: name, V: v})
+	}, func(key, value string) {
+		cp.States = append(cp.States, wire.CheckpointState{Name: key, V: value})
+	})
 }
 
 // RestoreFrom places a started monitor at the state cp captured: counters,
@@ -105,22 +65,10 @@ func (m *Monitor) RestoreFrom(cp *wire.Checkpoint) error {
 	if !m.modelStarted {
 		return fmt.Errorf("core: RestoreFrom requires a started monitor")
 	}
+	fields := m.stats.fields()
 	for _, c := range cp.Counters {
-		switch c.Name {
-		case "InputsSeen":
-			m.stats.InputsSeen = c.V
-		case "OutputsSeen":
-			m.stats.OutputsSeen = c.V
-		case "Comparisons":
-			m.stats.Comparisons = c.V
-		case "Deviations":
-			m.stats.Deviations = c.V
-		case "Errors":
-			m.stats.Errors = c.V
-		case "ModelErrors":
-			m.stats.ModelErrors = c.V
-		case "SilenceScans":
-			m.stats.SilenceScans = c.V
+		if i := slices.Index(statOrder[:], c.Name); i >= 0 {
+			*fields[i] = c.V
 		}
 	}
 	for _, o := range cp.Obs {
@@ -135,42 +83,18 @@ func (m *Monitor) RestoreFrom(cp *wire.Checkpoint) error {
 		st.lastValue = o.LastValue
 		st.lastSeen = o.LastSeen
 	}
-	// Seed the snapshot from the model's current state so regions absent
-	// from the record keep their post-Start defaults, then overwrite from
-	// the checkpoint. History and variables were captured in full, so both
-	// are rebuilt wholesale.
-	snap := m.model.CaptureState()
-	for r := range snap.History {
-		snap.History[r] = map[string]string{}
-	}
-	snap.Vars = make(map[string]float64, len(cp.Vars))
+	// Regions absent from the record keep their current leaves; history and
+	// variables were captured in full, so both are rebuilt wholesale.
+	m.model.Forget()
 	for _, v := range cp.Vars {
-		snap.Vars[v.Name] = v.V
-	}
-	for _, st := range cp.States {
-		switch {
-		case strings.HasPrefix(st.Name, "r:"):
-			reg := st.Name[len("r:"):]
-			if _, ok := snap.Current[reg]; !ok {
-				return fmt.Errorf("core: checkpoint region %q not in model", reg)
-			}
-			snap.Current[reg] = st.V
-		case strings.HasPrefix(st.Name, "h:"):
-			rest := st.Name[len("h:"):]
-			i := strings.IndexByte(rest, '/')
-			if i < 0 {
-				return fmt.Errorf("core: malformed checkpoint history key %q", st.Name)
-			}
-			reg, parent := rest[:i], rest[i+1:]
-			h, ok := snap.History[reg]
-			if !ok {
-				return fmt.Errorf("core: checkpoint region %q not in model", reg)
-			}
-			h[parent] = st.V
-		default:
-			return fmt.Errorf("core: unknown checkpoint state key %q", st.Name)
+		if err := m.model.SetVar(v.Name, v.V); err != nil {
+			return fmt.Errorf("core: checkpoint: %w", err)
 		}
 	}
-	m.model.RestoreState(snap)
+	for _, st := range cp.States {
+		if err := m.model.SetState(st.Name, st.V); err != nil {
+			return fmt.Errorf("core: checkpoint: %w", err)
+		}
+	}
 	return nil
 }

@@ -108,13 +108,16 @@ type MonitorStats struct {
 
 // Add accumulates o's counters into s (group and fleet rollups).
 func (s *MonitorStats) Add(o MonitorStats) {
-	s.InputsSeen += o.InputsSeen
-	s.OutputsSeen += o.OutputsSeen
-	s.Comparisons += o.Comparisons
-	s.Deviations += o.Deviations
-	s.Errors += o.Errors
-	s.ModelErrors += o.ModelErrors
-	s.SilenceScans += o.SilenceScans
+	dst := s.fields()
+	for i, v := range o.fields() {
+		*dst[i] += *v
+	}
+}
+
+// fields lists the counters in declaration order (checkpoint.go's statOrder).
+func (s *MonitorStats) fields() [7]*uint64 {
+	return [...]*uint64{&s.InputsSeen, &s.OutputsSeen, &s.Comparisons, &s.Deviations,
+		&s.Errors, &s.ModelErrors, &s.SilenceScans}
 }
 
 // obsState is the comparator's per-observable state.

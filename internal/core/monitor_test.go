@@ -12,7 +12,7 @@ import (
 
 // tinyModel returns a model with one var "x" set by input event "set"
 // (payload "v"), plus an enable flag "gate" toggled by event "gate".
-func tinyModel(k *sim.Kernel) *statemachine.Model {
+func tinySpec() *statemachine.Spec {
 	r := statemachine.NewRegion("r")
 	r.Add(&statemachine.State{
 		Name: "s",
@@ -30,8 +30,10 @@ func tinyModel(k *sim.Kernel) *statemachine.Model {
 			}},
 		},
 	})
-	return statemachine.MustModel("tiny", k, r)
+	return statemachine.MustDefine("tiny", []string{"x", "gate"}, r)
 }
+
+func tinyModel(k *sim.Kernel) *statemachine.Model { return tinySpec().New(k) }
 
 func newTinyMonitor(t *testing.T, cfg Configuration) (*sim.Kernel, *Monitor, *[]wire.ErrorReport) {
 	t.Helper()
@@ -213,8 +215,9 @@ func TestTimeBasedCompareCatchesStaleValue(t *testing.T) {
 
 func TestModelInvariantViolationReported(t *testing.T) {
 	k := sim.NewKernel(1)
-	model := tinyModel(k)
-	model.AddInvariant("x-small", func(m *statemachine.Model) bool { return m.Var("x") < 100 })
+	spec := tinySpec()
+	spec.AddInvariant("x-small", func(m *statemachine.Model) bool { return m.Var("x") < 100 })
+	model := spec.New(k)
 	m, err := NewMonitor(k, model, Configuration{Observables: []Observable{obsX(0, 0)}})
 	if err != nil {
 		t.Fatal(err)

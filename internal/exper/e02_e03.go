@@ -33,7 +33,7 @@ func e2Model(k *sim.Kernel) *statemachine.Model {
 			}},
 		},
 	})
-	return statemachine.MustModel("bench", k, r)
+	return statemachine.MustDefine("bench", []string{"x"}, r).New(k)
 }
 
 func e2Config() core.Configuration {

@@ -138,39 +138,9 @@ func E10WarningPriority(seed int64) (*Table, error) {
 // bounded exploration of a seeded feature-interaction bug versus the fixed
 // model, plus the spec model's invariants over directed scripts.
 func E11ModelQuality(seed int64) (*Table, error) {
-	build := func(buggy bool) *statemachine.Model {
-		osd := statemachine.NewRegion("osd")
-		guardMenu := func(c *statemachine.Context) bool { return c.Get("txt") == 0 }
-		if buggy {
-			guardMenu = nil
-		}
-		osd.Add(&statemachine.State{Name: "none", Transitions: []statemachine.Transition{
-			{Event: "menu", Guard: guardMenu, Target: "menuOn",
-				Action: func(c *statemachine.Context) { c.Set("menu", 1) }}}})
-		osd.Add(&statemachine.State{Name: "menuOn", Transitions: []statemachine.Transition{
-			{Event: "menu", Target: "none",
-				Action: func(c *statemachine.Context) { c.Set("menu", 0) }}}})
-		txt := statemachine.NewRegion("teletext")
-		guardTxt := func(c *statemachine.Context) bool { return c.Get("menu") == 0 }
-		if buggy {
-			guardTxt = nil
-		}
-		txt.Add(&statemachine.State{Name: "off", Transitions: []statemachine.Transition{
-			{Event: "text", Guard: guardTxt, Target: "onT",
-				Action: func(c *statemachine.Context) { c.Set("txt", 1) }}}})
-		txt.Add(&statemachine.State{Name: "onT", Transitions: []statemachine.Transition{
-			{Event: "text", Target: "off",
-				Action: func(c *statemachine.Context) { c.Set("txt", 0) }}}})
-		m := statemachine.MustModel("osd-fragment", nil, osd, txt)
-		m.AddInvariant("menu-suppresses-teletext", func(m *statemachine.Model) bool {
-			return !(m.Var("menu") == 1 && m.Var("txt") == 1)
-		})
-		mustModelStart(m)
-		return m
-	}
 	opts := statemachine.ExploreOptions{Alphabet: []string{"menu", "text"}}
-	buggy := build(true).Explore(opts)
-	fixed := build(false).Explore(opts)
+	buggy := osdFragment(true).Explore(opts)
+	fixed := osdFragment(false).Explore(opts)
 
 	countKind := func(res statemachine.ExploreResult, kind string) int {
 		n := 0
@@ -310,4 +280,39 @@ func E13FMEA(seed int64) (*Table, error) {
 		"paper: FMEA extended to the software architecture level for reliability analysis",
 		"expected shape: the streaming path dominates RPN and also dominates measured exposure under injection")
 	return t, nil
+}
+
+// osdFragment is E11's seeded feature-interaction model: the on-screen
+// menu and teletext regions, with or without the guards that keep them
+// mutually exclusive. It returns the started model.
+func osdFragment(buggy bool) *statemachine.Model {
+	osd := statemachine.NewRegion("osd")
+	guardMenu := func(c *statemachine.Context) bool { return c.Get("txt") == 0 }
+	if buggy {
+		guardMenu = nil
+	}
+	osd.Add(&statemachine.State{Name: "none", Transitions: []statemachine.Transition{
+		{Event: "menu", Guard: guardMenu, Target: "menuOn",
+			Action: func(c *statemachine.Context) { c.Set("menu", 1) }}}})
+	osd.Add(&statemachine.State{Name: "menuOn", Transitions: []statemachine.Transition{
+		{Event: "menu", Target: "none",
+			Action: func(c *statemachine.Context) { c.Set("menu", 0) }}}})
+	txt := statemachine.NewRegion("teletext")
+	guardTxt := func(c *statemachine.Context) bool { return c.Get("menu") == 0 }
+	if buggy {
+		guardTxt = nil
+	}
+	txt.Add(&statemachine.State{Name: "off", Transitions: []statemachine.Transition{
+		{Event: "text", Guard: guardTxt, Target: "onT",
+			Action: func(c *statemachine.Context) { c.Set("txt", 1) }}}})
+	txt.Add(&statemachine.State{Name: "onT", Transitions: []statemachine.Transition{
+		{Event: "text", Target: "off",
+			Action: func(c *statemachine.Context) { c.Set("txt", 0) }}}})
+	spec := statemachine.MustDefine("osd-fragment", []string{"menu", "txt"}, osd, txt)
+	spec.AddInvariant("menu-suppresses-teletext", func(m *statemachine.Model) bool {
+		return !(m.Var("menu") == 1 && m.Var("txt") == 1)
+	})
+	m := spec.New(nil)
+	mustModelStart(m)
+	return m
 }

@@ -1,5 +1,5 @@
 // Package exper implements the experiment harness: one function per
-// experiment (E1–E13; ARCHITECTURE.md §1's experiments row indexes them),
+// experiment (E1–E14; ARCHITECTURE.md §1's experiments row indexes them),
 // each regenerating the corresponding figure or case-study claim of the
 // paper as a printable table.
 // cmd/experiments runs them all; the repository-root benchmarks wrap them

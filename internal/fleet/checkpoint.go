@@ -21,9 +21,10 @@ import (
 // checkpoint record, next to the monitor's own counters (which ignore it).
 const quarantineCounter = "fleet.quarantined"
 
-// shardBaseline holds one shard's traffic counters as restored from a
-// PlaneShard checkpoint record. Live counters restart from zero after a
-// crash; Rollup adds the baseline back so fleet totals survive restarts.
+// shardBaseline is one set of traffic counters: a shard's live ones, or a
+// baseline restored from a PlaneShard checkpoint record or adopted from a
+// dead edge. Live counters restart from zero after a crash; Rollup adds the
+// baselines back so fleet totals survive restarts.
 type shardBaseline struct {
 	Dispatched       uint64
 	Dropped          uint64
@@ -31,6 +32,46 @@ type shardBaseline struct {
 	Reports          uint64
 	ShedObservations uint64
 	ShedHeartbeats   uint64
+}
+
+func (b *shardBaseline) add(o shardBaseline) {
+	b.Dispatched += o.Dispatched
+	b.Dropped += o.Dropped
+	b.Quarantined += o.Quarantined
+	b.Reports += o.Reports
+	b.ShedObservations += o.ShedObservations
+	b.ShedHeartbeats += o.ShedHeartbeats
+}
+
+// counters renders b in the PlaneShard counter-name convention
+// (baselineFromCounters is the inverse).
+func (b shardBaseline) counters() []wire.CheckpointCounter {
+	return []wire.CheckpointCounter{
+		{Name: "dispatched", V: b.Dispatched},
+		{Name: "dropped", V: b.Dropped},
+		{Name: "quarantined", V: b.Quarantined},
+		{Name: "reports", V: b.Reports},
+		{Name: "shed_obs", V: b.ShedObservations},
+		{Name: "shed_hb", V: b.ShedHeartbeats},
+	}
+}
+
+// traffic reads the shard's live traffic counters.
+func (s *shard) traffic() shardBaseline {
+	return shardBaseline{s.dispatched.Load(), s.dropped.Load(), s.quarantined.Load(),
+		s.reports.Load(), s.shedObs.Load(), s.shedHB.Load()}
+}
+
+// restored sums the baselines the pool holds: restored from checkpoint
+// records and adopted from dead edges.
+func (p *Pool) restored() shardBaseline {
+	var sum shardBaseline
+	p.baseMu.Lock()
+	for _, b := range p.baselines {
+		sum.add(b)
+	}
+	p.baseMu.Unlock()
+	return sum
 }
 
 // CheckpointJournal is the journal surface the Checkpointer drives:
@@ -52,6 +93,9 @@ type CheckpointJournal interface {
 // batch as long as they go BEFORE the Final record — see Checkpointer.
 func (p *Pool) CaptureCheckpoint(profile string, gen uint64) ([][]wire.Message, error) {
 	batches := make([][]wire.Message, len(p.shards))
+	// A checkpoint truncates the records that installed the pool's
+	// baselines, so shard 0's record carries them forward.
+	carried := p.restored()
 	err := p.barrier(func(s *shard) {
 		ids := make([]string, 0, len(s.devices))
 		for id := range s.devices {
@@ -78,20 +122,13 @@ func (p *Pool) CaptureCheckpoint(profile string, gen uint64) ([][]wire.Message, 
 				Type: wire.TypeCheckpoint, SUO: id, At: cp.At, Checkpoint: cp,
 			})
 		}
+		counts := s.traffic()
+		if s.idx == 0 {
+			counts.add(carried)
+		}
 		batch = append(batch, wire.Message{Type: wire.TypeCheckpoint, Checkpoint: &wire.Checkpoint{
-			Plane:   wire.PlaneShard,
-			Shard:   s.idx,
-			Seq:     gen,
-			Final:   true,
-			Profile: profile,
-			Counters: []wire.CheckpointCounter{
-				{Name: "dispatched", V: s.dispatched.Load()},
-				{Name: "dropped", V: s.dropped.Load()},
-				{Name: "quarantined", V: s.quarantined.Load()},
-				{Name: "reports", V: s.reports.Load()},
-				{Name: "shed_obs", V: s.shedObs.Load()},
-				{Name: "shed_hb", V: s.shedHB.Load()},
-			},
+			Plane: wire.PlaneShard, Shard: s.idx, Seq: gen, Final: true, Profile: profile,
+			Counters: counts.counters(),
 		}})
 		batches[s.idx] = batch
 	})

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"errors"
 	"testing"
 
 	"trader/internal/event"
@@ -205,5 +206,92 @@ func TestRestoreShardBaselineOverwrites(t *testing.T) {
 	p.RestoreShardBaseline(mk(7))
 	if got := p.Rollup(); got.Dispatched != 7 || got.Reports != 7 {
 		t.Fatalf("baselines accumulated instead of overwriting: %+v", got)
+	}
+}
+
+// TestCheckpointAfterCheckpointedBootKeepsCounts runs three daemon
+// lifetimes on one journal: boot, traffic, checkpoint, crash, and again.
+// Each checkpoint truncates the segments behind it, so the counts restored
+// from the previous checkpoint — a shard's traffic and an adopted edge's
+// baseline — survive only if the new checkpoint carries them forward. No
+// Rollup counter may fall across a reboot.
+func TestCheckpointAfterCheckpointedBootKeepsCounts(t *testing.T) {
+	const shards = 2
+	dir := t.TempDir()
+	ids := []string{fleet.DeviceID(0), fleet.DeviceID(1), fleet.DeviceID(2), fleet.DeviceID(3)}
+	discard := func(wire.Message) error { return nil }
+	var before fleet.Stats
+	for life := 0; life < 3; life++ {
+		jw, err := journal.CreateSharded(dir, shards, journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := fleet.NewPool(fleet.Options{Shards: shards})
+		if life > 0 {
+			r, err := journal.OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Replay(r, fleet.LightMonitorFactory()); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}
+		after := p.Rollup()
+		for _, c := range []struct {
+			name          string
+			before, after uint64
+		}{
+			{"Dispatched", before.Dispatched, after.Dispatched},
+			{"Reports", before.Reports, after.Reports},
+			{"ShedObservations", before.ShedObservations, after.ShedObservations},
+			{"OutputsSeen", before.Monitor.OutputsSeen, after.Monitor.OutputsSeen},
+		} {
+			if c.after < c.before {
+				t.Errorf("boot %d: %s fell from %d to %d", life, c.name, c.before, c.after)
+			}
+		}
+		// One lifetime's traffic: every record journaled, then dispatched.
+		for _, id := range ids {
+			if err := p.AddRemoteDevice(id, fleet.LightMonitorFactory(), discard); err != nil && !errors.Is(err, fleet.ErrDuplicateDevice) {
+				t.Fatal(err)
+			}
+			base := sim.Time(life*100) * sim.Millisecond
+			for j := 1; j <= 5; j++ {
+				at := base + sim.Time(j)*10*sim.Millisecond
+				ev := outEvent(id, float64(j%2), at) // deviates from the model's 0 every other frame
+				if err := jw.Append(wire.Message{Type: wire.TypeOutput, SUO: id, Event: &ev, At: at}); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Dispatch(id, ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if life == 0 { // a failover adoption: its record lives in the prefix the next checkpoint drops
+			adopt := fleet.AdoptBaselineRecord("edge-9", "edge-0", fleet.Stats{Dispatched: 50, Reports: 2, ShedObservations: 3})
+			if err := jw.Append(adopt); err != nil {
+				t.Fatal(err)
+			}
+			p.AdoptBaseline("edge-9", adopt.Checkpoint.Counters)
+		}
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		before = p.Rollup()
+		if before.Reports == 0 || before.Dispatched == 0 {
+			t.Fatalf("life %d: traffic drew no reports (%+v)", life, before)
+		}
+		if life < 2 {
+			cper := &fleet.Checkpointer{Pool: p, Journal: jw, Profile: "light"}
+			if err := cper.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Crash: the pool dies without a parting checkpoint.
+		p.Stop()
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

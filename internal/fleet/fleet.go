@@ -161,9 +161,7 @@ func NewPool(opts Options) *Pool {
 				if d.Monitor != nil {
 					s.final.Add(d.Monitor.Stats())
 				}
-				if d.Close != nil {
-					d.Close()
-				}
+				d.close()
 			}
 		}()
 	}
@@ -322,9 +320,7 @@ func (p *Pool) RemoveDevice(id string) (found bool, err error) {
 
 // remove closes a device the shard holds and takes it out of the pool.
 func (s *shard) remove(p *Pool, id string, d *Device) {
-	if d.Close != nil {
-		d.Close()
-	}
+	d.close()
 	delete(s.devices, id)
 	p.devices.Add(-1)
 }
@@ -562,24 +558,12 @@ func (p *Pool) Rollup() Stats {
 		}
 		st.Devices = int(p.devices.Load())
 	}
+	sum := p.restored()
 	for _, s := range p.shards {
-		st.Dispatched += s.dispatched.Load()
-		st.Dropped += s.dropped.Load()
-		st.Quarantined += s.quarantined.Load()
-		st.Reports += s.reports.Load()
-		st.ShedObservations += s.shedObs.Load()
-		st.ShedHeartbeats += s.shedHB.Load()
+		sum.add(s.traffic())
 	}
-	p.baseMu.Lock()
-	for _, b := range p.baselines {
-		st.Dispatched += b.Dispatched
-		st.Dropped += b.Dropped
-		st.Quarantined += b.Quarantined
-		st.Reports += b.Reports
-		st.ShedObservations += b.ShedObservations
-		st.ShedHeartbeats += b.ShedHeartbeats
-	}
-	p.baseMu.Unlock()
+	st.Dispatched, st.Dropped, st.Quarantined = sum.Dispatched, sum.Dropped, sum.Quarantined
+	st.Reports, st.ShedObservations, st.ShedHeartbeats = sum.Reports, sum.ShedObservations, sum.ShedHeartbeats
 	return st
 }
 

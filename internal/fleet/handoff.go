@@ -97,14 +97,8 @@ func AdoptBaselineRecord(source, dest string, st Stats) wire.Message {
 		Handoff: &wire.HandoffRecord{From: source, To: dest},
 		Checkpoint: &wire.Checkpoint{
 			Plane: wire.PlaneFleet,
-			Counters: []wire.CheckpointCounter{
-				{Name: "dispatched", V: st.Dispatched},
-				{Name: "dropped", V: st.Dropped},
-				{Name: "quarantined", V: st.Quarantined},
-				{Name: "reports", V: st.Reports},
-				{Name: "shed_obs", V: st.ShedObservations},
-				{Name: "shed_hb", V: st.ShedHeartbeats},
-			},
+			Counters: shardBaseline{st.Dispatched, st.Dropped, st.Quarantined,
+				st.Reports, st.ShedObservations, st.ShedHeartbeats}.counters(),
 		},
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"trader/internal/core"
-	"trader/internal/event"
 	"trader/internal/sim"
 	"trader/internal/trace"
 	"trader/internal/wire"
@@ -41,7 +40,7 @@ type MonitorFactory func(id string, seed int64) (*sim.Kernel, *core.Monitor, err
 func LightMonitorFactory() MonitorFactory {
 	return func(id string, seed int64) (*sim.Kernel, *core.Monitor, error) {
 		k := sim.NewKernel(seed)
-		mon, err := lightMonitor(id, k)
+		mon, err := lightMonitor(k)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -50,42 +49,14 @@ func LightMonitorFactory() MonitorFactory {
 }
 
 // RemoteDevice builds a connection-backed Device: events fed to it advance
-// the device's virtual clock to the event timestamp (firing model timers,
-// silence sweeps and time-based comparison exactly as in-process monitoring
-// would) and are routed into the monitor's observers. Error reports the
-// monitor raises are pushed down the connection as TypeError frames,
-// best-effort: a broken error channel must not stop detection. send is
-// called from shard goroutines and must be safe for concurrent use
-// (wire.Encoder is).
+// the device's virtual clock and are routed into the monitor's observers
+// (Device.Feed), and error reports the monitor raises are pushed down the
+// connection as TypeError frames. send is called from shard goroutines and
+// must be safe for concurrent use (wire.Encoder is); it must not keep the
+// message past its return (wire.Peer.Send encodes it at once).
 func RemoteDevice(id string, k *sim.Kernel, mon *core.Monitor, send func(wire.Message) error) *Device {
-	// The sink is swappable: a device rebuilt by journal replay starts with
-	// a discarding sender and is re-pointed at the live connection when its
-	// client reconnects (Pool.AttachDevice).
-	var sendMu sync.Mutex
-	cur := send
-	mon.OnError(func(r wire.ErrorReport) {
-		sendMu.Lock()
-		send := cur
-		sendMu.Unlock()
-		_ = send(wire.Message{Type: wire.TypeError, SUO: id, Error: &r, At: r.At})
-	})
-	d := &Device{ID: id, Kernel: k, Monitor: mon, Close: mon.Stop}
-	d.Attach = func(s func(wire.Message) error) {
-		sendMu.Lock()
-		cur = s
-		sendMu.Unlock()
-	}
-	d.Feed = func(e event.Event) {
-		if e.At > k.Now() {
-			k.Run(e.At)
-		}
-		switch e.Kind {
-		case event.Input:
-			mon.HandleInput(e)
-		case event.Output, event.State:
-			mon.HandleOutput(e)
-		}
-	}
+	d := &Device{ID: id, Kernel: k, Monitor: mon, send: send}
+	mon.OnError(d.push)
 	return d
 }
 
@@ -274,6 +245,9 @@ type remoteConn struct {
 	// the Hello reply, or between the reply and the codec switch, would
 	// corrupt the client's handshake.
 	ready atomic.Bool
+	// admitted flips once admit is done with the connection, just before
+	// its last look at the device's quarantine flag; see Disconnect.
+	admitted atomic.Bool
 }
 
 // Stats snapshots the connection counters.
@@ -411,12 +385,23 @@ func (s *Server) RequestSnapshot(id string) error {
 // escalation's final act. The connection's read loop unwinds exactly as for
 // a client-initiated disconnect: the device is removed from the pool (or, in
 // journal mode, kept with its error sink detached).
+//
+// On a journaling server a connection still inside admit — a device
+// re-dialling after a restart — is left alone: the controller quarantined
+// the device in the pool before calling Disconnect, so admit's own check
+// finds the flag, delivers the verdict as the connection's first frame and
+// closes it. Shutting it here instead would end the handshake with an EOF
+// and lose the verdict. A journal-less server removes the device, flag and
+// all, on disconnect, so there the connection is shut as before.
 func (s *Server) Disconnect(id string) error {
 	s.mu.Lock()
 	c := s.conns[id]
 	s.mu.Unlock()
 	if c == nil {
 		return fmt.Errorf("fleet: no connected device %q", id)
+	}
+	if s.Journal != nil && !c.admitted.Load() {
+		return nil
 	}
 	return c.Shut()
 }
@@ -596,7 +581,11 @@ func (s *Server) admit(conn net.Conn) (ss *session, ok bool) {
 	// it so can be lost when quarantine races the device's own restart
 	// re-handshake (the client is between connections). Re-deliver the
 	// verdict as the first frame of the new connection and end it — the
-	// quarantine flag on the adopted device is the durable truth.
+	// quarantine flag on the adopted device is the durable truth. admitted
+	// flips first: a Disconnect that still reads it unset came after the
+	// controller set the flag, so the check below finds it and delivers the
+	// verdict that Disconnect left to it.
+	rc.admitted.Store(true)
 	if adopted {
 		if q, err := s.Pool.Quarantined(id); err == nil && q {
 			s.logf("fleet: device %q reconnected while quarantined; refusing service", id)

@@ -233,7 +233,7 @@ func TestServerHeartbeatAdvancesClockForSilenceDetection(t *testing.T) {
 		k := sim.NewKernel(seed)
 		r := statemachine.NewRegion("dev")
 		r.Add(&statemachine.State{Name: "run", Entry: func(c *statemachine.Context) { c.Set("x", 0) }})
-		model := statemachine.MustModel("dev-"+id, k, r)
+		model := statemachine.MustDefine("dev", []string{"x"}, r).New(k)
 		mon, err := core.NewMonitor(k, model, core.Configuration{Observables: []core.Observable{
 			{Name: "x", EventName: "out", ValueName: "x", ModelVar: "x",
 				Threshold: 0.25, Tolerance: 1, MaxSilence: 100 * sim.Millisecond},

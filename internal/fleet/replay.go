@@ -413,8 +413,8 @@ func remoteFactory(factory MonitorFactory, send func(wire.Message) error) Factor
 // or beyond its last acknowledged heartbeat.
 func (p *Pool) AttachDevice(id string, send func(wire.Message) error) (at sim.Time, ok bool, err error) {
 	err = p.call(id, func(s *shard) {
-		if d := s.devices[id]; d != nil && d.Attach != nil {
-			d.Attach(send)
+		if d := s.devices[id]; d != nil && d.send != nil {
+			d.send = send
 			at, ok = d.Kernel.Now(), true
 		}
 	})

@@ -342,12 +342,13 @@ func TestReplayerIntoStoppedPoolFailsWithoutHanging(t *testing.T) {
 }
 
 // Heap gate: a light remote device — what a cold boot builds 20 000 of —
-// holds at most 2 000 bytes of heap once registered: its kernel, spec model,
-// monitor and pool slot. Measured the way the benchmark's
+// holds at most 865 bytes of heap once registered (half the 1 731 it held
+// while every device compiled its own spec model): its kernel, model
+// instance, monitor and pool slot. Measured the way the benchmark's
 // fleet.pool.heap_bytes_per_device is: HeapAlloc over many AddRemoteDevice
 // calls, after a GC on each side.
 func TestLightRemoteDeviceHeapBytes(t *testing.T) {
-	const devices, limit = 10000, 2000
+	const devices, limit = 10000, 865
 	factory := LightMonitorFactory()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -367,4 +368,37 @@ func TestLightRemoteDeviceHeapBytes(t *testing.T) {
 		t.Fatalf("a light remote device holds %.0f bytes of heap, want ≤ %d", per, limit)
 	}
 	runtime.KeepAlive(p)
+}
+
+// Allocation gate: once built, a light remote device steps its spec model
+// and comparator without allocating — for a "set", for an echo, across the
+// periodic comparisons its advancing clock fires, and for the error frame a
+// deviation burst pushes. A Dispatch's Context is recycled, the model holds
+// only slot vectors, a repeating timer re-queues one event, and a pushed
+// report is recycled.
+func TestLightFeedAllocatesNothing(t *testing.T) {
+	k, mon, err := LightMonitorFactory()("dev", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := RemoteDevice("dev", k, mon, discardSink)
+	stream := make([]event.Event, 4000)
+	for i := range stream {
+		at := sim.Time(i+1) * 3 * sim.Millisecond
+		level := float64(i / 20 % 5)
+		stream[i] = event.Event{Kind: event.Input, Name: "set", At: at}.With("x", level)
+		if i%20 != 0 {
+			if i%200 > 190 {
+				level += 2 // a burst: two deviations in a row draw a report
+			}
+			stream[i] = event.Event{Kind: event.Output, Name: "out", At: at}.With("x", level)
+		}
+	}
+	i := 0
+	if got := testing.AllocsPerRun(len(stream)-1, func() { d.Feed(stream[i]); i++ }); got != 0 {
+		t.Fatalf("Feed allocates %.2f times per event, want 0", got)
+	}
+	if mon.Stats().Errors == 0 {
+		t.Fatal("the stream drew no error report; the gate would not cover the push")
+	}
 }

@@ -10,6 +10,7 @@ package mediaplayer
 
 import (
 	"fmt"
+	"sync"
 
 	"trader/internal/core"
 	"trader/internal/event"
@@ -186,8 +187,28 @@ func (p *Player) report() {
 
 // BuildSpecModel returns the player's specification model: playback state
 // driven by commands; expected fps while playing; expected drift 0.
+// The default configuration's Spec is defined once per process.
 func BuildSpecModel(kernel *sim.Kernel, cfg Config) *statemachine.Model {
 	cfg.fill()
+	var def Config
+	def.fill()
+	if cfg.FramePeriod == def.FramePeriod {
+		return defaultSpec().New(kernel)
+	}
+	return defineSpec(cfg).New(kernel)
+}
+
+// defaultSpec is the player spec of the default configuration, defined on
+// first use.
+var defaultSpec = sync.OnceValue(func() *statemachine.Spec {
+	var def Config
+	def.fill()
+	return defineSpec(def)
+})
+
+// defineSpec compiles the player spec model for a filled cfg; only
+// FramePeriod reaches it.
+func defineSpec(cfg Config) *statemachine.Spec {
 	cmd := func(c Cmd) func(*statemachine.Context) bool {
 		return func(ctx *statemachine.Context) bool {
 			v, ok := ctx.Event.Get("cmd")
@@ -226,7 +247,7 @@ func BuildSpecModel(kernel *sim.Kernel, cfg Config) *statemachine.Model {
 			{Event: "cmd", Guard: cmd(CmdStop), Target: "stopped"},
 		},
 	})
-	return statemachine.MustModel("player-spec", kernel, r)
+	return statemachine.MustDefine("player-spec", []string{"playing", "fps", "drift"}, r)
 }
 
 // Observables is the reference monitor configuration for the player: the

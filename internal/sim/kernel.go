@@ -125,11 +125,14 @@ func (k *Kernel) Every(period Time, fn func()) *Repeater {
 		panic("sim: Every requires a positive period")
 	}
 	r := &Repeater{k: k, period: period, fn: fn}
+	r.ev = &Event{index: -1, kernel: k}
+	r.ev.fn = r.fire
 	r.arm()
 	return r
 }
 
-// Repeater is a periodic event series created by Every.
+// Repeater is a periodic event series created by Every. It re-queues one
+// Event for its whole life, so a period costs no allocation.
 type Repeater struct {
 	k       *Kernel
 	period  Time
@@ -138,16 +141,22 @@ type Repeater struct {
 	stopped bool
 }
 
+func (r *Repeater) fire() {
+	if r.stopped {
+		return
+	}
+	r.fn()
+	if !r.stopped {
+		r.arm()
+	}
+}
+
+// arm queues the series' event one period from now.
 func (r *Repeater) arm() {
-	r.ev = r.k.Schedule(r.period, func() {
-		if r.stopped {
-			return
-		}
-		r.fn()
-		if !r.stopped {
-			r.arm()
-		}
-	})
+	e := r.ev
+	e.at, e.seq, e.dead = r.k.now+r.period, r.k.seq, false
+	r.k.seq++
+	heap.Push(&r.k.pq, e)
 }
 
 // Stop cancels the series.

@@ -1,8 +1,10 @@
 package statemachine
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"trader/internal/event"
@@ -52,37 +54,20 @@ type ExploreResult struct {
 	Unreachable []string
 }
 
-// Snapshot captures the mutable model state: per-region current leaf,
-// per-region shallow history (which determines future entry targets and is
-// therefore part of the explored state space), and the shared variable
-// scope. Exploration uses it to walk the state graph; checkpoint restore
-// (internal/core) uses it to place a freshly built model back at a captured
-// configuration.
+// Snapshot is a model's mutable state as slot vectors: per-region current
+// leaf and per-history-state remembered child (which determines future
+// entry targets and is therefore part of the explored state space), and the
+// variable slots with their assigned mask. Exploration uses it to walk the
+// state graph. It is only meaningful to Models of the Spec it came from.
 type Snapshot struct {
-	Current map[string]string
-	History map[string]map[string]string
-	Vars    map[string]float64
+	leaf []int32
+	vars []float64
+	set  uint64
 }
 
 // CaptureState copies the model's mutable state into a Snapshot.
 func (m *Model) CaptureState() Snapshot {
-	s := Snapshot{
-		Current: make(map[string]string, len(m.regions)),
-		History: make(map[string]map[string]string, len(m.regions)),
-		Vars:    make(map[string]float64, len(m.vars)),
-	}
-	for _, r := range m.regions {
-		s.Current[r.Name] = r.current
-		h := make(map[string]string, len(r.lastChild))
-		for k, v := range r.lastChild {
-			h[k] = v
-		}
-		s.History[r.Name] = h
-	}
-	for k, v := range m.vars {
-		s.Vars[k] = v
-	}
-	return s
+	return Snapshot{slices.Clone(m.leaf), slices.Clone(m.vars), m.set}
 }
 
 // RestoreState writes a Snapshot back into the model: current leaves,
@@ -93,73 +78,108 @@ func (m *Model) CaptureState() Snapshot {
 // re-created, so restore fidelity for timed transitions is limited to the
 // uniform re-anchoring of already-armed timers.
 func (m *Model) RestoreState(s Snapshot) {
-	for _, r := range m.regions {
-		r.current = s.Current[r.Name]
-		r.lastChild = nil
-		if h := s.History[r.Name]; len(h) > 0 {
-			r.lastChild = make(map[string]string, len(h))
-			for k, v := range h {
-				r.lastChild[k] = v
-			}
-		}
-	}
-	m.vars = make(map[string]float64, len(s.Vars))
-	for k, v := range s.Vars {
-		m.vars[k] = v
-	}
+	copy(m.leaf, s.leaf)
+	copy(m.vars, s.vars)
+	m.set = s.set
 }
 
 func (s Snapshot) key() string {
-	var b strings.Builder
-	regs := make([]string, 0, len(s.Current))
-	for r := range s.Current {
-		regs = append(regs, r)
+	b := make([]byte, 0, 4*len(s.leaf)+8+8*len(s.vars))
+	for _, l := range s.leaf {
+		b = binary.LittleEndian.AppendUint32(b, uint32(l))
 	}
-	sort.Strings(regs)
-	for _, r := range regs {
-		fmt.Fprintf(&b, "%s=%s;", r, s.Current[r])
-		hs := make([]string, 0, len(s.History[r]))
-		for p, c := range s.History[r] {
-			hs = append(hs, p+">"+c)
-		}
-		sort.Strings(hs)
-		for _, h := range hs {
-			fmt.Fprintf(&b, "h:%s;", h)
-		}
+	b = binary.LittleEndian.AppendUint64(b, s.set)
+	for _, v := range s.vars {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	vars := make([]string, 0, len(s.Vars))
-	for v := range s.Vars {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
-		fmt.Fprintf(&b, "%s=%g;", v, s.Vars[v])
-	}
-	return b.String()
+	return string(b)
 }
 
-// enabledNondet returns a description of nondeterministic choice in region r
-// for event name ev at the current configuration, or "".
-func (m *Model) enabledNondet(r *Region, evName string) string {
-	if r.current == "" {
+// Record reports the model's state keyed by name, the form a checkpoint
+// stores: every assigned variable in name order, then per region (in name
+// order) "r:<region>" → current leaf, followed by "h:<region>/<parent>" →
+// remembered child for each history state that has one (parents in name
+// order).
+func (m *Model) Record(variable func(name string, v float64), state func(key, value string)) {
+	for _, i := range sortedBy(len(m.vars), func(i int) string { return m.spec.vars[i] }) {
+		if m.set&(1<<i) != 0 {
+			variable(m.spec.vars[i], m.vars[i])
+		}
+	}
+	regions := m.spec.regions
+	for _, ri := range sortedBy(len(regions), func(i int) string { return regions[i].name }) {
+		r := &regions[ri]
+		state("r:"+r.name, m.Current(r.name))
+		for _, si := range sortedBy(len(r.states), func(i int) string { return r.states[i].name }) {
+			if h := r.states[si].hist; h >= 0 && m.leaf[len(regions)+int(h)] >= 0 {
+				state("h:"+r.name+"/"+r.states[si].name, r.states[m.leaf[len(regions)+int(h)]].name)
+			}
+		}
+	}
+}
+
+// sortedBy returns 0..n-1 ordered by name(i).
+func sortedBy(n int, name func(int) string) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(name(a), name(b)) })
+	return idx
+}
+
+// Forget unassigns every variable and history entry, leaving the current
+// leaves: the starting point for placing a Record back with SetVar and
+// SetState.
+func (m *Model) Forget() {
+	clear(m.vars)
+	m.set = 0
+	for i := len(m.spec.regions); i < len(m.leaf); i++ {
+		m.leaf[i] = -1
+	}
+}
+
+// SetState places one Record state entry ("r:<region>" or
+// "h:<region>/<parent>") without running actions.
+func (m *Model) SetState(key, value string) error {
+	kind, rest, _ := strings.Cut(key, ":")
+	reg, parent, _ := strings.Cut(rest, "/")
+	slot, v := m.regionIndex(reg), -1
+	if slot >= 0 {
+		r := &m.spec.regions[slot]
+		if p := r.lookup(parent); kind == "h" && p >= 0 && r.states[p].hist >= 0 {
+			slot = len(m.spec.regions) + int(r.states[p].hist)
+		} else if kind != "r" {
+			slot = -1
+		}
+		v = r.lookup(value)
+	}
+	if slot < 0 || v < 0 {
+		return fmt.Errorf("statemachine: model %q: no state %s=%q", m.spec.Name, key, value)
+	}
+	m.leaf[slot] = int32(v)
+	return nil
+}
+
+// enabledNondet returns a description of nondeterministic choice in region
+// ri for event name ev at the current configuration, or "".
+func (m *Model) enabledNondet(ri int, evName string) string {
+	id, ok := m.spec.events[evName]
+	if m.leaf[ri] < 0 || !ok {
 		return ""
 	}
-	p := r.path(r.current)
+	states := m.spec.regions[ri].states
+	p := states[m.leaf[ri]].path
+	defer m.end(m.begin(event.Event{Name: evName}))
 	for depth := len(p) - 1; depth >= 0; depth-- {
-		s := r.states[p[depth]]
 		var enabled int
-		for i := range s.Transitions {
-			tr := &s.Transitions[i]
-			if tr.After > 0 || tr.Event != evName {
-				continue
-			}
-			ctx := m.ctx(eventNamed(evName))
-			if tr.Guard == nil || tr.Guard(ctx) {
+		for _, tr := range states[p[depth]].trans {
+			if tr.after <= 0 && tr.event == id && (tr.guard == nil || tr.guard(m.ctx)) {
 				enabled++
 			}
 		}
 		if enabled > 1 {
-			return fmt.Sprintf("region %q state %q: %d transitions enabled for event %q", r.Name, p[depth], enabled, evName)
+			return fmt.Sprintf("region %q state %q: %d transitions enabled for event %q", m.spec.regions[ri].name, states[p[depth]].name, enabled, evName)
 		}
 		if enabled == 1 {
 			return "" // deterministic choice found at this priority level
@@ -168,32 +188,20 @@ func (m *Model) enabledNondet(r *Region, evName string) string {
 	return ""
 }
 
-// timedEnabled lists indices of timed transitions enabled along the current
-// path of r (source state name + transition copy).
-func (m *Model) timedEnabled(r *Region) []struct {
-	src string
-	tr  Transition
-} {
-	var out []struct {
-		src string
-		tr  Transition
-	}
-	if r.current == "" {
+// timedEnabled lists the timed transitions enabled along the current path
+// of region ri.
+func (m *Model) timedEnabled(ri int) []*transition {
+	var out []*transition
+	if m.leaf[ri] < 0 {
 		return out
 	}
-	for _, name := range r.path(r.current) {
-		s := r.states[name]
-		for i := range s.Transitions {
-			tr := s.Transitions[i]
-			if tr.After <= 0 {
-				continue
-			}
-			ctx := m.ctx(eventNamed(""))
-			if tr.Guard == nil || tr.Guard(ctx) {
-				out = append(out, struct {
-					src string
-					tr  Transition
-				}{name, tr})
+	states := m.spec.regions[ri].states
+	defer m.end(m.begin(event.Event{}))
+	for _, st := range states[m.leaf[ri]].path {
+		for i := range states[st].trans {
+			tr := &states[st].trans[i]
+			if tr.after > 0 && (tr.guard == nil || tr.guard(m.ctx)) {
+				out = append(out, tr)
 			}
 		}
 	}
@@ -201,24 +209,12 @@ func (m *Model) timedEnabled(r *Region) []struct {
 }
 
 // applyTimed fires a timed transition during exploration (no kernel).
-func (m *Model) applyTimed(r *Region, src string, tr Transition) {
-	p := r.path(r.current)
-	depth := -1
-	for i, n := range p {
-		if n == src {
-			depth = i
-		}
+func (m *Model) applyTimed(ri int, tr *transition) {
+	if d := m.depth(ri, tr.src); d >= 0 {
+		defer m.end(m.begin(event.Event{}))
+		m.fire(ri, d, tr)
+		m.settle()
 	}
-	if depth < 0 {
-		return
-	}
-	m.fire(r, depth, tr, eventNamed(""))
-	m.settle()
-}
-
-func eventNamed(name string) (e event.Event) {
-	e.Name = name
-	return
 }
 
 // Explore runs bounded BFS from the model's current state. The model must be
@@ -243,10 +239,12 @@ func (m *Model) Explore(opts ExploreOptions) ExploreResult {
 	visited := map[string]bool{origin.key(): true}
 	visitedConfigs := map[string]bool{}
 	markConfig := func(s Snapshot) {
-		for reg, leaf := range s.Current {
-			r := m.Region(reg)
-			for _, st := range r.path(leaf) {
-				visitedConfigs[reg+"/"+st] = true
+		for ri, r := range m.spec.regions {
+			if s.leaf[ri] < 0 {
+				continue
+			}
+			for _, st := range r.states[s.leaf[ri]].path {
+				visitedConfigs[r.name+"/"+r.states[st].name] = true
 			}
 		}
 	}
@@ -273,10 +271,9 @@ func (m *Model) Explore(opts ExploreOptions) ExploreResult {
 		var succs []succ
 		m.RestoreState(n.s)
 		for _, evName := range opts.Alphabet {
-			evName := evName
 			// Nondeterminism check in this configuration.
-			for _, r := range m.regions {
-				if msg := m.enabledNondet(r, evName); msg != "" {
+			for ri := range m.spec.regions {
+				if msg := m.enabledNondet(ri, evName); msg != "" {
 					k := msg
 					if !reportedNondet[k] {
 						reportedNondet[k] = true
@@ -287,17 +284,15 @@ func (m *Model) Explore(opts ExploreOptions) ExploreResult {
 				}
 			}
 			succs = append(succs, succ{label: evName, apply: func() error {
-				return m.Dispatch(eventNamed(evName))
+				return m.Dispatch(event.Event{Name: evName})
 			}})
 		}
-		for _, r := range m.regions {
-			r := r
-			for _, te := range m.timedEnabled(r) {
-				te := te
+		for ri, r := range m.spec.regions {
+			for _, tr := range m.timedEnabled(ri) {
 				succs = append(succs, succ{
-					label: fmt.Sprintf("after(%s)@%s", te.tr.After, te.src),
+					label: fmt.Sprintf("after(%s)@%s", tr.after, r.states[tr.src].name),
 					apply: func() error {
-						m.applyTimed(r, te.src, te.tr)
+						m.applyTimed(ri, tr)
 						return m.checkInvariants()
 					},
 				})
@@ -334,8 +329,9 @@ func (m *Model) Explore(opts ExploreOptions) ExploreResult {
 			queue = append(queue, node{s: next, trace: trace, depth: n.depth + 1})
 		}
 		if !progressed && len(succs) > 0 {
+			m.RestoreState(n.s)
 			res.Violations = append(res.Violations, Violation{
-				Kind: "deadlock", Detail: fmt.Sprintf("no event changes state in config %v", n.s.Current), Trace: n.trace,
+				Kind: "deadlock", Detail: fmt.Sprintf("no event changes state in config %v", m.Config()), Trace: n.trace,
 			})
 		}
 	}
@@ -343,18 +339,13 @@ func (m *Model) Explore(opts ExploreOptions) ExploreResult {
 }
 
 func finishExplore(m *Model, res ExploreResult, visitedConfigs map[string]bool) ExploreResult {
-	for _, r := range m.regions {
-		names := make([]string, 0, len(r.states))
-		for n := range r.states {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if !visitedConfigs[r.Name+"/"+n] {
-				res.Unreachable = append(res.Unreachable, r.Name+"/"+n)
+	for _, r := range m.spec.regions {
+		for _, st := range r.states {
+			if !visitedConfigs[r.name+"/"+st.name] {
+				res.Unreachable = append(res.Unreachable, r.name+"/"+st.name)
 			}
 		}
 	}
-	sort.Strings(res.Unreachable)
+	slices.Sort(res.Unreachable)
 	return res
 }

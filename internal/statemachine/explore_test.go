@@ -13,7 +13,7 @@ func exploreModel(t *testing.T) *Model {
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "x", Target: "b"}}})
 	r.Add(&State{Name: "b", Transitions: []Transition{{Event: "y", Target: "a"}}})
 	r.Add(&State{Name: "orphan"}) // unreachable on purpose
-	m := MustModel("ex", nil, r)
+	m := mustModel("ex", nil, r)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestExploreReachabilityAndUnreachable(t *testing.T) {
 		t.Fatal("should not truncate")
 	}
 	// Model state restored after exploration.
-	if m.Region("r").Current() != "a" {
-		t.Fatalf("explore must restore state; current = %q", m.Region("r").Current())
+	if m.Current("r") != "a" {
+		t.Fatalf("explore must restore state; current = %q", m.Current("r"))
 	}
 }
 
@@ -42,8 +42,8 @@ func TestExploreInvariantViolation(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "inc",
 		Action: func(c *Context) { c.Set("n", c.Get("n")+1) }}}})
-	m := MustModel("inv", nil, r)
-	m.AddInvariant("n<3", func(m *Model) bool { return m.Var("n") < 3 })
+	m := mustModel("inv", nil, r)
+	m.spec.AddInvariant("n<3", func(m *Model) bool { return m.Var("n") < 3 })
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"inc"}, MaxDepth: 10})
 	found := false
@@ -68,7 +68,7 @@ func TestExploreNondeterminism(t *testing.T) {
 	}})
 	r.Add(&State{Name: "b"})
 	r.Add(&State{Name: "c"})
-	m := MustModel("nd", nil, r)
+	m := mustModel("nd", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"e"}})
 	found := false
@@ -93,7 +93,7 @@ func TestExploreGuardedNotNondeterministic(t *testing.T) {
 	}})
 	r.Add(&State{Name: "b"})
 	r.Add(&State{Name: "c"})
-	m := MustModel("g", nil, r)
+	m := mustModel("g", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"e"}})
 	for _, v := range res.Violations {
@@ -107,7 +107,7 @@ func TestExploreDeadlock(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "go", Target: "sink"}}})
 	r.Add(&State{Name: "sink"}) // ignores everything
-	m := MustModel("dl", nil, r)
+	m := mustModel("dl", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"go"}})
 	found := false
@@ -125,7 +125,7 @@ func TestExploreTimedTransitions(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "wait", Transitions: []Transition{{After: 100, Target: "done"}}})
 	r.Add(&State{Name: "done"})
-	m := MustModel("timed", nil, r)
+	m := mustModel("timed", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: nil})
 	if res.StatesVisited != 2 {
@@ -140,7 +140,7 @@ func TestExploreMaxStatesTruncates(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "inc",
 		Action: func(c *Context) { c.Set("n", c.Get("n")+1) }}}})
-	m := MustModel("big", nil, r)
+	m := mustModel("big", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"inc"}, MaxStates: 5, MaxDepth: 1000})
 	if !res.Truncated {
@@ -155,7 +155,7 @@ func TestExploreMaxDepthTruncates(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "inc",
 		Action: func(c *Context) { c.Set("n", c.Get("n")+1) }}}})
-	m := MustModel("deep", nil, r)
+	m := mustModel("deep", nil, r)
 	_ = m.Start()
 	res := m.Explore(ExploreOptions{Alphabet: []string{"inc"}, MaxDepth: 3, MaxStates: 1000})
 	if !res.Truncated {
@@ -185,8 +185,8 @@ func TestExploreFindsFeatureInteractionBug(t *testing.T) {
 	txt.Add(&State{Name: "onT", Transitions: []Transition{
 		{Event: "text", Target: "off", Action: func(c *Context) { c.Set("txt", 0) }}}})
 
-	m := MustModel("tvfrag", nil, osd, txt)
-	m.AddInvariant("menu-suppresses-teletext", func(m *Model) bool {
+	m := mustModel("tvfrag", nil, osd, txt)
+	m.spec.AddInvariant("menu-suppresses-teletext", func(m *Model) bool {
 		return !(m.Var("menu") == 1 && m.Var("txt") == 1)
 	})
 	_ = m.Start()
@@ -217,8 +217,8 @@ func TestExploreFindsFeatureInteractionBug(t *testing.T) {
 			Target: "menuOn", Action: func(c *Context) { c.Set("menu", 1) }}}})
 	osd2.Add(&State{Name: "menuOn", Transitions: []Transition{
 		{Event: "menu", Target: "none", Action: func(c *Context) { c.Set("menu", 0) }}}})
-	m2 := MustModel("tvfix", nil, osd2, txt2)
-	m2.AddInvariant("menu-suppresses-teletext", func(m *Model) bool {
+	m2 := mustModel("tvfix", nil, osd2, txt2)
+	m2.spec.AddInvariant("menu-suppresses-teletext", func(m *Model) bool {
 		return !(m.Var("menu") == 1 && m.Var("txt") == 1)
 	})
 	_ = m2.Start()
@@ -234,7 +234,7 @@ func BenchmarkDispatch(b *testing.B) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "x", Target: "b"}}})
 	r.Add(&State{Name: "b", Transitions: []Transition{{Event: "x", Target: "a"}}})
-	m := MustModel("bench", nil, r)
+	m := mustModel("bench", nil, r)
 	_ = m.Start()
 	ev := event.Event{Name: "x"}
 	b.ResetTimer()
@@ -248,7 +248,7 @@ func BenchmarkExplore(b *testing.B) {
 		r := NewRegion("r")
 		r.Add(&State{Name: "a", Transitions: []Transition{{Event: "inc",
 			Action: func(c *Context) { c.Set("n", float64((int(c.Get("n"))+1)%50)) }}}})
-		m := MustModel("bench", nil, r)
+		m := mustModel("bench", nil, r)
 		_ = m.Start()
 		m.Explore(ExploreOptions{Alphabet: []string{"inc"}, MaxDepth: 100})
 	}

@@ -4,8 +4,13 @@ import "trader/internal/event"
 
 // Emit publishes a model output event (expected behaviour).
 func (c *Context) Emit(name string, values ...event.Value) {
-	if c.emit != nil {
-		c.emit(name, values)
+	m := c.m
+	m.seq++
+	if m.onOutput != nil {
+		m.onOutput(event.Event{
+			Kind: event.Output, Name: name, Source: m.spec.Name,
+			At: m.now(), Values: values, Seq: m.seq,
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ func menuModel(t *testing.T, history bool) *Model {
 		{Event: "next", Target: "network"},
 	}})
 	r.Add(&State{Name: "network", Parent: "menuS"})
-	m := MustModel("menu", nil, r)
+	m := mustModel("menu", nil, r)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestShallowHistoryResumesLastPage(t *testing.T) {
 	send("menu") // open → picture
 	send("next") // → sound
 	send("menu") // close
-	if cur := m.Region("ui").Current(); cur != "watch" {
+	if cur := m.Current("ui"); cur != "watch" {
 		t.Fatalf("current = %q", cur)
 	}
 	send("menu") // reopen: history resumes "sound"
-	if cur := m.Region("ui").Current(); cur != "sound" {
+	if cur := m.Current("ui"); cur != "sound" {
 		t.Fatalf("history re-entry = %q, want sound", cur)
 	}
 }
@@ -57,7 +57,7 @@ func TestNoHistoryRestartsAtInitial(t *testing.T) {
 	send("next")
 	send("menu")
 	send("menu")
-	if cur := m.Region("ui").Current(); cur != "picture" {
+	if cur := m.Current("ui"); cur != "picture" {
 		t.Fatalf("non-history re-entry = %q, want picture", cur)
 	}
 }
@@ -87,7 +87,59 @@ func TestHistorySurvivesSnapshotRestore(t *testing.T) {
 	m.RestoreState(snap)
 	send("menu") // close from restored "sound"
 	send("menu") // reopen: must resume sound, not network
-	if cur := m.Region("ui").Current(); cur != "sound" {
+	if cur := m.Current("ui"); cur != "sound" {
 		t.Fatalf("restored history re-entry = %q, want sound", cur)
+	}
+}
+
+// TestRecordLoadRoundTrip: the name-keyed record a checkpoint stores —
+// assigned variables, current leaves, remembered history — placed into a
+// fresh instance of the same spec with Forget, SetVar and SetState gives
+// back the exact state, and malformed entries are refused.
+func TestRecordLoadRoundTrip(t *testing.T) {
+	m := menuModel(t, true)
+	for _, e := range []string{"menu", "next", "menu"} { // history: sound
+		_ = m.Dispatch(event.Event{Name: e})
+	}
+	_ = m.SetVar("vol", 7)
+	var vars []string
+	var states [][2]string
+	m.Record(func(name string, v float64) {
+		vars = append(vars, name)
+		if err := m.SetVar(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}, func(key, value string) { states = append(states, [2]string{key, value}) })
+	if len(vars) != 1 || vars[0] != "vol" {
+		t.Fatalf("recorded variables %v, want only the assigned vol", vars)
+	}
+	if want := [][2]string{{"r:ui", "watch"}, {"h:ui/menuS", "sound"}}; len(states) != 2 || states[0] != want[0] || states[1] != want[1] {
+		t.Fatalf("recorded states %v, want %v", states, want)
+	}
+
+	fresh := m.spec.New(nil)
+	if err := fresh.Start(); err != nil {
+		t.Fatal(err)
+	}
+	_ = fresh.Dispatch(event.Event{Name: "menu"}) // a state the load must replace
+	fresh.Forget()
+	if err := fresh.SetVar("vol", 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range states {
+		if err := fresh.SetState(st[0], st[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fresh.CaptureState().key(), m.CaptureState().key(); got != want {
+		t.Fatal("loaded state differs from the recorded one")
+	}
+	for _, bad := range [][2]string{{"r:ghost", "watch"}, {"r:ui", "nope"}, {"h:ui/watch", "sound"}, {"x:ui", "watch"}} {
+		if err := fresh.SetState(bad[0], bad[1]); err == nil {
+			t.Errorf("SetState(%q, %q) accepted", bad[0], bad[1])
+		}
+	}
+	if err := fresh.SetVar("undeclared", 1); err == nil {
+		t.Error("SetVar of an undeclared variable accepted")
 	}
 }

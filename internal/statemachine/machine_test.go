@@ -1,12 +1,21 @@
 package statemachine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"trader/internal/event"
 	"trader/internal/sim"
 )
+
+// testVars declares every variable the test models of this package use.
+var testVars = []string{"flag", "menu", "muted", "n", "on", "steps", "txt", "vol"}
+
+// mustModel defines a one-off spec over testVars and instantiates it.
+func mustModel(name string, k *sim.Kernel, regions ...*Region) *Model {
+	return MustDefine(name, testVars, regions...).New(k)
+}
 
 // toggleModel builds a two-state machine: off -(power)-> on -(power)-> off.
 func toggleModel(t *testing.T, k *sim.Kernel) *Model {
@@ -22,10 +31,11 @@ func toggleModel(t *testing.T, k *sim.Kernel) *Model {
 		Entry:       func(c *Context) { c.Set("on", 1) },
 		Transitions: []Transition{{Event: "power", Target: "off"}},
 	})
-	m, err := NewModel("toggle", k, r)
+	spec, err := Define("toggle", testVars, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := spec.New(k)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +51,18 @@ func dispatch(t *testing.T, m *Model, name string) {
 
 func TestToggle(t *testing.T) {
 	m := toggleModel(t, nil)
-	if m.Region("power").Current() != "off" {
-		t.Fatalf("initial = %q, want off", m.Region("power").Current())
+	if m.Current("power") != "off" {
+		t.Fatalf("initial = %q, want off", m.Current("power"))
 	}
 	if m.Var("on") != 0 {
 		t.Fatal("entry action of initial state did not run")
 	}
 	dispatch(t, m, "power")
-	if m.Region("power").Current() != "on" || m.Var("on") != 1 {
-		t.Fatalf("after power: state=%q on=%v", m.Region("power").Current(), m.Var("on"))
+	if m.Current("power") != "on" || m.Var("on") != 1 {
+		t.Fatalf("after power: state=%q on=%v", m.Current("power"), m.Var("on"))
 	}
 	dispatch(t, m, "power")
-	if m.Region("power").Current() != "off" {
+	if m.Current("power") != "off" {
 		t.Fatal("second power should toggle back off")
 	}
 }
@@ -60,7 +70,7 @@ func TestToggle(t *testing.T) {
 func TestUnknownEventIgnored(t *testing.T) {
 	m := toggleModel(t, nil)
 	dispatch(t, m, "bogus")
-	if m.Region("power").Current() != "off" {
+	if m.Current("power") != "off" {
 		t.Fatal("unknown event must not change state")
 	}
 }
@@ -76,7 +86,7 @@ func TestHierarchyEntryExitOrder(t *testing.T) {
 		Transitions: []Transition{{Event: "go", Target: "B1"}}})
 	r.Add(&State{Name: "B", Initial: "B1", Entry: log("+B"), Exit: log("-B")})
 	r.Add(&State{Name: "B1", Parent: "B", Entry: log("+B1"), Exit: log("-B1")})
-	m := MustModel("h", nil, r)
+	m := mustModel("h", nil, r)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +95,7 @@ func TestHierarchyEntryExitOrder(t *testing.T) {
 	if got := strings.Join(trace, ","); got != want {
 		t.Fatalf("trace = %s, want %s", got, want)
 	}
-	if !m.Region("r").In("B") || !m.Region("r").In("B1") {
+	if !m.In("r", "B") || !m.In("r", "B1") {
 		t.Fatal("In(B)/In(B1) should hold after transition")
 	}
 }
@@ -100,7 +110,7 @@ func TestTransitionWithinParentKeepsParentActive(t *testing.T) {
 	r.Add(&State{Name: "X", Parent: "P", Exit: log("-X"),
 		Transitions: []Transition{{Event: "next", Target: "Y"}}})
 	r.Add(&State{Name: "Y", Parent: "P", Entry: log("+Y")})
-	m := MustModel("p", nil, r)
+	m := mustModel("p", nil, r)
 	_ = m.Start()
 	trace = nil
 	dispatch(t, m, "next")
@@ -118,14 +128,14 @@ func TestAncestorTransitionAndLeafPriority(t *testing.T) {
 		Transitions: []Transition{{Event: "e", Target: "Y"}}})
 	r.Add(&State{Name: "Y", Parent: "P"})
 	r.Add(&State{Name: "Q"})
-	m := MustModel("prio", nil, r)
+	m := mustModel("prio", nil, r)
 	_ = m.Start()
 	dispatch(t, m, "e")
-	if cur := m.Region("r").Current(); cur != "Y" {
+	if cur := m.Current("r"); cur != "Y" {
 		t.Fatalf("leaf transition should win; current = %q", cur)
 	}
 	dispatch(t, m, "e") // now only ancestor P has `e`
-	if cur := m.Region("r").Current(); cur != "Q" {
+	if cur := m.Current("r"); cur != "Q" {
 		t.Fatalf("ancestor transition should fire from Y; current = %q", cur)
 	}
 }
@@ -138,7 +148,7 @@ func TestGuardsAndActions(t *testing.T) {
 		{Event: "vol", Guard: func(c *Context) bool { v, _ := c.Event.Get("delta"); return v < 0 },
 			Action: func(c *Context) { c.Set("vol", c.Get("vol")-1) }},
 	}})
-	m := MustModel("g", nil, r)
+	m := mustModel("g", nil, r)
 	_ = m.Start()
 	up := event.Event{Name: "vol"}.With("delta", 1)
 	down := event.Event{Name: "vol"}.With("delta", -1)
@@ -161,7 +171,7 @@ func TestInternalTransitionNoExitEntry(t *testing.T) {
 		Transitions: []Transition{
 			{Event: "tick", Action: func(c *Context) { c.Set("n", c.Get("n")+1) }},
 		}})
-	m := MustModel("i", nil, r)
+	m := mustModel("i", nil, r)
 	_ = m.Start()
 	dispatch(t, m, "tick")
 	dispatch(t, m, "tick")
@@ -178,10 +188,10 @@ func TestCompletionTransitions(t *testing.T) {
 	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "go", Target: "b"}}})
 	r.Add(&State{Name: "b", Transitions: []Transition{{Target: "c"}}}) // completion
 	r.Add(&State{Name: "c"})
-	m := MustModel("c", nil, r)
+	m := mustModel("c", nil, r)
 	_ = m.Start()
 	dispatch(t, m, "go")
-	if cur := m.Region("r").Current(); cur != "c" {
+	if cur := m.Current("r"); cur != "c" {
 		t.Fatalf("completion transition should chain to c; current = %q", cur)
 	}
 }
@@ -190,7 +200,7 @@ func TestCompletionLivelockPanics(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a", Transitions: []Transition{{Target: "b"}}})
 	r.Add(&State{Name: "b", Transitions: []Transition{{Target: "a"}}})
-	m := MustModel("live", nil, r)
+	m := mustModel("live", nil, r)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected livelock panic")
@@ -208,14 +218,14 @@ func TestTimedTransition(t *testing.T) {
 	}})
 	r.Add(&State{Name: "fired"})
 	r.Add(&State{Name: "safe"})
-	m := MustModel("t", k, r)
+	m := mustModel("t", k, r)
 	_ = m.Start()
 	k.Run(99)
-	if cur := m.Region("r").Current(); cur != "armed" {
+	if cur := m.Current("r"); cur != "armed" {
 		t.Fatalf("too early: %q", cur)
 	}
 	k.Run(100)
-	if cur := m.Region("r").Current(); cur != "fired" {
+	if cur := m.Current("r"); cur != "fired" {
 		t.Fatalf("after 100: %q, want fired", cur)
 	}
 }
@@ -229,12 +239,12 @@ func TestTimedTransitionCancelledByExit(t *testing.T) {
 	}})
 	r.Add(&State{Name: "fired"})
 	r.Add(&State{Name: "safe"})
-	m := MustModel("t2", k, r)
+	m := mustModel("t2", k, r)
 	_ = m.Start()
 	k.Run(50)
 	dispatch(t, m, "cancel")
 	k.RunAll()
-	if cur := m.Region("r").Current(); cur != "safe" {
+	if cur := m.Current("r"); cur != "safe" {
 		t.Fatalf("timer should have been cancelled; current = %q", cur)
 	}
 }
@@ -246,7 +256,7 @@ func TestTimedTransitionRearmOnReentry(t *testing.T) {
 	r.Add(&State{Name: "s", Transitions: []Transition{
 		{After: 10, Target: "s", Action: func(*Context) { count++ }},
 	}})
-	m := MustModel("t3", k, r)
+	m := mustModel("t3", k, r)
 	_ = m.Start()
 	k.Run(35)
 	if count != 3 {
@@ -263,11 +273,11 @@ func TestParallelRegionsSharedVars(t *testing.T) {
 	screen := NewRegion("screen")
 	screen.Add(&State{Name: "single", Transitions: []Transition{{Event: "dual", Target: "dualS"}}})
 	screen.Add(&State{Name: "dualS", Transitions: []Transition{{Event: "dual", Target: "single"}}})
-	m := MustModel("tv", nil, audio, screen)
+	m := mustModel("tv", nil, audio, screen)
 	_ = m.Start()
 	dispatch(t, m, "mute")
 	dispatch(t, m, "dual")
-	if m.Region("audio").Current() != "muted" || m.Region("screen").Current() != "dualS" {
+	if m.Current("audio") != "muted" || m.Current("screen") != "dualS" {
 		t.Fatalf("config = %v", m.Config())
 	}
 	if m.Var("muted") != 1 {
@@ -277,7 +287,7 @@ func TestParallelRegionsSharedVars(t *testing.T) {
 
 func TestInvariantViolationReported(t *testing.T) {
 	m := toggleModel(t, nil)
-	m.AddInvariant("never-on", func(m *Model) bool { return m.Var("on") == 0 })
+	m.spec.AddInvariant("never-on", func(m *Model) bool { return m.Var("on") == 0 })
 	err := m.Dispatch(event.Event{Name: "power"})
 	if err == nil {
 		t.Fatal("expected invariant violation")
@@ -296,7 +306,7 @@ func TestEmitOutput(t *testing.T) {
 	r.Add(&State{Name: "s", Transitions: []Transition{
 		{Event: "key", Action: func(c *Context) { c.Emit("beep", event.Value{Name: "vol", V: 3}) }},
 	}})
-	m := MustModel("e", nil, r)
+	m := mustModel("e", nil, r)
 	var got []event.Event
 	m.OnOutput(func(e event.Event) { got = append(got, e) })
 	_ = m.Start()
@@ -334,10 +344,41 @@ func TestValidation(t *testing.T) {
 		{"empty region", func() *Region { return NewRegion("r") }},
 	}
 	for _, tc := range cases {
-		if _, err := NewModel("m", nil, tc.build()); err == nil {
+		if _, err := Define("m", testVars, tc.build()); err == nil {
 			t.Errorf("%s: expected validation error", tc.name)
 		}
 	}
+	ok := func() *Region { return NewRegion("r").Add(&State{Name: "a"}) }
+	if _, err := Define("m", []string{"x", "x"}, ok()); err == nil {
+		t.Error("duplicate variable: expected validation error")
+	}
+	many := make([]string, 65)
+	for i := range many {
+		many[i] = fmt.Sprint("v", i)
+	}
+	if _, err := Define("m", many, ok()); err == nil {
+		t.Error("65 variables: expected validation error")
+	}
+	if _, err := Define("m", nil, ok(), ok()); err == nil {
+		t.Error("duplicate region: expected validation error")
+	}
+}
+
+// An action writing a variable the spec did not declare is a model bug: it
+// panics with the name, like a bad Add, instead of growing the scope.
+func TestUndeclaredVariablePanics(t *testing.T) {
+	r := NewRegion("r")
+	r.Add(&State{Name: "a", Transitions: []Transition{{Event: "e", Action: func(c *Context) { c.Set("ghost", 1) }}}})
+	m := mustModel("m", nil, r)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), `"ghost" not declared`) {
+			t.Fatalf("recovered %v, want an undeclared-variable panic", p)
+		}
+	}()
+	_ = m.Dispatch(event.Event{Name: "e"})
 }
 
 func TestAddPanics(t *testing.T) {
@@ -363,7 +404,7 @@ func TestAddPanics(t *testing.T) {
 func TestDispatchBeforeStart(t *testing.T) {
 	r := NewRegion("r")
 	r.Add(&State{Name: "a"})
-	m := MustModel("m", nil, r)
+	m := mustModel("m", nil, r)
 	if err := m.Dispatch(event.Event{Name: "e"}); err == nil {
 		t.Fatal("Dispatch before Start should error")
 	}

@@ -37,7 +37,7 @@ func randomModel(structure []uint8) *Model {
 	for i, n := range names {
 		r.Add(&State{Name: n, Transitions: trs[i]})
 	}
-	return MustModel("fuzz", nil, r)
+	return mustModel("fuzz", nil, r)
 }
 
 // Property: for any machine shape and any event sequence, the current state
@@ -58,7 +58,7 @@ func TestPropertyDispatchTotal(t *testing.T) {
 			if err := m.Dispatch(ev); err != nil {
 				return false
 			}
-			if !valid[m.Region("r").Current()] {
+			if !valid[m.Current("r")] {
 				return false
 			}
 		}
@@ -117,7 +117,7 @@ func TestPropertyExploreCoversRandomWalks(t *testing.T) {
 				break
 			}
 			_ = m2.Dispatch(event.Event{Name: []string{"e0", "e1", "e2"}[int(in)%3]})
-			if unreachable["r/"+m2.Region("r").Current()] {
+			if unreachable["r/"+m2.Current("r")] {
 				return false
 			}
 		}

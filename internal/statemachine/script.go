@@ -51,14 +51,13 @@ func (m *Model) RunScript(s Script) []ScriptFailure {
 			}
 		}
 		for region, want := range step.ExpectState {
-			r := m.Region(region)
-			if r == nil {
+			if m.regionIndex(region) < 0 {
 				fails = append(fails, ScriptFailure{s.Name, i, fmt.Sprintf("unknown region %q", region)})
 				continue
 			}
-			if !r.In(want) {
+			if !m.In(region, want) {
 				fails = append(fails, ScriptFailure{s.Name, i,
-					fmt.Sprintf("region %q in %q, want %q active", region, r.Current(), want)})
+					fmt.Sprintf("region %q in %q, want %q active", region, m.Current(region), want)})
 			}
 		}
 		for name, want := range step.ExpectVars {

@@ -1,6 +1,8 @@
 package tvsim
 
 import (
+	"sync"
+
 	"trader/internal/core"
 	"trader/internal/sim"
 	"trader/internal/statemachine"
@@ -21,9 +23,42 @@ import (
 // errors. The model deliberately abstracts the streaming side (no frame
 // quality — partial models are the point: "the approach allows the use of
 // partial models, concentrating on what is most relevant for the user").
+//
+// Every model of one spec-relevant configuration instantiates the same
+// Spec; the default configuration's is defined once per process.
 func BuildSpecModel(kernel *sim.Kernel, cfg Config) *statemachine.Model {
 	cfg.fill()
+	var def Config
+	def.fill()
+	if cfg.specKey() == def.specKey() {
+		return defaultSpec().New(kernel)
+	}
+	return defineSpec(cfg).New(kernel)
+}
 
+// specKey is the part of a filled Config the spec model reads.
+func (c Config) specKey() [4]int64 {
+	return [4]int64{int64(c.SleepDuration), int64(c.MaxChannel), int64(c.LockedAbove), int64(c.PhotoCount)}
+}
+
+// defaultSpec is the TV spec of the default configuration, defined on first
+// use and shared by every monitor built with it.
+var defaultSpec = sync.OnceValue(func() *statemachine.Spec {
+	var def Config
+	def.fill()
+	return defineSpec(def)
+})
+
+// specVars declares the TV spec model's variables; only MirrorQuality's
+// hook writes quality.
+var specVars = []string{
+	"power", "volume", "volSetting", "muted", "channel", "photo", "source",
+	"teletext", "teletextFresh", "menu", "dual", "locked", "swivelTarget",
+	"sleepArmed", "sleepExpired", "quality",
+}
+
+// defineSpec compiles the TV spec model for a filled cfg.
+func defineSpec(cfg Config) *statemachine.Spec {
 	key := func(k Key) func(*statemachine.Context) bool {
 		return func(c *statemachine.Context) bool {
 			v, ok := c.Event.Get("key")
@@ -215,30 +250,30 @@ func BuildSpecModel(kernel *sim.Kernel, cfg Config) *statemachine.Model {
 		},
 	})
 
-	m := statemachine.MustModel("tv-spec", kernel, power, audio, screen, sleep)
+	spec := statemachine.MustDefine("tv-spec", specVars, power, audio, screen, sleep)
 
 	// The invariants that exploration (E11) checks — the paper's feature
 	// interaction rules.
-	m.AddInvariant("menu-suppresses-teletext", func(m *statemachine.Model) bool {
+	spec.AddInvariant("menu-suppresses-teletext", func(m *statemachine.Model) bool {
 		return !(m.Var("menu") == 1 && m.Var("teletext") == 1)
 	})
-	m.AddInvariant("teletext-forces-single-screen", func(m *statemachine.Model) bool {
+	spec.AddInvariant("teletext-forces-single-screen", func(m *statemachine.Model) bool {
 		return !(m.Var("teletext") == 1 && m.Var("dual") == 1)
 	})
-	m.AddInvariant("standby-is-dark-and-silent", func(m *statemachine.Model) bool {
+	spec.AddInvariant("standby-is-dark-and-silent", func(m *statemachine.Model) bool {
 		if m.Var("power") == 1 {
 			return true
 		}
 		return m.Var("teletext") == 0 && m.Var("menu") == 0 && m.Var("dual") == 0 && m.Var("volume") == 0
 	})
-	m.AddInvariant("volume-in-range", func(m *statemachine.Model) bool {
+	spec.AddInvariant("volume-in-range", func(m *statemachine.Model) bool {
 		v := m.Var("volume")
 		return v >= 0 && v <= 100
 	})
-	m.AddInvariant("teletext-needs-tuner", func(m *statemachine.Model) bool {
+	spec.AddInvariant("teletext-needs-tuner", func(m *statemachine.Model) bool {
 		return !(m.Var("teletext") == 1 && m.Var("source") == 1)
 	})
-	return m
+	return spec
 }
 
 // stepPhotoVar navigates the photo browser in the model, mirroring the
@@ -287,7 +322,11 @@ func moveTarget(c *statemachine.Context, delta float64) {
 func MirrorQuality(model *statemachine.Model) {
 	model.OnConfig(func(region, leaf string) {
 		if region == "power" {
-			model.SetVar("quality", map[string]float64{"on": 1}[leaf])
+			q := 0.0
+			if leaf == "on" {
+				q = 1
+			}
+			_ = model.SetVar("quality", q)
 		}
 	})
 }

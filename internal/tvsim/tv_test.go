@@ -462,3 +462,30 @@ func TestSpecModelScript(t *testing.T) {
 		t.Fatalf("script failures: %v", fails)
 	}
 }
+
+// Allocation gate: a TV key press steps the spec model — each one a "key"
+// event tried against a dozen guarded transitions — without allocating,
+// and so does the monitor around it. Only arming the sleep timer schedules
+// a kernel event, once per cycle of the sixteen keys.
+func TestSpecModelDispatchAllocatesNothing(t *testing.T) {
+	mon, err := NewMonitor(sim.NewKernel(1), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	presses := make([]event.Event, numKeys)
+	for k := range presses {
+		presses[k] = event.Event{Kind: event.Input, Name: "key"}.With("key", float64(k))
+	}
+	i := 0
+	press := func() { mon.HandleInput(presses[i%len(presses)]); i++ }
+	if got := testing.AllocsPerRun(10*len(presses), press); got != 0 {
+		t.Fatalf("a key press allocates %.1f times, want 0", got)
+	}
+	model := BuildSpecModel(nil, Config{})
+	if err := model.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(10*len(presses), func() { _ = model.Dispatch(presses[i%len(presses)]); i++ }); got != 0 {
+		t.Fatalf("Dispatch of a key allocates %.1f times, want 0", got)
+	}
+}
