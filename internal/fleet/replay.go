@@ -76,13 +76,13 @@ type Replayer struct {
 	Stats ReplayStats
 
 	pool    *Pool
-	build   Factory       // the factory behind a RemoteDevice with no connection yet
-	pending [][]replayRec // per shard, submitted at replayBatch records
+	build   Factory     // the factory behind a RemoteDevice with no connection yet
+	pending []replayBuf // per shard, submitted at replayBatch records
 	// free holds, per shard, the batch buffers not in use: a submit takes
 	// the next pending buffer from it and the shard returns each batch it
 	// has run, so at most replayInFlight batches per shard hold decoded
 	// records in memory however far the reader could run ahead.
-	free   []chan []replayRec
+	free   []chan replayBuf
 	built  atomic.Int64 // devices the shards built, folded into Stats by Settle
 	failed atomic.Pointer[error]
 }
@@ -98,13 +98,26 @@ const replayBatch = 256
 const replayInFlight = 8
 
 // replayRec is one buffered per-device record: what the shard needs of the
-// wire.Message and nothing else.
+// wire.Message and nothing else. It owns what it holds — the reader's event
+// is borrowed only until the next record — so the event is a copy whose
+// Values live in the batch's vals.
 type replayRec struct {
 	id string
 	op replayOp
-	at sim.Time         // opAdvance
-	ev *event.Event     // opFeed
+	ev event.Event      // opFeed; opAdvance runs the clock to ev.At
 	cp *wire.Checkpoint // opRestore
+}
+
+// replayBuf is one batch: its records and the values their events carry,
+// recycled together. It lives as long as the Replayer, which a boot drops
+// after Settle, so storage an outsized record grew is not kept past it.
+type replayBuf struct {
+	recs []replayRec
+	vals []event.Value
+}
+
+func newReplayBuf() replayBuf {
+	return replayBuf{make([]replayRec, 0, replayBatch), make([]event.Value, 0, replayBatch)}
 }
 
 type replayOp uint8
@@ -126,12 +139,12 @@ func discardSend(wire.Message) error { return nil }
 // AttachDevice re-points the sink on reconnect.
 func (p *Pool) Replayer(factory MonitorFactory) *Replayer {
 	rp := &Replayer{pool: p, build: remoteFactory(factory, discardSend),
-		pending: make([][]replayRec, len(p.shards)), free: make([]chan []replayRec, len(p.shards))}
+		pending: make([]replayBuf, len(p.shards)), free: make([]chan replayBuf, len(p.shards))}
 	for i := range rp.pending {
-		rp.pending[i] = make([]replayRec, 0, replayBatch)
-		rp.free[i] = make(chan []replayRec, replayInFlight)
+		rp.pending[i] = newReplayBuf()
+		rp.free[i] = make(chan replayBuf, replayInFlight)
 		for j := 0; j < replayInFlight; j++ {
-			rp.free[i] <- make([]replayRec, 0, replayBatch)
+			rp.free[i] <- newReplayBuf()
 		}
 	}
 	return rp
@@ -160,7 +173,7 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			return nil
 		case m.Type == wire.TypeHeartbeat:
 			st.Heartbeats++
-			rec.op, rec.at = opAdvance, m.At
+			rec.op, rec.ev.At = opAdvance, m.At
 		case m.Type == wire.TypeControl:
 			// A recovery action the controller journaled write-ahead (see
 			// internal/control): replay reconstructs what the controller
@@ -179,7 +192,7 @@ func (rp *Replayer) Apply(m wire.Message) error {
 			return nil
 		default:
 			st.Frames++
-			rec.op, rec.ev = opFeed, m.Event
+			rec.op, rec.ev = opFeed, *m.Event
 		}
 		return rp.push(rec)
 	case wire.TypeSnapshot, wire.TypeSpectrumDelta:
@@ -216,31 +229,36 @@ func (rp *Replayer) Apply(m wire.Message) error {
 	return nil
 }
 
-// push buffers one per-device record, submitting its shard's batch when
-// that fills.
+// push buffers one per-device record, copying its event's values into the
+// batch, and submits its shard's batch when that fills.
 func (rp *Replayer) push(rec replayRec) error {
 	i := rp.pool.ShardOf(rec.id)
-	rp.pending[i] = append(rp.pending[i], rec)
-	if len(rp.pending[i]) < replayBatch {
+	b := &rp.pending[i]
+	if n := len(rec.ev.Values); n > 0 {
+		b.vals = append(b.vals, rec.ev.Values...)
+		rec.ev.Values = b.vals[len(b.vals)-n : len(b.vals) : len(b.vals)]
+	}
+	b.recs = append(b.recs, rec)
+	if len(b.recs) < replayBatch {
 		return nil
 	}
 	return rp.submit(i)
 }
 
-// submit hands shard i's pending batch to the shard, which owns the slice
-// from here on.
+// submit hands shard i's pending batch to the shard, which owns it from
+// here on.
 func (rp *Replayer) submit(i int) error {
-	recs := rp.pending[i]
-	if len(recs) == 0 {
+	b := rp.pending[i]
+	if len(b.recs) == 0 {
 		return nil
 	}
 	rp.pending[i] = <-rp.free[i] // waits while the shard has replayInFlight batches queued
 	err := rp.pool.send(i, func(s *shard) {
-		rp.run(s, recs)
-		rp.free[i] <- recs[:0]
+		rp.run(s, b.recs)
+		rp.free[i] <- replayBuf{b.recs[:0], b.vals[:0]}
 	})
 	if err != nil {
-		rp.free[i] <- recs[:0] // a stopped pool fails every submit; none may wait for a buffer
+		rp.free[i] <- replayBuf{b.recs[:0], b.vals[:0]} // a stopped pool fails every submit; none may wait for a buffer
 	}
 	return err
 }
@@ -274,10 +292,10 @@ func (rp *Replayer) run(s *shard, recs []replayRec) {
 		}
 		switch r.op {
 		case opFeed:
-			s.feed(d, *r.ev)
+			s.feed(d, r.ev)
 		case opAdvance:
-			if r.at > d.Kernel.Now() {
-				d.Kernel.Run(r.at)
+			if r.ev.At > d.Kernel.Now() {
+				d.Kernel.Run(r.ev.At)
 			}
 		case opReset:
 			if d.Monitor != nil {

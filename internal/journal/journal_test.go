@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,17 @@ func writeFrames(t *testing.T, dir string, opts Options, from, n int) {
 	}
 }
 
+// owned deep-copies m's event, which Next only lends until the next call,
+// so m can be kept across reads.
+func owned(m wire.Message) wire.Message {
+	if e := m.Event; e != nil {
+		c := *e
+		c.Values = slices.Clone(e.Values)
+		m.Event = &c
+	}
+	return m
+}
+
 func readAll(t *testing.T, dir string) ([]wire.Message, *Reader) {
 	t.Helper()
 	r, err := OpenReader(dir)
@@ -56,7 +68,7 @@ func readAll(t *testing.T, dir string) ([]wire.Message, *Reader) {
 		if err != nil {
 			t.Fatalf("record %d: %v", len(out), err)
 		}
-		out = append(out, m)
+		out = append(out, owned(m))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 
+	"trader/internal/event"
 	"trader/internal/wire"
 )
 
@@ -19,7 +20,8 @@ import (
 // payload, whichever comes first, and at every segment end; chunksInFlight
 // chunks exist per reader, so however long the journal, the reader holds at
 // most chunksInFlight × (chunkBytes + one record) of payload and as many
-// chunks of decoded Messages.
+// chunks of decoded Messages and their events. Chunks are recycled, so a
+// replay decodes into the same storage from its first record to its last.
 const (
 	chunkRecords   = 256
 	chunkBytes     = 64 << 10
@@ -84,7 +86,8 @@ type stream struct {
 }
 
 // chunk is the pipeline's unit: consecutive records of one segment, their
-// payloads packed back to back in buf, then their decoded Messages.
+// payloads packed back to back in buf, then their decoded Messages, whose
+// events live in evs.
 type chunk struct {
 	seg  string // segment display name
 	off  int64  // byte offset of the first record in seg
@@ -98,6 +101,7 @@ type chunk struct {
 	err  error
 
 	msgs  []wire.Message // decoded by a worker
+	evs   wire.EventSlab // msgs' events and values; reused by the chunk's next decode
 	ready chan struct{}  // one token per use: msgs and err are final
 }
 
@@ -209,6 +213,11 @@ func opensWithCheckpoint(path string) (bool, error) {
 // Next returns the next journaled frame, io.EOF at the end of the journal,
 // or a *CorruptError pinpointing unrecoverable damage. Once it has returned
 // an error it returns that error again.
+//
+// The returned m.Event and its Values are borrowed: they live in the
+// reader's recycled decode storage and are valid only until the next call
+// to Next, like bufio.Scanner.Bytes. The rest of m belongs to the caller.
+// A caller that keeps an event past that copies it, Values included.
 func (r *Reader) Next() (wire.Message, error) {
 	for {
 		if c := r.cur; c != nil {
@@ -299,13 +308,15 @@ func (p *pipe) decode() {
 func (c *chunk) decode(dec *wire.BinaryInterner) {
 	if c.msgs == nil {
 		c.msgs = make([]wire.Message, 0, chunkRecords)
+		c.evs.Events = make([]event.Event, 0, chunkRecords) // one per record: never grows
 	}
 	c.msgs = c.msgs[:len(c.ends)]
+	c.evs.Events, c.evs.Values = c.evs.Events[:0], c.evs.Values[:0]
 	start := 0
 	for i, end := range c.ends {
 		m := &c.msgs[i]
 		*m = wire.Message{}
-		if err := dec.Unmarshal(c.buf[start:end], m); err != nil {
+		if err := dec.UnmarshalInto(c.buf[start:end], m, &c.evs); err != nil {
 			c.msgs = c.msgs[:i]
 			c.torn = false
 			c.err = &CorruptError{
@@ -428,7 +439,7 @@ func (fr *framer) begin() bool {
 	select {
 	case c := <-fr.free:
 		if cap(c.buf) > 4*chunkBytes {
-			c.buf = nil // one huge record: do not keep its buffer
+			c.buf, c.evs.Values = nil, nil // one huge record: keep neither its buffer nor its values
 		}
 		c.seg, c.off, c.base = fr.seg, fr.off, fr.recs
 		c.buf, c.ends, c.torn, c.err = c.buf[:0], c.ends[:0], false, nil

@@ -13,7 +13,8 @@ import (
 // stream and ignoring the rest.
 type Plane interface {
 	// Apply takes one journal record, in reader order (§3.4). A non-nil
-	// error aborts the replay.
+	// error aborts the replay. m.Event and its Values are borrowed, valid
+	// until Apply returns (Reader.Next); the rest of m is the plane's.
 	Apply(m wire.Message) error
 	// Settle runs once, after the last record: barriers drain, deferred
 	// restores land, and a plane that consumes live traffic subscribes to

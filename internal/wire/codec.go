@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"trader/internal/event"
 	"trader/internal/sim"
@@ -433,9 +434,10 @@ func (binaryCodec) Append(dst []byte, m Message) ([]byte, error) {
 // binReader walks a binary payload with bounds checking; the first failure
 // sticks so parsing code can read a whole record and test err once.
 type binReader struct {
-	b   []byte
-	err error
-	in  *BinaryInterner // nil: every string is a fresh copy
+	b    []byte
+	err  error
+	in   *BinaryInterner // nil: every string is a fresh copy
+	slab *EventSlab      // nil: a decoded event is allocated
 }
 
 func (r *binReader) fail(what string) {
@@ -535,9 +537,22 @@ type BinaryInterner struct {
 	hot [internHot]string
 }
 
-// Unmarshal parses a binary payload into m. It does not retain payload.
-func (in *BinaryInterner) Unmarshal(payload []byte, m *Message) error {
-	r := binReader{b: payload, in: in}
+// EventSlab is recycled storage for decoded events: UnmarshalInto appends
+// each event it decodes to Events and the event's values to Values, and
+// points m.Event into them. The caller owns the slab and decides when the
+// events in it are dead; truncating both slices to zero recycles it.
+type EventSlab struct {
+	Events []event.Event
+	Values []event.Value
+}
+
+// UnmarshalInto parses a binary payload into m, with m.Event and its Values
+// placed in slab rather than on the heap: once the slab has room for the
+// payload's event, decoding an observation allocates nothing. With a nil
+// slab the event is allocated, as Binary.Unmarshal allocates it. It does not
+// retain payload.
+func (in *BinaryInterner) UnmarshalInto(payload []byte, m *Message, slab *EventSlab) error {
+	r := binReader{b: payload, in: in, slab: slab}
 	return r.message(m)
 }
 
@@ -619,7 +634,17 @@ func (r *binReader) message(m *Message) error {
 			r.fail("event value count")
 		}
 		var e *event.Event
-		if r.err == nil && n == 1 {
+		if s := r.slab; s != nil {
+			if r.err == nil && n > 0 {
+				// Grow allocates only past the slab's capacity; append(s,
+				// make(...)...) would allocate every time under -race.
+				at := len(s.Values)
+				s.Values = slices.Grow(s.Values, int(n))[:at+int(n)]
+				hdr.Values = s.Values[at:len(s.Values):len(s.Values)]
+			}
+			s.Events = append(s.Events, hdr)
+			e = &s.Events[len(s.Events)-1]
+		} else if r.err == nil && n == 1 {
 			// Most observations carry one value: the event and its value
 			// are one allocation.
 			ev := &eventWithValue{e: hdr}

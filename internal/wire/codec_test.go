@@ -125,24 +125,33 @@ func TestPropertyCodecsAgree(t *testing.T) {
 // assertInternerAgrees is the differential check between the two binary
 // decoders: in must accept exactly the payloads Binary.Unmarshal accepts,
 // reject the rest with the same error, and decode to the same Message.
+// Both interner entry points are checked: Unmarshal, and UnmarshalInto
+// appending to a slab that already holds an event.
 func assertInternerAgrees(t testing.TB, in *BinaryInterner, payload []byte) {
 	t.Helper()
-	var want, got Message
-	werr, gerr := Binary.Unmarshal(payload, &want), in.Unmarshal(payload, &got)
-	if werr != nil || gerr != nil {
-		if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
-			t.Fatalf("payload %x: Binary.Unmarshal: %v, BinaryInterner: %v", payload, werr, gerr)
+	var want Message
+	werr := Binary.Unmarshal(payload, &want)
+	slab := EventSlab{Events: make([]event.Event, 1), Values: make([]event.Value, 1)}
+	for _, decode := range []func(*Message) error{
+		func(m *Message) error { return in.Unmarshal(payload, m) },
+		func(m *Message) error { return in.UnmarshalInto(payload, m, &slab) },
+	} {
+		var got Message
+		if gerr := decode(&got); werr != nil || gerr != nil {
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+				t.Fatalf("payload %x: Binary.Unmarshal: %v, BinaryInterner: %v", payload, werr, gerr)
+			}
+			continue
 		}
-		return
-	}
-	if reflect.DeepEqual(want, got) {
-		return
-	}
-	// A NaN value is not DeepEqual to itself; its encoding compares the bits.
-	wb, _ := Binary.Append(nil, want)
-	gb, _ := Binary.Append(nil, got)
-	if !bytes.Equal(wb, gb) {
-		t.Fatalf("payload %x decodes differently:\n  Binary: %+v\ninterner: %+v", payload, want, got)
+		if reflect.DeepEqual(want, got) {
+			continue
+		}
+		// A NaN value is not DeepEqual to itself; its encoding compares the bits.
+		wb, _ := Binary.Append(nil, want)
+		gb, _ := Binary.Append(nil, got)
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("payload %x decodes differently:\n  Binary: %+v\ninterner: %+v", payload, want, got)
+		}
 	}
 }
 
@@ -248,9 +257,12 @@ func TestInternerHotSlotCollisions(t *testing.T) {
 	}
 }
 
-// Allocation gate for the journal's decode: once its strings are interned,
-// a one-value observation costs exactly one allocation — its Event and its
-// Value together. Everything else is the caller's Message or a table hit.
+// Allocation gate for decoding without a slab: once its strings are
+// interned, a one-value observation costs exactly one allocation — its
+// Event and its Value together, the event shape the live decoder hands out.
+// Everything else is the caller's Message or a table hit. (The journal
+// decodes into a recycled slab instead and allocates nothing per record;
+// internal/journal's TestReaderPipelineAllocsPerRecord gates that.)
 func TestInternerOneValueObservationAllocatesOnce(t *testing.T) {
 	ev := event.Event{Kind: event.Output, Name: "out", Source: "dev-000042", At: 7, Seq: 3}.With("x", 1.5)
 	payload, err := Binary.Append(nil, Message{Type: TypeOutput, SUO: "dev-000042", Event: &ev, At: 7})

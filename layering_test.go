@@ -194,7 +194,6 @@ var testOnlyAllowed = map[string]keepReason{
 	"internal/sim.Kernel.RunAll":                    sharedOracle, // runs a kernel to quiescence in the sim, soc, faults, recovery and statemachine tests
 	"internal/tvsim.Recorder.Press":                 sharedOracle, // drives device-side coverage in the diagnose, traderd and e2e tests
 	"internal/federate.Aggregator.OwnerOf":          sharedOracle, // device-ownership oracle of the federate and e2e federation tests
-	"internal/journal.Reader.Records":               sharedOracle, // record count the traderd boot and diagnose checkpoint tests read
 	"internal/core.Monitor.Kernel":                  sharedOracle, // the cmd/traderd profile tests check a factory's monitor runs on the kernel it returns
 	"internal/hwmon.FlightRecorder.Capture":         paperConcept, // Sect. 4.1 trace buffer: the pre-error window
 	"internal/hwmon.FlightRecorder.CaptureMatching": paperConcept,
