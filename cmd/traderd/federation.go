@@ -55,7 +55,7 @@ func parseEdgeSpec(spec string) (upstream string, rng, of int, err error) {
 
 // startEdge layers the federation uplink on an ingest daemon: the pool and
 // server keep serving devices exactly as before; the Edge streams their
-// rollup deltas upstream and carries out migrations. The returned stop
+// rollup deltas upstream and carries out adoptions. The returned stop
 // function ends the uplink.
 func startEdge(spec, journalDir string, e *federate.Edge) (func(), error) {
 	upstream, rng, of, err := parseEdgeSpec(spec)
@@ -136,8 +136,7 @@ func runAggregate(addrs, journalDir string, ranges, failoverSecs, statsEvery int
 		slog.Info(msg, "component", "federation",
 			"devices", v.Devices, "edges", len(v.Edges), "live", live,
 			"outputs", v.Counters["outputs"], "deviations", v.Counters["deviations"],
-			"reports", v.Counters["reports"], "migrations", v.Migrations,
-			"adoptions", v.Adoptions, "handoffs", v.Handoffs)
+			"reports", v.Counters["reports"], "adoptions", v.Adoptions)
 	}
 	sig, err := awaitStop(statsEvery, errc, func() { logView("federation rollup") })
 	if err != nil {
@@ -170,9 +169,7 @@ func federationMetricsHandler(agg *federate.Aggregator, tr *trace.Tracer) http.H
 			fmt.Fprintf(w, "trader_federation_edge_devices{%s} %d\n", label, e.Devices)
 			metrics.WritePromCounters(w, "trader_federation_edge", label, e.Counters)
 		}
-		fmt.Fprintf(w, "trader_federation_migrations_total %d\n", v.Migrations)
 		fmt.Fprintf(w, "trader_federation_adoptions_total %d\n", v.Adoptions)
-		fmt.Fprintf(w, "trader_federation_handoffs_total %d\n", v.Handoffs)
 		if tr != nil {
 			fmt.Fprintln(w, "# TYPE trader_trace_forced_overflow_total counter")
 			fmt.Fprintf(w, "trader_trace_forced_overflow_total %d\n", tr.ForcedOverflow())

@@ -49,7 +49,7 @@
 // into range N of M (fleet.RangeOf), dials the aggregator at ADDR, and
 // streams rollup deltas of everything it counts — fleet, connection,
 // shed/latency, recovery and diagnosis rollups — upstream, carrying out
-// live device migrations and journal adoptions the aggregator directs.
+// the journal adoptions the aggregator directs.
 // With -aggregate the daemon is the other end: -listen accepts edge
 // uplinks instead of devices, the merged fleet-wide view is logged
 // periodically and served on -metrics, -ranges M fixes the hash-range
@@ -113,7 +113,7 @@ func main() {
 	creditWindow := flag.Int("credit-window", 0, "frame-credit window granted to each -listen connection; compliant clients block when it is spent, violators are disconnected (0: flow control off)")
 	shed := flag.Bool("shed", false, "tiered load shedding in -listen mode: observations drop at 75% shard-queue pressure, heartbeats at 95%, control traffic never")
 	metricsAddr := flag.String("metrics", "", "serve the latency-SLO plane as Prometheus text on this HTTP address in -listen mode (e.g. 127.0.0.1:9464)")
-	edgeSpec := flag.String("edge", "", "federation edge uplink for -listen mode: upstream=ADDR,range=N/M — stream rollup deltas to an aggregator and accept live migrations")
+	edgeSpec := flag.String("edge", "", "federation edge uplink for -listen mode: upstream=ADDR,range=N/M — stream rollup deltas to an aggregator and adopt a dead edge's journal when it directs")
 	aggregate := flag.Bool("aggregate", false, "run as the federation aggregator: -listen addresses accept edge uplinks instead of devices")
 	ranges := flag.Int("ranges", 2, "device-ID hash range count of the federation (-aggregate mode; must match every edge's range=N/M)")
 	failoverSecs := flag.Int("failover-seconds", 10, "grace period before the aggregator directs a survivor to adopt a dead edge's journal (-aggregate mode; 0: off)")

@@ -28,9 +28,9 @@
 // experiment (monitor migration between hosts) to production scale: edge
 // daemons own device-ID hash ranges and stream rollup deltas to an
 // aggregator serving the exact merged fleet view (traderd -edge /
-// -aggregate), devices migrate live between edges via checkpoint handoff,
-// and a SIGKILLed edge's devices are adopted from its journal by a
-// surviving peer with byte-identical monitor state.
+// -aggregate), and a SIGKILLed edge's devices are adopted from its journal
+// by a surviving peer — each handed off by checkpoint with byte-identical
+// monitor state.
 //
 // See ARCHITECTURE.md for the concept-to-package map (its experiments row
 // indexes E1–E14) and the full wire protocol specification, README.md for

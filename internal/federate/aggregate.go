@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -16,16 +17,16 @@ import (
 // Aggregator is the upstream side of the federation tier: it accepts edge
 // uplinks (RoleEdge Hellos), credits each rollup delta exactly once into a
 // per-edge cumulative account, merges the accounts into the fleet-wide
-// View, relays live migrations between edges, and — when an edge dies and
-// Failover is set — directs a survivor to adopt the dead edge's journal
-// and repoints its ranges. Configure the fields, then Serve listeners.
+// View, and — when an edge dies and Failover is set — directs a survivor
+// to adopt the dead edge's journal and repoints its ranges. Configure the
+// fields, then Serve listeners.
 type Aggregator struct {
 	// Ranges is the device-ID hash range count edges claim against
 	// (fleet.RangeOf(id, Ranges)). Required, must match every edge's Of.
 	Ranges int
 	// Journal, when non-nil, receives every ownership change write-ahead —
-	// range claims, per-device moves, failover repoints — so a replay
-	// (Apply) rebuilds the range map after an aggregator restart. Credited rollup
+	// range claims and failover repoints — so a replay (Apply) rebuilds
+	// the range map after an aggregator restart. Credited rollup
 	// totals are deliberately NOT journaled: a restarted aggregator's empty
 	// resume baselines make each edge re-send its full cumulative state.
 	Journal fleet.FrameJournal
@@ -42,18 +43,16 @@ type Aggregator struct {
 	// Logf, when non-nil, receives rollup and lifecycle lines.
 	Logf func(format string, args ...any)
 
-	mu         sync.Mutex
-	wg         sync.WaitGroup
-	rmap       *RangeMap
-	edges      map[string]*edgeSession // live uplinks
-	state      map[string]*edgeState   // credited accounts (live and dead)
-	listeners  []net.Listener
-	done       chan struct{}
-	closed     bool
-	migrations uint64
-	adoptions  uint64
-	handoffs   uint64
-	recovered  int // ownership records applied by the replay pass
+	mu        sync.Mutex
+	wg        sync.WaitGroup
+	rmap      *RangeMap
+	edges     map[string]*edgeSession // live uplinks
+	state     map[string]*edgeState   // credited accounts (live and dead)
+	listeners []net.Listener
+	done      chan struct{}
+	closed    bool
+	adoptions uint64
+	recovered int // ownership records applied by the replay pass
 }
 
 // edgeState is one edge's credited account: the cumulative totals the
@@ -73,9 +72,9 @@ type edgeState struct {
 const helloTimeout = 5 * time.Second
 
 // edgeSession is one live uplink. Every aggregator→edge write goes through
-// the Peer's deadline-guarded Send — relayed handoffs, migration and adoption
-// directives run on goroutines serving other edges, so an edge that stops
-// reading must lose its own uplink, not wedge theirs.
+// the Peer's deadline-guarded Send — the adoption directive runs on a
+// failover timer goroutine, not the survivor's handler, so an edge that
+// stops reading must lose its own uplink, not wedge the failover.
 type edgeSession struct {
 	id string
 	*wire.Peer
@@ -151,7 +150,7 @@ func (a *Aggregator) Close() {
 }
 
 // handle runs one uplink: vet the edge Hello, send the resume baseline,
-// then credit deltas and relay handoffs until the connection drops.
+// then credit deltas and take adoption acks until the connection drops.
 func (a *Aggregator) handle(nc net.Conn) {
 	// A Peer: every write below — the Hello reply and a rejection included —
 	// arms a write deadline first.
@@ -223,13 +222,6 @@ func (a *Aggregator) handle(nc net.Conn) {
 			if err := c.Send(wire.Ack(id, "", sim.Time(m.Rollup.Seq))); err != nil {
 				goto out
 			}
-		case m.Type == wire.TypeHandoff:
-			a.relayHandoff(id, m)
-		case m.Type == wire.TypeAck && m.Control == wire.CtrlMigrate:
-			a.mu.Lock()
-			a.migrations++
-			a.mu.Unlock()
-			a.logf("federate: aggregator: device %s now live on %s", m.SUO, id)
 		case m.Type == wire.TypeAck && m.Control == wire.CtrlAdopt:
 			a.completeAdoption(id, m.SUO)
 		case m.Type == wire.TypeHeartbeat:
@@ -280,7 +272,7 @@ func (a *Aggregator) admit(sess *edgeSession, claim wire.HandoffRecord) (*edgeSt
 }
 
 // journal appends an ownership record, called under a.mu. Ownership changes
-// are rare (claims, migrations, failovers), so holding the lock across the
+// are rare (claims and failovers), so holding the lock across the
 // group-commit fsync is fine; the write-ahead ordering is what matters.
 func (a *Aggregator) journal(m wire.Message) {
 	if a.Journal == nil {
@@ -302,33 +294,6 @@ func (a *Aggregator) credit(st *edgeState, d *wire.RollupDelta) {
 		st.seq = d.Seq
 	}
 	a.mu.Unlock()
-}
-
-// relayHandoff processes a migration frame from a source edge: journal the
-// ownership move write-ahead, repoint the device in the range map, forward
-// the frame (checkpoint and all) to the destination edge.
-func (a *Aggregator) relayHandoff(src string, m wire.Message) {
-	if m.SUO == "" || m.Handoff == nil {
-		return
-	}
-	to := m.Handoff.To
-	a.mu.Lock()
-	a.journal(wire.Message{Type: wire.TypeHandoff, SUO: m.SUO,
-		Handoff: &wire.HandoffRecord{From: m.Handoff.From, To: to}})
-	a.rmap.Move(m.SUO, to)
-	a.handoffs++
-	dest := a.edges[to]
-	a.mu.Unlock()
-	if dest == nil {
-		// The move is journaled and the device's state is safe in the
-		// source's journal record; it comes back when the destination
-		// connects and replays, or by adoption.
-		a.logf("federate: aggregator: handoff of %s to %s: destination not connected", m.SUO, to)
-		return
-	}
-	if err := dest.Send(m); err != nil {
-		a.logf("federate: aggregator: forwarding handoff of %s to %s: %v", m.SUO, to, err)
-	}
 }
 
 // drop marks an edge dead and, if Failover is set, arms the adoption timer.
@@ -424,33 +389,6 @@ func (a *Aggregator) completeAdoption(survivor, dead string) {
 	a.logf("federate: aggregator: %s adopted %s (ranges %v repointed)", survivor, dead, ranges)
 }
 
-// Migrate directs a live migration: the device's current owner drains and
-// hands it to the named edge. The move completes asynchronously — the
-// range map repoints when the source's handoff frame arrives, and the
-// destination's ack confirms the device is live again.
-func (a *Aggregator) Migrate(device, to string) error {
-	a.mu.Lock()
-	a.init()
-	owner := a.rmap.OwnerOf(device)
-	src := a.edges[owner]
-	dstState := a.state[to]
-	a.mu.Unlock()
-	if owner == "" {
-		return fmt.Errorf("federate: no owner for device %q", device)
-	}
-	if owner == to {
-		return fmt.Errorf("federate: device %q already on %q", device, to)
-	}
-	if src == nil {
-		return fmt.Errorf("federate: owner %q of device %q not connected", owner, device)
-	}
-	if dstState == nil || !dstState.live {
-		return fmt.Errorf("federate: destination %q not connected", to)
-	}
-	return src.Send(wire.Message{Type: wire.TypeControl, SUO: device,
-		Control: wire.CtrlMigrate, Target: to})
-}
-
 // EdgeView is one edge's slice of the merged view.
 type EdgeView struct {
 	ID       string
@@ -466,12 +404,10 @@ type EdgeView struct {
 // integer folds, View equals what one daemon ingesting every device would
 // report — the federation conservation law.
 type View struct {
-	Devices    int64
-	Counters   Counters
-	Edges      []EdgeView
-	Migrations uint64
-	Adoptions  uint64
-	Handoffs   uint64
+	Devices   int64
+	Counters  Counters
+	Edges     []EdgeView
+	Adoptions uint64
 }
 
 // View returns the current merged view. Edges are sorted by ID; dead edges
@@ -481,8 +417,7 @@ func (a *Aggregator) View() View {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.init()
-	v := View{Counters: Counters{}, Migrations: a.migrations,
-		Adoptions: a.adoptions, Handoffs: a.handoffs}
+	v := View{Counters: Counters{}, Adoptions: a.adoptions}
 	ids := make([]string, 0, len(a.state))
 	for id := range a.state {
 		ids = append(ids, id)
@@ -507,22 +442,32 @@ func (a *Aggregator) OwnerOf(device string) string {
 	return m.OwnerOf(device)
 }
 
+// errMoveRecord refuses a per-device move record (a handoff record naming a
+// device), which aggregators with live device migration journaled. The
+// range map keeps no per-device owners, so there is nothing to replay it
+// into.
+var errMoveRecord = errors.New("per-device move records are not replayable")
+
 // Apply is the aggregator's side of a journal replay (journal.Plane): it
 // rebuilds the range map from an ownership journal written by a previous
-// aggregator run — claims re-assign ranges, per-device moves re-apply,
-// failover records repoint. Credited totals are NOT recovered — they come
-// back through resume baselines as edges reconnect. Replay before Serve.
+// aggregator run — claims re-assign ranges, failover records repoint.
+// Credited totals are NOT recovered — they come back through resume
+// baselines as edges reconnect. Replay before Serve. A per-device move
+// record fails the replay with errMoveRecord rather than falling through
+// to the repoint case and moving the source edge's whole range.
 func (a *Aggregator) Apply(m wire.Message) error {
 	if m.Type != wire.TypeHandoff || m.Handoff == nil {
 		return nil
 	}
 	h := m.Handoff
+	if m.SUO != "" {
+		return fmt.Errorf("federate: ownership record moving device %q from %s to %s: %w",
+			m.SUO, h.From, h.To, errMoveRecord)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.init()
 	switch {
-	case m.SUO != "":
-		a.rmap.Move(m.SUO, h.To)
 	case h.From == "" && h.To != "":
 		a.rmap.Assign(h.Range, h.To)
 		if h.Dir != "" {

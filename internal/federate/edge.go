@@ -15,8 +15,8 @@ import (
 // Edge is the uplink side of an edge ingester: it owns the daemon's pool
 // (devices keep connecting to the edge's own fleet.Server exactly as
 // before) and maintains one connection to the aggregator, streaming rollup
-// deltas and executing the migrations and adoptions the aggregator
-// directs. Configure the fields, then call Run once.
+// deltas and executing the adoptions the aggregator directs. Configure the
+// fields, then call Run once.
 type Edge struct {
 	// ID names the edge fleet-wide (the SUO of its uplink Hello). Required.
 	ID string
@@ -32,15 +32,15 @@ type Edge struct {
 	// Sample reads the edge's cumulative fleet state (see PoolSampler).
 	// Required.
 	Sample Sampler
-	// Pool is the edge daemon's monitor pool, the source and destination
-	// of migrated devices. Required.
+	// Pool is the edge daemon's monitor pool, the destination of adopted
+	// devices. Required.
 	Pool *fleet.Pool
-	// Factory rebuilds monitors for devices arriving by handoff or
-	// adoption. Required.
+	// Factory rebuilds monitors for devices arriving by adoption.
+	// Required.
 	Factory fleet.MonitorFactory
 	// Journal, when non-nil, receives handoff records write-ahead of every
-	// ownership change this edge takes part in, so replaying the edge's
-	// journal reconstructs exactly the devices it owns. Point it at the
+	// device this edge adopts, so replaying the edge's journal
+	// reconstructs exactly the devices it owns. Point it at the
 	// same journal the edge's fleet.Server appends frames to.
 	Journal fleet.FrameJournal
 	// JournalDir is the directory behind Journal, advertised in the Hello
@@ -237,16 +237,8 @@ func (e *Edge) session(c *wire.Conn, flush time.Duration, done <-chan struct{}) 
 						inflightCtx = trace.Context{}
 					}
 				}
-			case m.Type == wire.TypeControl && m.Control == wire.CtrlMigrate:
-				if err := e.migrate(c, m.SUO, m.Target); err != nil {
-					return err
-				}
 			case m.Type == wire.TypeControl && m.Control == wire.CtrlAdopt:
 				if err := e.adoptAndAck(c, m.SUO, m.Target); err != nil {
-					return err
-				}
-			case m.Type == wire.TypeHandoff:
-				if err := e.arrive(c, m); err != nil {
 					return err
 				}
 			case m.Type == wire.TypeHeartbeat:
@@ -256,58 +248,6 @@ func (e *Edge) session(c *wire.Conn, flush time.Duration, done <-chan struct{}) 
 			}
 		}
 	}
-}
-
-// migrate is the source side of a live migration (ARCHITECTURE.md §7.3):
-// drain the device behind its shard barrier, capture-and-remove atomically,
-// journal the departure, hand the checkpoint upstream.
-func (e *Edge) migrate(c *wire.Conn, device, target string) error {
-	if err := e.Pool.FlushDevice(device); err != nil {
-		return err
-	}
-	cp, err := e.Pool.HandoffDevice(device)
-	if err != nil {
-		// Unknown device — already migrated or never here. Not a session
-		// error: the aggregator's range map is the authority, not us.
-		e.logf("federate: edge %s: migrate %s: %v", e.ID, device, err)
-		return nil
-	}
-	var pos uint64
-	if sh, ok := e.Journal.(*journal.Sharded); ok && sh != nil {
-		pos = sh.Stats().Appends
-	}
-	h := wire.HandoffRecord{From: e.ID, To: target, Pos: pos}
-	if e.Journal != nil {
-		dep := h
-		dep.Out = true
-		err := e.Journal.Append(wire.Message{Type: wire.TypeHandoff, SUO: device,
-			At: cp.At, Handoff: &dep, Checkpoint: cp})
-		if err != nil {
-			return fmt.Errorf("journaling departure of %s: %w", device, err)
-		}
-	}
-	e.logf("federate: edge %s: migrating device %s to %s", e.ID, device, target)
-	return c.Encode(wire.Message{Type: wire.TypeHandoff, SUO: device,
-		At: cp.At, Handoff: &h, Checkpoint: cp})
-}
-
-// arrive is the destination side: journal the arrival write-ahead, restore
-// the device with its handed-over state, ack the completed migration.
-func (e *Edge) arrive(c *wire.Conn, m wire.Message) error {
-	if m.SUO == "" || m.Checkpoint == nil || m.Handoff == nil {
-		e.logf("federate: edge %s: malformed handoff frame ignored", e.ID)
-		return nil
-	}
-	if e.Journal != nil {
-		if err := e.Journal.Append(m); err != nil {
-			return fmt.Errorf("journaling arrival of %s: %w", m.SUO, err)
-		}
-	}
-	if err := e.Pool.RestoreHandoff(m.SUO, m.Checkpoint, e.Factory); err != nil {
-		return err
-	}
-	e.logf("federate: edge %s: device %s arrived from %s", e.ID, m.SUO, m.Handoff.From)
-	return c.Encode(wire.Ack(m.SUO, wire.CtrlMigrate, m.At))
 }
 
 func (e *Edge) adoptAndAck(c *wire.Conn, source, dir string) error {
@@ -320,7 +260,7 @@ func (e *Edge) adoptAndAck(c *wire.Conn, source, dir string) error {
 	return c.Encode(wire.Ack(source, wire.CtrlAdopt, 0))
 }
 
-// Adopt absorbs a dead peer's journal (ARCHITECTURE.md §7.4): the journal
+// Adopt absorbs a dead peer's journal (ARCHITECTURE.md §7.3): the journal
 // replays into a scratch pool — full fidelity, checkpoints included — and
 // every recovered device is then handed off from the scratch pool into the
 // edge's own, each arrival journaled write-ahead, followed by the peer's

@@ -8,7 +8,7 @@ import (
 
 // The federation fold: per-edge cumulative counters merge by addition into
 // the fleet-wide view, and signed deltas against a credited baseline keep
-// the merged totals exact even while a migration moves state between edges.
+// the merged totals exact even when an edge's own totals fall.
 func Example() {
 	edgeA := federate.Counters{"outputs": 40, "deviations": 2}
 	edgeB := federate.Counters{"outputs": 20}
@@ -18,18 +18,19 @@ func Example() {
 	view.Add(edgeA)
 	view.Add(edgeB)
 
-	// A live migration moves a device (30 outputs, 2 deviations) from A to
-	// B: A's cumulative state legitimately decreases — deltas are signed —
-	// and the two edges' next deltas cancel exactly in the merged view.
+	// A device (30 outputs, 2 deviations) leaves A's pool — a disconnect on
+	// an edge without a journal — and takes its monitor counters with it:
+	// A's cumulative state legitimately decreases, so deltas are signed.
+	// Meanwhile B's devices stream 10 more outputs.
 	prevA, prevB := edgeA.Clone(), edgeB.Clone()
 	edgeA = federate.Counters{"outputs": 10}
-	edgeB = federate.Counters{"outputs": 50, "deviations": 2}
+	edgeB = federate.Counters{"outputs": 30}
 	view.Add(edgeA.Diff(prevA))
 	view.Add(edgeB.Diff(prevB))
 
 	fmt.Println("outputs:", view["outputs"])
 	fmt.Println("deviations:", view["deviations"])
 	// Output:
-	// outputs: 60
-	// deviations: 2
+	// outputs: 40
+	// deviations: 0
 }

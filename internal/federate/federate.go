@@ -1,7 +1,8 @@
 // Package federate scales traderd past one process: an edge/aggregator
 // tier in which edge ingesters each own a contiguous device-ID hash range
 // of the fleet and stream compact rollup deltas upstream to an aggregator,
-// which merges them into one fleet-wide view — the paper's E7 monitor
+// which merges them into one fleet-wide view. A dead edge's monitors move,
+// checkpointed state and all, to a surviving edge — the paper's E7 monitor
 // migration carried to production scale (ARCHITECTURE.md §7).
 //
 // The tier leans on one property the rest of the repo already enforces:
@@ -15,15 +16,12 @@
 //
 //   - Edge: wraps an edge daemon's fleet.Pool and dials upstream
 //     (wire.Conn, RoleEdge Hello), flushing a RollupDelta every Flush
-//     interval and carrying out the migrations and adoptions the
-//     aggregator directs.
+//     interval and carrying out the adoptions the aggregator directs.
 //   - Aggregator: accepts edge uplinks, credits each delta exactly once
 //     (per-edge sequence numbers, TypeAck replies), serves the merged
-//     View, orchestrates live migration, and repoints the range map when
-//     an edge dies.
+//     View, and repoints the range map when an edge dies.
 //   - RangeMap: device-ID hash ranges (fleet.RangeOf, the same FNV-1a that
-//     routes devices to shards) plus per-device overrides for migrated
-//     devices.
+//     routes devices to shards), each owned by one edge.
 //
 // Delta streaming is exactly-once without aggregator persistence: after
 // the Hello exchange the aggregator sends the cumulative totals it has
@@ -155,17 +153,15 @@ func PoolSampler(pool *fleet.Pool, srv *fleet.Server, extra ...func(Counters)) S
 }
 
 // RangeMap tracks which edge owns each device: by contiguous hash range
-// (fleet.RangeOf over the range count), with per-device overrides for
-// migrated devices. Safe for concurrent use.
+// (fleet.RangeOf over the range count). Safe for concurrent use.
 type RangeMap struct {
 	mu     sync.RWMutex
-	owners []string          // range index → edge ID ("" = unassigned)
-	moved  map[string]string // device ID → edge ID override
+	owners []string // range index → edge ID ("" = unassigned)
 }
 
 // NewRangeMap creates a map over n hash ranges.
 func NewRangeMap(n int) *RangeMap {
-	return &RangeMap{owners: make([]string, n), moved: make(map[string]string)}
+	return &RangeMap{owners: make([]string, n)}
 }
 
 // Assign points a range at an edge.
@@ -182,33 +178,17 @@ func (m *RangeMap) Owner(r int) string {
 	return m.owners[r]
 }
 
-// OwnerOf returns the edge a device belongs to: its migration override if
-// one exists, otherwise the owner of its hash range.
+// OwnerOf returns the edge a device belongs to: the owner of its hash
+// range.
 func (m *RangeMap) OwnerOf(device string) string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if e, ok := m.moved[device]; ok {
-		return e
-	}
 	return m.owners[fleet.RangeOf(device, len(m.owners))]
 }
 
-// Move overrides one device's owner (a completed migration). Moving a
-// device back to its hash-range owner clears the override.
-func (m *RangeMap) Move(device, edge string) {
-	m.mu.Lock()
-	if m.owners[fleet.RangeOf(device, len(m.owners))] == edge {
-		delete(m.moved, device)
-	} else {
-		m.moved[device] = edge
-	}
-	m.mu.Unlock()
-}
-
-// Repoint reassigns every range owned by from — and every moved device
-// whose override names from — to to, returning the repointed range
-// indices. The failover path: a dead edge's whole ownership transfers to
-// the survivor adopting its journal.
+// Repoint reassigns every range owned by from to to, returning the
+// repointed range indices. The failover path: a dead edge's whole
+// ownership transfers to the survivor adopting its journal.
 func (m *RangeMap) Repoint(from, to string) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -217,11 +197,6 @@ func (m *RangeMap) Repoint(from, to string) []int {
 		if e == from {
 			m.owners[r] = to
 			ranges = append(ranges, r)
-		}
-	}
-	for d, e := range m.moved {
-		if e == from {
-			m.moved[d] = to
 		}
 	}
 	return ranges

@@ -1,10 +1,12 @@
 package federate
 
 import (
+	"errors"
 	"fmt"
-	"net"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,22 +58,8 @@ func TestRangeMap(t *testing.T) {
 	if got := m.OwnerOf(dev); got != hashOwner {
 		t.Fatalf("OwnerOf = %q, want hash owner %q", got, hashOwner)
 	}
-	other := "edge-a"
-	if hashOwner == "edge-a" {
-		other = "edge-b"
-	}
-	m.Move(dev, other)
-	if got := m.OwnerOf(dev); got != other {
-		t.Fatalf("after Move, OwnerOf = %q, want %q", got, other)
-	}
-	// Moving back to the hash owner clears the override.
-	m.Move(dev, hashOwner)
-	if len(m.moved) != 0 {
-		t.Fatalf("override not cleared on move home: %v", m.moved)
-	}
-	// Repoint transfers ranges and overrides.
-	m.Move(dev, other)
-	ranges := m.Repoint(other, "edge-c")
+	// Repoint transfers every range the old owner held.
+	ranges := m.Repoint(hashOwner, "edge-c")
 	if len(ranges) != 2 {
 		t.Fatalf("Repoint moved %d ranges, want 2", len(ranges))
 	}
@@ -283,72 +271,6 @@ func TestAggregatorVetsUplinks(t *testing.T) {
 	}
 }
 
-// Live migration: the aggregator directs a move, the device's monitor state
-// lands intact on the destination, the range map repoints, and the merged
-// view is conserved throughout.
-func TestLiveMigration(t *testing.T) {
-	agg := &Aggregator{Ranges: 2, Logf: t.Logf}
-	addr := startAggregator(t, agg)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a := newHarness(t, "edge-a", addr, 0, 2, dirA)
-	b := newHarness(t, "edge-b", addr, 1, 2, dirB)
-	dev := deviceInRange(0, 2)
-	a.addDevice(dev)
-	a.stream(dev, 40)
-	a.start()
-	defer a.stop()
-	b.start()
-	defer b.stop()
-	waitView(t, agg, "both edges credited", func(v View) bool {
-		return v.Devices == 1 && v.Counters["outputs"] == 40 && len(v.Edges) == 2
-	})
-
-	if err := agg.Migrate(dev, "edge-b"); err != nil {
-		t.Fatal(err)
-	}
-	waitView(t, agg, "migration to complete", func(v View) bool {
-		return v.Migrations == 1 && agg.OwnerOf(dev) == "edge-b"
-	})
-	// The device is live on B with its full history.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.pool.Rollup().Devices != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("device never landed on edge-b")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := b.pool.Rollup().Monitor.OutputsSeen; got != 40 {
-		t.Fatalf("migrated outputs seen = %d, want 40", got)
-	}
-	// It keeps monitoring where it left off, and the view stays conserved.
-	b.at[dev] = a.at[dev]
-	b.stream(dev, 10)
-	waitView(t, agg, "post-migration totals", func(v View) bool {
-		return v.Devices == 1 && v.Counters["outputs"] == 50
-	})
-
-	// Both sides journaled the move: replaying each edge's journal yields
-	// exactly the devices it now owns.
-	for _, tc := range []struct {
-		dir     string
-		devices int
-	}{{dirA, 0}, {dirB, 1}} {
-		r, err := journal.OpenReader(tc.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := fleet.NewPool(fleet.Options{Shards: 2})
-		if _, err := p.Replay(r, fleet.LightMonitorFactory()); err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		if got := p.Rollup().Devices; got != tc.devices {
-			t.Fatalf("replay of %s: %d devices, want %d", tc.dir, got, tc.devices)
-		}
-		p.Stop()
-	}
-}
-
 // Failover: an edge dies, the aggregator directs the survivor to adopt its
 // journal, and afterwards the merged view holds every device and every
 // counter the dead edge had — nothing lost, nothing double-counted.
@@ -431,10 +353,6 @@ func TestAggregatorRecover(t *testing.T) {
 	b.start()
 	defer b.stop()
 	waitView(t, agg, "both edges up", func(v View) bool { return len(v.Edges) == 2 && v.Devices == 1 })
-	if err := agg.Migrate(dev, "edge-b"); err != nil {
-		t.Fatal(err)
-	}
-	waitView(t, agg, "migration", func(v View) bool { return v.Migrations == 1 })
 	owners := agg.Owners()
 	agg.Close()
 	if err := jw.Close(); err != nil {
@@ -452,76 +370,73 @@ func TestAggregatorRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 3 { // two claims + one move
-		t.Fatalf("recovered %d ownership records, want >= 3", n)
+	if n != 2 { // two claims
+		t.Fatalf("recovered %d ownership records, want 2", n)
 	}
 	if got := fresh.Owners(); !reflect.DeepEqual(got, owners) {
 		t.Fatalf("recovered owners = %v, want %v", got, owners)
 	}
-	if got := fresh.OwnerOf(dev); got != "edge-b" {
-		t.Fatalf("recovered OwnerOf(%s) = %q, want edge-b", dev, got)
+	if got := fresh.OwnerOf(dev); got != "edge-a" {
+		t.Fatalf("recovered OwnerOf(%s) = %q, want edge-a", dev, got)
 	}
 }
 
-// An edge that stops reading must lose its own uplink, not wedge another's:
-// relayHandoff writes to the destination edge on the SOURCE edge's handler
-// goroutine, so before aggregator→edge writes were deadline-guarded a stalled
-// destination froze the source's rollup acks forever. The pipes make the
-// stall exact (a pipe write blocks until read); the wait is the production
-// wire.SendTimeout, hence the parallel test.
-func TestStalledEdgeDoesNotWedgeHandoffRelay(t *testing.T) {
-	t.Parallel()
-	agg := &Aggregator{Ranges: 2, Logf: t.Logf}
-	var handlers sync.WaitGroup
-	// Handlers log through t, so they must be done before the test is: this
-	// cleanup runs last, after the ones that close the pipes.
-	t.Cleanup(handlers.Wait)
-	uplink := func(id string, rng int) *wire.Conn {
-		t.Helper()
-		near, far := net.Pipe()
-		t.Cleanup(func() { far.Close() })
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			agg.handle(near)
-		}()
-		c := wire.NewConn(far)
-		if _, err := c.Handshake(wire.Message{SUO: id, Role: wire.RoleEdge,
-			Handoff: &wire.HandoffRecord{From: id, Range: rng, Of: 2}}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if base, err := c.Decode(); err != nil || base.Type != wire.TypeRollup {
-			t.Fatalf("%s: resume baseline: %+v, %v", id, base, err)
-		}
-		return c
+// testdata holds three journals written by a build with live device
+// migration: edge-a-journal and edge-b-journal by two edges while edge-a
+// migrated one device, which had seen 40 matched pairs, to edge-b, which
+// then streamed 10 more pairs for it; aggregator-journal, in a run of its
+// own, by an aggregator that journaled two edges' range claims and then the
+// move of device deviceInRange(0, 2) from edge-a to edge-b.
+func fixture(t *testing.T, name string) *journal.Reader {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", name))); err != nil {
+		t.Fatal(err)
 	}
-	src := uplink("edge-src", 0)
-	uplink("edge-dst", 1) // handshaken, then never read again
+	r, err := journal.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
 
-	start := time.Now()
-	move := wire.Message{Type: wire.TypeHandoff, SUO: deviceInRange(0, 2),
-		Handoff: &wire.HandoffRecord{From: "edge-src", To: "edge-dst"}}
-	if err := src.Encode(move); err != nil {
-		t.Fatal(err)
+// Edge journals with migration records replay as before: the source's
+// departure record removes the device, the destination's arrival record
+// rebuilds it with the state it left with, and its later frames dispatch
+// on top.
+func TestMigrationEdgeJournalsReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		devices, outputs int
+	}{{"edge-a-journal", 0, 0}, {"edge-b-journal", 1, 40 + 10}} {
+		p := fleet.NewPool(fleet.Options{Shards: 2})
+		st, err := p.Replay(fixture(t, tc.name), fleet.LightMonitorFactory())
+		ro := p.Rollup()
+		p.Stop()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Handoffs != 1 {
+			t.Errorf("%s: %d handoff records applied, want 1", tc.name, st.Handoffs)
+		}
+		if ro.Devices != tc.devices || ro.Monitor.OutputsSeen != uint64(tc.outputs) {
+			t.Errorf("%s replays to %d devices with %d outputs seen, want %d and %d",
+				tc.name, ro.Devices, ro.Monitor.OutputsSeen, tc.devices, tc.outputs)
+		}
 	}
-	// The source's next delta queues behind the relay on its handler; it is
-	// read — and acked — once the stalled write has timed out.
-	if err := src.Encode(wire.Message{Type: wire.TypeRollup, SUO: "edge-src",
-		Rollup: &wire.RollupDelta{Seq: 1, Devices: 1}}); err != nil {
-		t.Fatal(err)
+}
+
+// An aggregator journal with a per-device move record is refused by name:
+// replayed as a repoint instead, the record would hand the source edge's
+// whole range to the destination.
+func TestAggregatorRefusesMoveRecord(t *testing.T) {
+	fresh := &Aggregator{Ranges: 2, Logf: t.Logf}
+	err := journal.Replay(fixture(t, "aggregator-journal"), fresh)
+	if !errors.Is(err, errMoveRecord) || !strings.Contains(err.Error(), deviceInRange(0, 2)) {
+		t.Fatalf("replay of a journal with a move record = %v, want errMoveRecord naming the device", err)
 	}
-	ack, err := src.Decode()
-	if err != nil || ack.Type != wire.TypeAck || ack.At != 1 {
-		t.Fatalf("source's delta after the relay: %+v, %v; want an ack of seq 1", ack, err)
-	}
-	if waited := time.Since(start); waited < wire.SendTimeout/2 || waited > 2*wire.SendTimeout {
-		t.Fatalf("relay to the stalled edge took %s, want about wire.SendTimeout (%s)", waited, wire.SendTimeout)
-	}
-	// The failed send shut the destination; its handler unwound and dropped it.
-	v := waitView(t, agg, "stalled edge dropped", func(v View) bool {
-		return len(v.Edges) == 2 && !v.Edges[0].Live && v.Edges[1].Live
-	})
-	if v.Handoffs != 1 || v.Edges[1].Seq != 1 {
-		t.Fatalf("view after the relay: handoffs %d, source seq %d; want 1 and 1", v.Handoffs, v.Edges[1].Seq)
+	if got, want := fresh.Owners(), []string{"edge-a", "edge-b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("owners after the refused record = %v, want the claims %v", got, want)
 	}
 }

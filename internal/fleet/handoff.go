@@ -7,15 +7,15 @@ import (
 	"trader/internal/wire"
 )
 
-// This file is the fleet side of the federation tier's live device
-// migration (ARCHITECTURE.md §7.3): capture one device behind its shard
-// barrier, hand it off, restore it into another pool with byte-identical
-// monitor state. The federation package orchestrates who captures and who
-// restores; the pool only guarantees the barrier semantics.
+// This file is the fleet side of the federation tier's failover adoption
+// (ARCHITECTURE.md §7.3): capture one device behind its shard barrier, hand
+// it off, restore it into another pool with byte-identical monitor state.
+// The federation package orchestrates who captures and who restores; the
+// pool only guarantees the barrier semantics.
 
 // HandoffDevice captures a device exactly like CaptureDevice and removes it
 // from the pool in the same shard command, so no frame can be dispatched to
-// the device between the snapshot and its departure — the migration
+// the device between the snapshot and its departure — the handoff
 // barrier. The caller must have stopped the device's ingest traffic first
 // (disconnect or drain); frames arriving after the handoff are dropped as
 // unknown-device, visibly, in Stats.Dropped. The removed device's monitor
@@ -55,7 +55,7 @@ func (p *Pool) captureDevice(id string, remove bool) (cp *wire.Checkpoint, err e
 	return cp, err
 }
 
-// RestoreHandoff is the destination side of a migration: it builds the
+// RestoreHandoff is the destination side of a handoff: it builds the
 // device through the factory (the single registration path shared with live
 // ingestion and replay) and assigns the handed-over checkpoint absolutely —
 // clock, counters, comparator state, spec-model configuration, quarantine

@@ -37,7 +37,7 @@ func streamLight(t *testing.T, p *Pool, id string, n int, from sim.Time) sim.Tim
 
 // A handoff captures and removes atomically, and restoring the checkpoint
 // into another pool reproduces the monitor state byte-for-byte — the
-// migration contract the federation tier is built on.
+// handoff contract failover adoption is built on.
 func TestHandoffDeviceMovesStateExactly(t *testing.T) {
 	src := NewPool(Options{Shards: 2})
 	defer src.Stop()
@@ -92,7 +92,7 @@ func TestHandoffDeviceMovesStateExactly(t *testing.T) {
 	streamLight(t, dst, id, 5, at)
 	ro := dst.Rollup()
 	if ro.Monitor.OutputsSeen != 45 {
-		t.Fatalf("destination outputs seen = %d, want 45 (40 migrated + 5 live)", ro.Monitor.OutputsSeen)
+		t.Fatalf("destination outputs seen = %d, want 45 (40 handed off + 5 live)", ro.Monitor.OutputsSeen)
 	}
 }
 

@@ -322,14 +322,18 @@ func (rp *Replayer) failure() error {
 	return nil
 }
 
-// applyHandoff re-applies a federation migration record (ARCHITECTURE.md
-// §7.3/§7.4), journaled write-ahead on both sides of a device's move so
-// replay reconstructs ownership exactly:
+// applyHandoff re-applies a federation handoff record (ARCHITECTURE.md
+// §7.4), journaled write-ahead of a device's move so replay reconstructs
+// ownership exactly:
 //   - departure (Out=true): the device left this edge; remove it and let
-//     any later record rebuild it from scratch.
+//     any later record rebuild it from scratch. Only earlier builds, whose
+//     edges migrated devices live, wrote departures. The case stays so
+//     their journals replay as they did: a departure carries a checkpoint
+//     too, and would otherwise bring the departed device back as an
+//     arrival.
 //   - arrival (Out=false, device checkpoint): the device joined this edge
-//     mid-history; build it and assign the handed-over state absolutely,
-//     like a PlaneDevice checkpoint.
+//     mid-history, adopted from a dead peer; build it and assign the
+//     handed-over state absolutely, like a PlaneDevice checkpoint.
 //   - adopted baseline (no SUO, PlaneFleet checkpoint): a dead peer's pool
 //     counters absorbed during failover.
 func (rp *Replayer) applyHandoff(m wire.Message) error {

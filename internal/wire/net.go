@@ -60,10 +60,11 @@ func Dial(addr string, hello Message) (*Conn, Message, error) {
 	return c, reply, nil
 }
 
-// SendTimeout bounds every frame a daemon writes to a peer. Error, control
-// and handoff pushes run on goroutines that serve other peers too (shards,
-// another edge's handler), so a peer that stops reading until its socket
-// buffer fills must stall only itself: the timed-out write closes it.
+// SendTimeout bounds every frame a daemon writes to a peer. Error and
+// control pushes run on goroutines that serve other peers too (shards), and
+// the aggregator's adoption directive on its failover timer, so a peer that
+// stops reading until its socket buffer fills must stall only itself: the
+// timed-out write closes it.
 const SendTimeout = 10 * time.Second
 
 // Peer is the daemon's end of one accepted connection. Every write — Send,

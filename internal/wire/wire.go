@@ -72,14 +72,14 @@ const (
 	// reconnecting edge resumes the delta stream without double counting.
 	// See ARCHITECTURE.md §7.2.
 	TypeRollup MsgType = "rollup"
-	// TypeHandoff carries a live device migration (edge ⇄ aggregator) and
-	// doubles as the journal record that makes ownership changes
+	// TypeHandoff is the journal record that makes ownership changes
 	// replayable: the Handoff payload names source and destination edge,
 	// SUO names the device, and the frame-level Checkpoint payload carries
-	// the device's monitor snapshot captured behind the migration barrier.
-	// Journaled write-ahead on both edges (Handoff.Out distinguishes the
-	// departure record from the arrival record) and on the aggregator (the
-	// range-map repoint). See ARCHITECTURE.md §7.3.
+	// the device's monitor snapshot. An edge adopting a dead peer journals
+	// one arrival per adopted device plus an adopted baseline; the
+	// aggregator journals range claims and repoints. Handoff.Out marks a
+	// departure record, which only earlier builds, with live device
+	// migration, wrote. See ARCHITECTURE.md §7.4.
 	TypeHandoff MsgType = "handoff"
 	// TypeSpectrumDelta (SUO → monitor) piggybacks one closed coverage
 	// window of the device's spectral flight recorder on the heartbeat
@@ -157,19 +157,13 @@ const (
 	// dispatching to it and its connection is closed; the SUO must stop
 	// streaming.
 	CtrlQuarantine ControlCommand = "quarantine"
-	// CtrlMigrate (aggregator → edge, federation tier) asks the edge to
-	// migrate the device named in SUO to the edge named in Target: drain
-	// behind the shard barrier, capture, journal the departure, send a
-	// TypeHandoff frame upstream. The destination edge acks the completed
-	// restore with a TypeAck echoing this command. ARCHITECTURE.md §7.3.
-	CtrlMigrate ControlCommand = "migrate"
 	// CtrlAdopt (aggregator → edge, federation tier) asks a surviving edge
 	// to absorb a dead peer: SUO names the dead edge, Target its
 	// advertised journal directory. The survivor replays the journal,
 	// re-journals every recovered device as a handoff arrival plus the
 	// peer's pool counters as an adopted baseline, and acks with a TypeAck
 	// echoing this command — at which point the aggregator repoints the
-	// dead edge's ranges. ARCHITECTURE.md §7.4.
+	// dead edge's ranges. ARCHITECTURE.md §7.3.
 	CtrlAdopt ControlCommand = "adopt"
 )
 
@@ -281,9 +275,9 @@ type Message struct {
 	Role string `json:"role,omitempty"`
 	// Rollup carries a federation rollup delta (TypeRollup frames).
 	Rollup *RollupDelta `json:"rollup,omitempty"`
-	// Handoff carries a device-migration handoff (TypeHandoff frames and
-	// journal records; also attached to edge Hello frames as the range
-	// claim — see HandoffRecord).
+	// Handoff carries an ownership change (TypeHandoff journal records;
+	// also attached to edge Hello frames as the range claim — see
+	// HandoffRecord).
 	Handoff *HandoffRecord `json:"handoff,omitempty"`
 	// Delta carries one sparse coverage-window delta (TypeSpectrumDelta
 	// frames; in journals the Target field labels it "fail" or "pass",
@@ -314,9 +308,9 @@ type TraceContext struct {
 // fleet-level statistic in this repo is an order-independent integer fold,
 // so deltas compose exactly: the aggregator's merged view is the plain sum
 // of the deltas it has credited, regardless of arrival order across edges.
-// Deltas are signed because live migration moves a device's monitor
-// counters to another edge — the source's cumulative rollup legitimately
-// decreases by exactly what the destination's gains.
+// Deltas are signed because an edge's cumulative rollup can legitimately
+// decrease: a device removed from its pool takes its monitor counters out
+// of the rollup with it.
 type RollupDelta struct {
 	// Seq numbers the edge's flushes monotonically from 1; the aggregator
 	// acks a delta with a TypeAck frame whose At field carries Seq, and
@@ -338,21 +332,23 @@ type RollupCounter struct {
 	V    int64  `json:"v"`
 }
 
-// HandoffRecord is the payload of a TypeHandoff frame or journal record —
-// and, attached to an edge's Hello, the edge's range claim. The three uses
-// share the struct so the codec and the journal speak one layout:
+// HandoffRecord is the payload of a TypeHandoff journal record — and,
+// attached to an edge's Hello, the edge's range claim. The uses share the
+// struct so the codec and the journal speak one layout:
 //
 //   - Edge Hello claim: From is the edge ID, Range/Of the contiguous
 //     device-ID hash range it serves (range Range of Of, fleet.RangeOf),
 //     Dir its journal directory (advertised so the aggregator can direct a
 //     surviving edge to adopt it after a crash; empty when not journaling).
-//   - Migration frame: SUO on the enclosing Message names the device, From
-//     and To the edges, Pos the source journal's record count at capture,
-//     and the Message's Checkpoint payload the monitor snapshot.
-//   - Journal record: the source edge journals the frame with Out=true
-//     before releasing the device (replay removes it); the destination
-//     journals it with Out=false before restoring (replay rebuilds it).
-//     The aggregator journals range repoints (Range set, no checkpoint).
+//   - Edge journal record: SUO on the enclosing Message names the device,
+//     From and To the edges, and the Message's Checkpoint payload the
+//     monitor snapshot. An adopting edge journals one with Out=false
+//     before restoring each adopted device (replay rebuilds it). Out=true
+//     marks a departure, and Pos the source journal's record count at
+//     capture: earlier builds, with live device migration, journaled those
+//     before releasing a device (replay removes it).
+//   - Aggregator journal record: range claims and failover repoints
+//     (no SUO, no checkpoint).
 type HandoffRecord struct {
 	From  string `json:"from,omitempty"`
 	To    string `json:"to,omitempty"`
@@ -385,7 +381,7 @@ const (
 	PlaneControl = "control"
 	// PlaneFleet: a whole pool's summed traffic counters, carried on the
 	// TypeHandoff baseline record an edge journals when it adopts a dead
-	// peer's journal (ARCHITECTURE.md §7.4). Replay re-applies it as an
+	// peer's journal (ARCHITECTURE.md §7.3). Replay re-applies it as an
 	// additive rollup baseline keyed by the source edge, never colliding
 	// with the pool's own PlaneShard baselines.
 	PlaneFleet = "fleet"

@@ -177,9 +177,6 @@ const (
 	sharedOracle keepReason = "test oracle or harness shared across packages' tests"
 	// paperConcept: a paper concept the ROADMAP audit keeps.
 	paperConcept keepReason = "paper concept the ROADMAP audit keeps"
-	// migrationInitiator: the only initiator of ARCHITECTURE §7.3's live
-	// migration protocol; whether live migration ships is decided apart.
-	migrationInitiator keepReason = "sole initiator of the live-migration protocol (ARCHITECTURE §7.3)"
 )
 
 // testOnlyAllowed lists the exported names kept although no non-test code
@@ -199,14 +196,13 @@ var testOnlyAllowed = map[string]keepReason{
 	"internal/hwmon.FlightRecorder.CaptureMatching": paperConcept,
 	// Sect. 4.1 aspect-oriented observation, and the Koala binding API it
 	// weaves on.
-	"internal/aspect":                      paperConcept,
-	"internal/koala.Component.Provide":     paperConcept,
-	"internal/koala.Component.Require":     paperConcept,
-	"internal/koala.Component.Call":        paperConcept,
-	"internal/koala.System.Bind":           paperConcept,
-	"internal/koala.System.Bus":            paperConcept,
-	"internal/koala.System.Weaver":         paperConcept,
-	"internal/federate.Aggregator.Migrate": migrationInitiator,
+	"internal/aspect":                  paperConcept,
+	"internal/koala.Component.Provide": paperConcept,
+	"internal/koala.Component.Require": paperConcept,
+	"internal/koala.Component.Call":    paperConcept,
+	"internal/koala.System.Bind":       paperConcept,
+	"internal/koala.System.Bus":        paperConcept,
+	"internal/koala.System.Weaver":     paperConcept,
 }
 
 // listedPackage is the part of `go list -json` the gate reads.
@@ -536,7 +532,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 			len(bad), strings.Join(bad, "\n\t"))
 	}
 	for k, why := range testOnlyAllowed {
-		if why != sharedOracle && why != paperConcept && why != migrationInitiator {
+		if why != sharedOracle && why != paperConcept {
 			t.Errorf("allowlist entry %s: reason %q is not one of the closed set", k, why)
 		}
 		if !hit[k] {
