@@ -3,14 +3,17 @@ package main
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"trader/internal/control"
+	"trader/internal/daemon"
 	"trader/internal/diagnose"
 	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
+	"trader/internal/spectrum"
 	"trader/internal/tvsim"
 	"trader/internal/wire"
 )
@@ -25,12 +28,6 @@ const (
 // re-arms the comparator without a journal record (§4.3), and this test
 // wants the replayed pool to equal the live one exactly.
 var bootPolicy = control.Policy{Name: "boot-test", Tolerate: 2, Resets: 2}
-
-// countPlane counts the records a replay pass hands its planes.
-type countPlane struct{ n int }
-
-func (c *countPlane) Apply(wire.Message) error { c.n++; return nil }
-func (c *countPlane) Settle() error            { return nil }
 
 // journalRecords counts what a reader of dir sees — the records after each
 // stream's resume point.
@@ -50,63 +47,75 @@ func journalRecords(t *testing.T, dir string) int {
 	}
 }
 
-// bootFleet is one daemon's worth of planes over a light-profile pool, the
-// way runIngest registers them: diagnosis first, then the controller that
-// escalates into it.
-type bootFleet struct {
-	pool *fleet.Pool
-	eng  *diagnose.Engine
-	ctl  *control.Controller
-}
-
-func newBootFleet(j fleet.FrameJournal, attach func(*fleet.Pool, control.Options) *control.Controller) *bootFleet {
-	f := &bootFleet{pool: fleet.NewPool(fleet.Options{Shards: bootShards})}
-	f.eng = diagnose.Attach(f.pool, diagnose.Options{Journal: j, Blocks: bootBlocks, Cohort: 2, Requery: -1, Continuous: true})
-	f.ctl = attach(f.pool, control.Options{Journal: j, Policy: bootPolicy, OnEscalate: f.eng.HandleAction})
-	return f
-}
-
-func (f *bootFleet) stop() {
-	f.ctl.Close()
-	f.eng.Close()
-	f.pool.Stop()
+// marker is the profile marker a daemon appends on opening a journal.
+func marker(suo string) wire.Message {
+	return wire.Message{Type: wire.TypeHello, SUO: "traderd", Target: suo}
 }
 
 // settle drains the pool, then the controller its reports feed, then the
 // engine the controller escalates into.
-func (f *bootFleet) settle(t *testing.T) {
+func settle(t *testing.T, pool *fleet.Pool, ctl *control.Controller, eng *diagnose.Engine) {
 	t.Helper()
-	if err := f.pool.Sync(); err != nil {
+	if err := pool.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	f.ctl.Sync()
-	f.eng.Sync()
+	ctl.Sync()
+	eng.Sync()
+}
+
+// newReplay builds the daemon traderd -replay dir -suo suo runs.
+func newReplay(t *testing.T, dir, suo string, shards int) *daemon.Daemon {
+	d, err := daemon.New(daemon.Config{Replay: dir, SUO: suo, Profiles: profiles, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// bootLight boots a daemon the way traderd -listen -journal dir does,
+// under profile suo, with every plane of the live fleet below.
+func bootLight(t *testing.T, dir, suo string) (*daemon.Daemon, fleet.ReplayStats, error) {
+	d, err := daemon.New(daemon.Config{Listen: "unix:" + filepath.Join(t.TempDir(), "boot.sock"), Journal: dir,
+		SUO: suo, Profiles: profiles, Shards: bootShards, Recover: bootPolicy, Diagnose: spectrum.Ochiai,
+		DiagnoseBlocks: bootBlocks, DiagnoseCohort: 2, DiagnoseContinuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	st, err := d.Boot()
+	return d, st, err
 }
 
 // TestBootRecoversEveryPlaneInOnePass is the boot path's own test: a live
 // fleet with every plane on journals observations, heartbeats, shed
 // markers, control actions and labeled snapshot + delta evidence around a
 // full checkpoint batch (device, control, diagnose and Final shard
-// records); then a fresh set of planes boots from that directory through
-// recoverJournal, the function runIngest and runReplay share.
+// records); then a daemon boots from that directory as traderd does. The
+// live fleet is wired by hand: its engine needs diagnose.Options.Requery,
+// which no flag sets, and the test drives its planes without a server.
 func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 	dir := t.TempDir()
 	jw, err := journal.CreateSharded(dir, bootShards, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.AppendShard(0, profileMarker("light")); err != nil {
+	if err := jw.AppendShard(0, marker("light")); err != nil {
 		t.Fatal(err)
 	}
-	live := newBootFleet(jw, control.Attach)
-	defer live.stop()
+	pool := fleet.NewPool(fleet.Options{Shards: bootShards})
+	defer pool.Stop()
+	eng := diagnose.Attach(pool, diagnose.Options{Journal: jw, Blocks: bootBlocks, Cohort: 2, Requery: -1, Continuous: true})
+	defer eng.Close()
+	ctl := control.Attach(pool, control.Options{Journal: jw, Policy: bootPolicy, OnEscalate: eng.HandleAction})
+	defer ctl.Close()
 	ids := make([]string, 4)
 	recorders := make([]*tvsim.Recorder, len(ids))
 	discard := func(wire.Message) error { return nil }
 	for i := range ids {
 		ids[i] = fmt.Sprintf("boot-%03d", i)
 		recorders[i] = tvsim.NewRecorder(tvsim.RecorderOptions{Blocks: bootBlocks, Windows: 4, Seed: int64(i + 1)})
-		if err := live.pool.AddRemoteDevice(ids[i], fleet.LightMonitorFactory(), discard); err != nil {
+		if err := pool.AddRemoteDevice(ids[i], fleet.LightMonitorFactory(), discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,11 +130,11 @@ func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 		}
 		switch {
 		case m.Event != nil:
-			err = live.pool.Dispatch(m.SUO, *m.Event)
+			err = pool.Dispatch(m.SUO, *m.Event)
 		case m.Type == wire.TypeHeartbeat:
-			err = live.pool.AdvanceDevice(m.SUO, m.At)
+			err = pool.AdvanceDevice(m.SUO, m.At)
 		case m.Type == wire.TypeShed:
-			live.pool.AddShed(m.SUO, *m.Shed)
+			pool.AddShed(m.SUO, *m.Shed)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -150,45 +159,45 @@ func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 			out := event.Event{Kind: event.Output, Name: "out", Source: id, At: at - sim.Millisecond}.With("x", echo)
 			frame(wire.Message{Type: wire.TypeOutput, SUO: id, At: out.At, Event: &out})
 		}
-		live.settle(t)
+		settle(t, pool, ctl, eng)
 		for i, id := range ids {
 			frame(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at})
 			recorders[i].Press("menu")
-			live.eng.HandleSpectrumDelta(id, wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: at,
+			eng.HandleSpectrumDelta(id, wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: at,
 				Delta: recorders[i].RotateDelta(at)})
 		}
 		frame(wire.Message{Type: wire.TypeShed, SUO: ids[n%len(ids)], Shed: &wire.ShedRecord{Observations: 3, Heartbeats: 1}})
-		live.settle(t)
+		settle(t, pool, ctl, eng)
 		for i, id := range ids {
 			recorders[i].Press("volume")
 			recorders[i].Rotate(at + sim.Millisecond)
-			live.eng.HandleSnapshot(id, wire.Message{Type: wire.TypeSnapshot, SUO: id, At: at + sim.Millisecond,
+			eng.HandleSnapshot(id, wire.Message{Type: wire.TypeSnapshot, SUO: id, At: at + sim.Millisecond,
 				Snapshot: recorders[i].Snapshot()})
 		}
-		live.settle(t)
+		settle(t, pool, ctl, eng)
 	}
 
 	for n := 1; n <= 4; n++ {
 		round(n)
 	}
-	cper := &fleet.Checkpointer{Pool: live.pool, Journal: jw, Profile: "light",
-		Planes: []func() wire.Message{live.eng.Checkpoint, live.ctl.Checkpoint}}
+	cper := &fleet.Checkpointer{Pool: pool, Journal: jw, Profile: "light",
+		Planes: []func() wire.Message{eng.Checkpoint, ctl.Checkpoint}}
 	if err := cper.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// The ladder resumes from its checkpoint record; actions after it replay
 	// their pool-side effects only (§4.3). So the controller a boot restores
 	// is the one captured here.
-	wantCtl := live.ctl.Rollup()
+	wantCtl := ctl.Rollup()
 	for n := 5; n <= 9; n++ {
 		round(n)
 	}
-	wantPool, wantDiag := live.pool.Rollup(), live.eng.Result(8).String()
-	liveCtl := live.ctl.Rollup()
+	wantPool, wantDiag := pool.Rollup(), eng.Result(8).String()
+	liveCtl := ctl.Rollup()
 	if liveCtl.Resets == 0 || liveCtl.Quarantines == 0 || liveCtl.Reports <= wantCtl.Reports {
 		t.Fatalf("drive did not climb the ladder on both sides of the checkpoint: at checkpoint %+v, at crash %+v", wantCtl, liveCtl)
 	}
-	if ro := live.eng.Rollup(); ro.Snapshots == 0 || ro.Deltas == 0 || ro.FailWindows == 0 {
+	if ro := eng.Rollup(); ro.Snapshots == 0 || ro.Deltas == 0 || ro.FailWindows == 0 {
 		t.Fatalf("drive folded no labeled evidence: %s", ro)
 	}
 	if err := jw.Close(); err != nil { // the "crash": nothing below touches the live planes
@@ -196,37 +205,32 @@ func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 	}
 	records := journalRecords(t, dir)
 
-	// Boot. The planes are built the way runIngest builds them — the
-	// controller unsubscribed, their journal handle not yet bound — and
-	// recovered in one pass.
-	sink := &journalSink{}
-	boot := newBootFleet(sink, control.New)
-	defer boot.stop()
-	var seen countPlane
-	st, err := recoverJournal(dir, "light", boot.pool, fleet.LightMonitorFactory(),
-		boot.eng, boot.ctl, &seen)
+	// Boot. The daemon builds its planes — the controller unsubscribed,
+	// their journal handle not yet bound — and recovers them in one pass.
+	boot, st, err := bootLight(t, dir, "light")
 	if err != nil {
 		t.Fatal(err)
 	}
+	bpool, bctl, beng := boot.Pool(), boot.Controller(), boot.Engine()
 
 	// (a) every plane is back where the live fleet left it.
-	if got := boot.pool.Rollup(); got != wantPool {
+	if got := bpool.Rollup(); got != wantPool {
 		t.Errorf("pool rollup diverged:\n live %+v\n boot %+v", wantPool, got)
 	}
-	if got := boot.ctl.Rollup(); got != wantCtl {
+	if got := bctl.Rollup(); got != wantCtl {
 		t.Errorf("controller rollup diverged from its checkpoint:\n live %+v\n boot %+v", wantCtl, got)
 	}
-	if got := boot.eng.Result(8).String(); got != wantDiag {
+	if got := beng.Result(8).String(); got != wantDiag {
 		t.Errorf("diagnosis diverged:\nlive:\n%s\nboot:\n%s", wantDiag, got)
 	}
-	if boot.ctl.Recovered() != 1 || boot.eng.Recovered() == 0 {
-		t.Errorf("planes recovered from %d control and %d evidence records", boot.ctl.Recovered(), boot.eng.Recovered())
+	if bctl.Recovered() != 1 || beng.Recovered() == 0 {
+		t.Errorf("planes recovered from %d control and %d evidence records", bctl.Recovered(), beng.Recovered())
 	}
-	// (b) one pass: each record after the resume points reached each plane
-	// exactly once, and the pool accounts for every one of them.
+	// (b) one pass: the pool accounts for each record after the resume
+	// points exactly once.
 	applied := st.Frames + st.Heartbeats + st.Actions + st.Evidence + st.Checkpoints + st.Sheds + st.Handoffs + st.Skipped
-	if seen.n != records || applied != records {
-		t.Errorf("journal holds %d records; the pass fanned out %d and the pool applied %d (%s)", records, seen.n, applied, st)
+	if applied != records {
+		t.Errorf("journal holds %d records; the pool applied %d (%s)", records, applied, st)
 	}
 	if st.Actions == 0 || st.Sheds == 0 || st.Evidence == 0 || st.Checkpoints == 0 || st.Devices != len(ids) {
 		t.Errorf("replay did not cover every record kind: %s", st)
@@ -234,55 +238,44 @@ func TestBootRecoversEveryPlaneInOnePass(t *testing.T) {
 	// (d) the reports the replayed frames re-raised reached neither the
 	// ladder nor the journal: the controller's tally is exactly its
 	// checkpoint's (checked above), where an action taken during the pass
-	// would have counted a report, a rung and — the sink being unbound — a
-	// refused append.
+	// would have counted a report, a rung and — the planes' journal handle
+	// being unbound — a refused append.
 	//
-	// Settled means subscribed, and the journal opens after the pass: bind
-	// it the way runIngest does and drift a healthy device (device 0 is
+	// Settled means subscribed, and Boot opened the journal after the pass
+	// and appended its profile marker: drift a healthy device (device 0 is
 	// quarantined by now). This report does reach the ladder, and its
 	// action the journal.
-	jw2, err := journal.CreateSharded(dir, bootShards, journal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.w = jw2
 	at := 120 * sim.Millisecond
 	set := event.Event{Kind: event.Input, Name: "set", Source: ids[1], At: at - 2*sim.Millisecond}.With("x", 9)
 	out := event.Event{Kind: event.Output, Name: "out", Source: ids[1], At: at - sim.Millisecond}.With("x", 11)
 	for _, ev := range []event.Event{set, out} {
-		if err := boot.pool.Dispatch(ids[1], ev); err != nil {
+		if err := bpool.Dispatch(ids[1], ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := boot.pool.AdvanceDevice(ids[1], at); err != nil {
+	if err := bpool.AdvanceDevice(ids[1], at); err != nil {
 		t.Fatal(err)
 	}
-	boot.settle(t)
-	if err := jw2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := boot.ctl.Rollup(); got.Reports != wantCtl.Reports+1 || got.JournalErrors != 0 {
+	settle(t, bpool, bctl, beng)
+	if got := bctl.Rollup(); got.Reports != wantCtl.Reports+1 || got.JournalErrors != 0 {
 		t.Errorf("live report after boot: controller %+v, want one more report than %+v and no journal error", got, wantCtl)
 	}
-	if got := journalRecords(t, dir); got != records+1 {
-		t.Errorf("journal holds %d records after one live action, want %d", got, records+1)
+	if err := boot.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalRecords(t, dir); got != records+2 {
+		t.Errorf("journal holds %d records after the boot marker and one live action, want %d", got, records+2)
 	}
 
 	// (c) the same directory under another profile is refused — by the
 	// Profile tag on the checkpoint batch's Final record, before any of the
 	// batch's device records reaches a monitor of the wrong shape.
-	tv, err := monitorFactory("tv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := fleet.NewPool(fleet.Options{Shards: bootShards})
-	defer other.Stop()
-	_, err = recoverJournal(dir, "tv", other, tv)
-	want := fmt.Sprintf("journal %s was written under -suo light, but -suo tv is in effect; pass -suo light to replay it faithfully", dir)
+	other, _, err := bootLight(t, dir, "tv")
+	want := fmt.Sprintf("recovering journal %s: journal %s was written under -suo light, but -suo tv is in effect; pass -suo light to replay it faithfully", dir, dir)
 	if err == nil || err.Error() != want {
 		t.Errorf("profile mismatch:\n got  %v\n want %s", err, want)
 	}
-	if n := other.Size(); n != 0 {
+	if n := other.Pool().Size(); n != 0 {
 		t.Errorf("mismatched journal still built %d devices", n)
 	}
 }
@@ -296,7 +289,7 @@ func TestBootRefusesMarkerMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := event.Event{Kind: event.Output, Name: "out", Source: "dev", At: 10 * sim.Millisecond}.With("x", 0)
-	for _, m := range []wire.Message{profileMarker("tv"), {Type: wire.TypeOutput, SUO: "dev", At: ev.At, Event: &ev}} {
+	for _, m := range []wire.Message{marker("tv"), {Type: wire.TypeOutput, SUO: "dev", At: ev.At, Event: &ev}} {
 		if err := jw.AppendShard(0, m); err != nil {
 			t.Fatal(err)
 		}
@@ -304,14 +297,13 @@ func TestBootRefusesMarkerMismatch(t *testing.T) {
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool := fleet.NewPool(fleet.Options{Shards: 1})
-	defer pool.Stop()
-	_, err = recoverJournal(dir, "light", pool, fleet.LightMonitorFactory())
+	d := newReplay(t, dir, "light", 1)
+	_, err = d.Boot()
 	want := fmt.Sprintf("journal %s was written under -suo tv, but -suo light is in effect; pass -suo tv to replay it faithfully", dir)
 	if err == nil || err.Error() != want {
 		t.Fatalf("profile mismatch:\n got  %v\n want %s", err, want)
 	}
-	if n := pool.Size(); n != 0 {
+	if n := d.Pool().Size(); n != 0 {
 		t.Fatalf("mismatched journal still built %d devices", n)
 	}
 }
@@ -324,15 +316,13 @@ func TestBootRefusesUnknownProfileMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.AppendShard(0, profileMarker("stb")); err != nil {
+	if err := jw.AppendShard(0, marker("stb")); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool := fleet.NewPool(fleet.Options{Shards: 1})
-	defer pool.Stop()
-	_, err = recoverJournal(dir, "light", pool, fleet.LightMonitorFactory())
+	_, err = newReplay(t, dir, "light", 1).Boot()
 	want := fmt.Sprintf("journal %s was written under -suo stb, a profile this build does not know (known: light, mediaplayer, tv)", dir)
 	if err == nil || err.Error() != want {
 		t.Fatalf("unknown profile:\n got  %v\n want %s", err, want)

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"trader/internal/fleet"
 	"trader/internal/wire"
 )
 
@@ -26,8 +25,8 @@ func TestTVJournalFromMapBackedBuildReplays(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "tv-journal"))); err != nil {
 		t.Fatal(err)
 	}
-	pool := fleet.NewPool(fleet.Options{Shards: 2})
-	defer pool.Stop()
+	d := newReplay(t, dir, "tv", 2)
+	pool := d.Pool()
 	var mu sync.Mutex
 	reports := map[string][]string{}
 	pool.OnReport(func(device string, r wire.ErrorReport) {
@@ -35,7 +34,7 @@ func TestTVJournalFromMapBackedBuildReplays(t *testing.T) {
 		reports[device] = append(reports[device], r.String())
 		mu.Unlock()
 	})
-	st, err := recoverJournal(dir, "tv", pool, profiles["tv"])
+	st, err := d.Boot()
 	if err != nil {
 		t.Fatal(err)
 	}

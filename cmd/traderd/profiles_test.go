@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"trader/internal/daemon"
 )
 
 // Every profile builds a started monitor on a kernel of its own: two calls
@@ -34,14 +36,14 @@ func TestProfilesBuildDistinctStartedMonitors(t *testing.T) {
 }
 
 func TestUnknownProfileListsKnownNames(t *testing.T) {
-	_, err := monitorFactory("stb")
+	_, err := daemon.New(daemon.Config{Replay: t.TempDir(), SUO: "stb", Profiles: profiles})
 	want := `unknown SUO profile "stb" (known: light, mediaplayer, tv)`
 	if err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %s", err, want)
 	}
 }
 
-// The -suo help and the unknown-profile error list profileNames: the
+// The -suo help and the unknown-profile error list ProfileNames: the
 // table's keys, sorted, so neither drifts from what -suo accepts — which
 // is exactly light, mediaplayer and tv.
 func TestProfileNamesAreTheSortedTable(t *testing.T) {
@@ -50,7 +52,7 @@ func TestProfileNamesAreTheSortedTable(t *testing.T) {
 		keys = append(keys, name)
 	}
 	sort.Strings(keys)
-	got := profileNames()
+	got := daemon.Config{Profiles: profiles}.ProfileNames()
 	if want := strings.Join(keys, ", "); got != want {
 		t.Fatalf("profile names = %q, want the sorted table keys %q", got, want)
 	}

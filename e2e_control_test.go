@@ -22,6 +22,7 @@ import (
 
 	"trader/internal/control"
 	"trader/internal/core"
+	"trader/internal/daemon"
 	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/fleet"
@@ -315,17 +316,8 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 		}
 	}
 
-	rec := fleet.NewPool(fleet.Options{Shards: 4})
-	defer rec.Stop()
-	jr2, err := journal.OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := rec.Replay(jr2, silenceMonitorFactory())
-	jr2.Close()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	rd, st := newDaemon(t, daemon.Config{Replay: dir, Shards: 4}, silenceMonitorFactory())
+	rec := rd.Pool()
 	if st.Actions != len(liveFrames) {
 		t.Fatalf("replay re-applied %d actions, want %d", st.Actions, len(liveFrames))
 	}

@@ -13,83 +13,41 @@ package trader_test
 
 import (
 	"fmt"
-	"net"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"trader/internal/daemon"
 	"trader/internal/device"
 	"trader/internal/federate"
 	"trader/internal/fleet"
-	"trader/internal/journal"
 	"trader/internal/wire"
 )
 
-// e2eEdge is one edge daemon: ingestion server + journal + uplink.
+// e2eEdge is one edge daemon: ingestion server + journal + uplink, booted
+// the way traderd -listen -journal DIR -edge upstream=ADDR,range=N/M is.
 type e2eEdge struct {
-	id   string
-	dir  string
-	pool *fleet.Pool
-	srv  *fleet.Server
-	jw   *journal.Writer
-	ln   net.Listener
-	addr string
-	done chan struct{}
-	ran  chan struct{} // closed when the uplink goroutine has exited
-	edge *federate.Edge
+	id, dir, addr string
+	d             *daemon.Daemon
 }
 
-func startE2EEdge(t *testing.T, upstream string, rng, of int) *e2eEdge {
+// startE2EEdge boots edge rng of the federation; traceSample is its
+// -trace-sample.
+func startE2EEdge(t *testing.T, upstream string, rng, of, traceSample int) *e2eEdge {
 	t.Helper()
-	e := &e2eEdge{id: fmt.Sprintf("edge-%d", rng), dir: t.TempDir(), done: make(chan struct{})}
-	jw, err := journal.Create(e.dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.jw = jw
-	e.pool = fleet.NewPool(fleet.Options{Shards: 4})
-	t.Cleanup(e.pool.Stop)
-	e.srv = &fleet.Server{Pool: e.pool, Factory: fleet.LightMonitorFactory(),
-		HelloTimeout: 5 * time.Second, Journal: jw}
-	e.addr = "unix:" + filepath.Join(t.TempDir(), e.id+".sock")
-	ln, err := wire.Listen(e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ln = ln
-	go e.srv.Serve(ln)
-	e.edge = &federate.Edge{
-		Upstream: upstream, Range: rng, Of: of, ID: e.id,
-		Sample:  federate.PoolSampler(e.pool, e.srv),
-		Pool:    e.pool,
-		Factory: fleet.LightMonitorFactory(),
-		Journal: jw, JournalDir: e.dir,
-		Flush: 10 * time.Millisecond,
-		Logf:  t.Logf,
-	}
-	e.ran = make(chan struct{})
-	go func() {
-		defer close(e.ran)
-		e.edge.Run(e.done)
-	}()
-	t.Cleanup(e.kill)
+	e := &e2eEdge{id: fmt.Sprintf("edge-%d", rng), dir: t.TempDir()}
+	e.d, e.addr = serveDaemon(t, daemon.Config{Shards: 4, Journal: e.dir, TraceSample: traceSample,
+		Edge: fmt.Sprintf("upstream=%s,range=%d/%d", upstream, rng, of)}, fleet.LightMonitorFactory())
 	return e
 }
 
-// kill is the SIGKILL equivalent: connections drop, the uplink dies, and
+// kill is the SIGKILL equivalent: connections and the uplink drop, and
 // the journal is NOT closed — exactly the state a crashed process leaves.
-// Idempotent; waits for the uplink goroutine so nothing logs post-test.
-func (e *e2eEdge) kill() {
-	select {
-	case <-e.done:
-	default:
-		close(e.done)
-	}
-	e.srv.Close()
-	e.ln.Close()
-	<-e.ran
-}
+func (e *e2eEdge) kill() { e.d.Drain() }
+
+// sample is what the edge's uplink streams: its pool and server counters
+// (an edge daemon without planes adds none).
+func (e *e2eEdge) sample() federate.Sample { return federate.PoolSampler(e.d.Pool(), e.d.Server())() }
 
 func TestE2EFederation(t *testing.T) {
 	const (
@@ -109,8 +67,8 @@ func TestE2EFederation(t *testing.T) {
 	upstream := "tcp:" + aln.Addr().String()
 
 	edges := []*e2eEdge{
-		startE2EEdge(t, upstream, 0, ranges),
-		startE2EEdge(t, upstream, 1, ranges),
+		startE2EEdge(t, upstream, 0, ranges, 0),
+		startE2EEdge(t, upstream, 1, ranges, 0),
 	}
 
 	// 32 devices, each connected to the edge owning its hash range — the
@@ -140,7 +98,7 @@ func TestE2EFederation(t *testing.T) {
 		var s federate.Sample
 		s.Counters = federate.Counters{}
 		for _, e := range edges {
-			es := e.edge.Sample()
+			es := e.sample()
 			s.Devices += es.Devices
 			s.Counters.Add(es.Counters)
 		}
@@ -178,7 +136,7 @@ func TestE2EFederation(t *testing.T) {
 	// owned by the survivor and alive in its pool.
 	survivor := edges[1]
 	waitFor(t, "all devices on the survivor", func() bool {
-		return survivor.pool.Rollup().Devices == devices
+		return survivor.d.Pool().Rollup().Devices == devices
 	})
 	for _, id := range clients["edge-0"] {
 		if owner := agg.OwnerOf(id); owner != "edge-1" {
@@ -190,7 +148,7 @@ func TestE2EFederation(t *testing.T) {
 	// survivor's sample alone, and no output frame was lost or counted
 	// twice across the kill.
 	waitFor(t, "merged view to re-converge on the survivor",
-		viewEquals(survivor.edge.Sample()))
+		viewEquals(survivor.sample()))
 	v = agg.View()
 	wantOutputs := int64(devices*phase1 + len(clients["edge-1"])*phase2)
 	if got := v.Counters["outputs"]; got != wantOutputs {
@@ -203,20 +161,13 @@ func TestE2EFederation(t *testing.T) {
 	// Replay invariant: the survivor's journal alone — its own frames, the
 	// adopted devices' arrival checkpoints, the adopted baseline — rebuilds
 	// the merged fleet's monitor state exactly.
-	if err := survivor.jw.Close(); err != nil {
+	live, liveStats := survivor.d.Pool().Rollup(), survivor.d.Pool().DeviceStats()
+	if err := survivor.d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := journal.OpenReader(survivor.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	replayed := fleet.NewPool(fleet.Options{Shards: 4})
-	defer replayed.Stop()
-	if _, err := replayed.Replay(r, fleet.LightMonitorFactory()); err != nil {
-		t.Fatal(err)
-	}
-	live, rebuilt := survivor.pool.Rollup(), replayed.Rollup()
+	rd, _ := newDaemon(t, daemon.Config{Replay: survivor.dir, Shards: 4}, fleet.LightMonitorFactory())
+	replayed := rd.Pool()
+	rebuilt := replayed.Rollup()
 	if rebuilt.Devices != devices {
 		t.Fatalf("replay rebuilt %d devices, want %d", rebuilt.Devices, devices)
 	}
@@ -224,7 +175,7 @@ func TestE2EFederation(t *testing.T) {
 		t.Fatalf("replayed monitor rollup diverged from the live survivor:\n got: %+v\nwant: %+v",
 			rebuilt.Monitor, live.Monitor)
 	}
-	if !reflect.DeepEqual(replayed.DeviceStats(), survivor.pool.DeviceStats()) {
+	if !reflect.DeepEqual(replayed.DeviceStats(), liveStats) {
 		t.Fatal("per-device monitor stats diverged between live survivor and journal replay")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"trader/internal/core"
+	"trader/internal/daemon"
 	"trader/internal/device"
 	"trader/internal/event"
 	"trader/internal/faults"
@@ -67,6 +68,35 @@ func flushWithin(c *device.Client, at sim.Time, d time.Duration) error {
 	}
 }
 
+// newDaemon builds and boots the daemon traderd runs for cfg, monitoring
+// every device with factory; it closes when the test ends.
+func newDaemon(t *testing.T, cfg daemon.Config, factory fleet.MonitorFactory) (*daemon.Daemon, fleet.ReplayStats) {
+	t.Helper()
+	cfg.SUO, cfg.Profiles = "e2e", map[string]fleet.MonitorFactory{"e2e": factory}
+	d, err := daemon.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	st, err := d.Boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, st
+}
+
+// serveDaemon is newDaemon serving on a fresh Unix socket, whose address
+// it returns.
+func serveDaemon(t *testing.T, cfg daemon.Config, factory fleet.MonitorFactory) (*daemon.Daemon, string) {
+	t.Helper()
+	cfg.Listen = "unix:" + filepath.Join(t.TempDir(), "traderd.sock")
+	d, _ := newDaemon(t, cfg, factory)
+	if _, err := d.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	return d, cfg.Listen
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -91,17 +121,8 @@ func TestE2EFleetIngestion(t *testing.T) {
 		faultyEvery = 10 // every 10th device streams a deviating level
 	)
 
-	pool := fleet.NewPool(fleet.Options{Shards: 4})
-	defer pool.Stop()
-	srv := &fleet.Server{Pool: pool, Factory: fleet.LightMonitorFactory(), HelloTimeout: 5 * time.Second}
-	defer srv.Close()
-	addr := "unix:" + filepath.Join(t.TempDir(), "e2e.sock")
-	ln, err := wire.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln)
+	d, addr := serveDaemon(t, daemon.Config{Shards: 4}, fleet.LightMonitorFactory())
+	pool := d.Pool()
 
 	// Phase 1: connect the whole fleet, alternating codecs per connection.
 	clients := make([]*device.Client, devices)
@@ -178,7 +199,7 @@ func TestE2EFleetIngestion(t *testing.T) {
 			t.Errorf("%s received %d error frames, want %d", ids[i], got, want)
 		}
 	}
-	cs := srv.Stats()
+	cs := d.Server().Stats()
 	if cs.Accepted != devices || cs.Frames != wantFrames {
 		t.Fatalf("server stats = %+v", cs)
 	}
@@ -218,22 +239,11 @@ func TestE2EFleetIngestion(t *testing.T) {
 // server, whose TV monitor reports an injected audio corruption back down
 // the same connection as an error frame.
 func TestMonitorOverSocket(t *testing.T) {
-	pool := fleet.NewPool(fleet.Options{Shards: 1})
-	defer pool.Stop()
-	srv := &fleet.Server{Pool: pool, HelloTimeout: 5 * time.Second,
-		Factory: func(_ string, seed int64) (*sim.Kernel, *core.Monitor, error) {
-			k := sim.NewKernel(seed)
-			mon, err := tvsim.NewMonitor(k, tvsim.Config{})
-			return k, mon, err
-		}}
-	defer srv.Close()
-	addr := "unix:" + filepath.Join(t.TempDir(), "tv.sock")
-	ln, err := wire.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln)
+	_, addr := serveDaemon(t, daemon.Config{Shards: 1}, func(_ string, seed int64) (*sim.Kernel, *core.Monitor, error) {
+		k := sim.NewKernel(seed)
+		mon, err := tvsim.NewMonitor(k, tvsim.Config{})
+		return k, mon, err
+	})
 	var mu sync.Mutex
 	var gotErrors []wire.Message
 	c := &device.Client{OnError: func(m wire.Message) {

@@ -16,6 +16,7 @@ package trader_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"trader/internal/control"
+	"trader/internal/daemon"
 	"trader/internal/event"
 	"trader/internal/federate"
 	"trader/internal/fleet"
@@ -32,51 +34,6 @@ import (
 	"trader/internal/trace"
 	"trader/internal/wire"
 )
-
-// startTracedEdge is startE2EEdge with the tracing plane wired through all
-// three layers the way traderd wires it: the same tracer on the pool (the
-// dispatch/monitor half), the server (ingest/credit/journal half and the
-// forced control plane) and the uplink (exemplar-carrying rollups). The
-// seed is pinned so a failure reproduces with the same IDs; SampleN 1
-// traces every frame, so the exemplar chain is never sampled away.
-func startTracedEdge(t *testing.T, upstream string, rng, of int, seed uint64) (*e2eEdge, *trace.Tracer) {
-	t.Helper()
-	tr := trace.New(trace.Options{Shards: 4, SampleN: 1, Seed: seed})
-	e := &e2eEdge{id: fmt.Sprintf("edge-%d", rng), dir: t.TempDir(), done: make(chan struct{})}
-	jw, err := journal.Create(e.dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.jw = jw
-	e.pool = fleet.NewPool(fleet.Options{Shards: 4, Tracer: tr})
-	t.Cleanup(e.pool.Stop)
-	e.srv = &fleet.Server{Pool: e.pool, Factory: fleet.LightMonitorFactory(),
-		HelloTimeout: 5 * time.Second, Journal: jw, Tracer: tr}
-	e.addr = "unix:" + filepath.Join(t.TempDir(), e.id+".sock")
-	ln, err := wire.Listen(e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ln = ln
-	go e.srv.Serve(ln)
-	e.edge = &federate.Edge{
-		Upstream: upstream, Range: rng, Of: of, ID: e.id,
-		Sample:  federate.PoolSampler(e.pool, e.srv),
-		Pool:    e.pool,
-		Factory: fleet.LightMonitorFactory(),
-		Journal: jw, JournalDir: e.dir,
-		Flush:  10 * time.Millisecond,
-		Tracer: tr,
-		Logf:   t.Logf,
-	}
-	e.ran = make(chan struct{})
-	go func() {
-		defer close(e.ran)
-		e.edge.Run(e.done)
-	}()
-	t.Cleanup(e.kill)
-	return e, tr
-}
 
 func TestE2ETraceExemplarFederation(t *testing.T) {
 	const (
@@ -95,9 +52,10 @@ func TestE2ETraceExemplarFederation(t *testing.T) {
 	t.Cleanup(agg.Close)
 	upstream := "tcp:" + aln.Addr().String()
 
-	edge0, tr0 := startTracedEdge(t, upstream, 0, ranges, 0xed6e0)
-	edge1, tr1 := startTracedEdge(t, upstream, 1, ranges, 0xed6e1)
-	edges := []*e2eEdge{edge0, edge1}
+	// -trace-sample 1 traces every frame, so the exemplar chain is never
+	// sampled away.
+	edges := []*e2eEdge{startE2EEdge(t, upstream, 0, ranges, 1), startE2EEdge(t, upstream, 1, ranges, 1)}
+	tr0, tr1 := edges[0].d.Tracer(), edges[1].d.Tracer()
 	tracers := []*trace.Tracer{tr0, tr1}
 
 	for i := 0; i < devices; i++ {
@@ -115,7 +73,7 @@ func TestE2ETraceExemplarFederation(t *testing.T) {
 	// lifecycle: an ingest root with journal, dispatch and monitor spans
 	// causally chained under it, all owned by one device.
 	for i, e := range edges {
-		lat := e.pool.Latency()
+		lat := e.d.Pool().Latency()
 		ex := lat.Exemplar(0.999)
 		if ex == 0 {
 			t.Fatalf("%s: no p999 exemplar after %d traced frames", e.id, frames)
@@ -200,14 +158,39 @@ func TestE2ETraceExemplarFederation(t *testing.T) {
 	}
 }
 
-// liveBundle is one incident bundle as written at escalation time, kept
-// for the post-run replay comparison.
+// liveBundle is one incident bundle as the daemon wrote it at escalation
+// time, kept for the post-run replay comparison.
 type liveBundle struct {
 	device string
 	seq    int
-	rung   control.Rung
-	det    []byte // the deterministic half, as marshalled live
+	rung   string
+	det    []byte // the deterministic half, bundle.json
 	dir    string // the bundle directory on disk
+}
+
+// readBundles reads every incident bundle under root, in directory order.
+func readBundles(t *testing.T, root string) (bundles []liveBundle) {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(root, "incident-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		var inc trace.Incident
+		var live trace.LiveReport
+		det, err := os.ReadFile(filepath.Join(dir, "bundle.json"))
+		if err == nil {
+			err = json.Unmarshal(det, &inc)
+		}
+		if lb, lerr := os.ReadFile(filepath.Join(dir, "live.json")); err == nil {
+			err = errors.Join(lerr, json.Unmarshal(lb, &live))
+		}
+		if err != nil {
+			t.Fatalf("incident bundle %s: %v", dir, err)
+		}
+		bundles = append(bundles, liveBundle{device: inc.Device, seq: inc.Seq, rung: live.Rung, det: det, dir: dir})
+	}
+	return bundles
 }
 
 func TestE2EIncidentBundleReplay(t *testing.T) {
@@ -220,93 +203,15 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 	id := func(i int) string { return fmt.Sprintf("ib-%03d", i) }
 	faultyID := id(0) // device 0 deviates persistently; the rest stay clean
 
-	dir := t.TempDir()
-	bundleRoot := t.TempDir()
-	jw, err := journal.Create(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New(trace.Options{Shards: 2, SampleN: 1, Seed: 0xb0b})
-	pool := fleet.NewPool(fleet.Options{Shards: 2, Tracer: tr})
-	defer pool.Stop()
-	srv := &fleet.Server{Pool: pool, Factory: silenceMonitorFactory(),
-		HelloTimeout: 5 * time.Second, Journal: jw, Tracer: tr}
-	defer srv.Close()
-
-	// The incident hook does what traderd's -incident-dir recorder does:
-	// scan the journal up to the triggering action (already appended — the
-	// OnIncident contract) and write the bundle directory. The scan
-	// retries briefly because concurrent appends may leave a torn record
-	// at the tail of the segment a just-opened reader is walking.
-	var mu sync.Mutex
-	var bundles []liveBundle
-	seqs := map[string]int{}
-	onIncident := func(a control.Action) {
-		mu.Lock()
-		defer mu.Unlock()
-		seqs[a.Device]++
-		seq := seqs[a.Device]
-		var inc *trace.Incident
-		var ierr error
-		for try := 0; try < 50; try++ {
-			r, err := journal.OpenReader(dir)
-			if err != nil {
-				ierr = err
-			} else {
-				inc, ierr = trace.BuildIncident(r, a.Device, seq)
-				r.Close()
-			}
-			if ierr == nil {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if ierr != nil {
-			t.Errorf("live incident %s/%d: %v", a.Device, seq, ierr)
-			return
-		}
-		det, err := inc.Marshal()
-		if err != nil {
-			t.Errorf("marshal incident %s/%d: %v", a.Device, seq, err)
-			return
-		}
-		var spans []trace.Span
-		for _, s := range tr.Snapshot() {
-			if s.Device == a.Device || s.Forced {
-				spans = append(spans, s)
-			}
-		}
-		live := &trace.LiveReport{
-			WrittenNS: time.Now().UnixNano(),
-			Rung:      a.Rung.String(), Class: a.Class.String(),
-			Counters: map[string]int64{"credit_grants": int64(srv.Stats().CreditGrants)},
-			Spans:    trace.Export(spans),
-		}
-		bdir, err := trace.WriteBundle(bundleRoot, inc, live)
-		if err != nil {
-			t.Errorf("write bundle %s/%d: %v", a.Device, seq, err)
-			return
-		}
-		bundles = append(bundles, liveBundle{device: a.Device, seq: seq, rung: a.Rung, det: det, dir: bdir})
-	}
-
+	// The daemon's -incident-dir recorder scans the journal up to the
+	// triggering action (already appended — the OnIncident contract) and
+	// writes the bundle directory; -trace-sample 1 traces every frame.
+	dir, bundleRoot := t.TempDir(), t.TempDir()
 	pol := control.Policy{Name: "e2e-trace", Tolerate: 1, Resets: 1, Restarts: 1,
 		RestartLatency: latency, Cooldown: 10 * sim.Second}
-	ctl := control.Attach(pool, control.Options{
-		Actuator: srv, Journal: jw, Policy: pol, Logf: t.Logf,
-		OnIncident: onIncident,
-	})
-	defer ctl.Close()
-	srv.OnAck = ctl.HandleAck
-
-	addr := "unix:" + filepath.Join(t.TempDir(), "ib.sock")
-	ln, err := wire.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln)
-
+	d, addr := serveDaemon(t, daemon.Config{Shards: 2, Journal: dir, Recover: pol, TraceSample: 1, IncidentDir: bundleRoot},
+		silenceMonitorFactory())
+	ctl, tr := d.Controller(), d.Tracer()
 	// Drive the fleet: clean devices for the full horizon, the faulty one
 	// until the ladder quarantines it (it keeps producing evidence through
 	// its own restart, exactly like the recovery e2e's clients).
@@ -353,27 +258,23 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 	})
 	ctl.Sync()
 
+	// Seal the journal the way a crashed-then-replayed daemon would see it;
+	// Close waits for the bundles still being written.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Two incidents fired — the restart trigger and the quarantine trigger
 	// — both for the faulty device, in rung order.
-	mu.Lock()
-	got := append([]liveBundle(nil), bundles...)
-	mu.Unlock()
+	got := readBundles(t, bundleRoot)
 	if len(got) != 2 {
 		t.Fatalf("%d incident bundles written, want 2 (restart, quarantine): %+v", len(got), got)
 	}
 	for i, want := range []control.Rung{control.RungRestart, control.RungQuarantine} {
-		if got[i].device != faultyID || got[i].seq != i+1 || got[i].rung != want {
+		if got[i].device != faultyID || got[i].seq != i+1 || got[i].rung != want.String() {
 			t.Fatalf("bundle %d is %s/%d at %s, want %s/%d at %s",
 				i, got[i].device, got[i].seq, got[i].rung, faultyID, i+1, want)
 		}
-	}
-
-	// Seal the journal the way a crashed-then-replayed daemon would see it.
-	srv.Close()
-	ln.Close()
-	ctl.Close()
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	for _, b := range got {
@@ -397,13 +298,6 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 		if !bytes.Equal(replayed, b.det) {
 			t.Fatalf("incident %s/%d: replay differs from live bundle:\nlive:\n%s\nreplay:\n%s",
 				b.device, b.seq, b.det, replayed)
-		}
-		onDisk, err := os.ReadFile(filepath.Join(b.dir, "bundle.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(onDisk, b.det) {
-			t.Fatalf("incident %s/%d: bundle.json on disk differs from the live marshal", b.device, b.seq)
 		}
 
 		// 2. The deterministic half carries the full ladder history through
@@ -433,7 +327,7 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 		if err := json.Unmarshal(lb, &live); err != nil {
 			t.Fatalf("incident %s/%d: live.json: %v", b.device, b.seq, err)
 		}
-		if live.Rung != b.rung.String() {
+		if live.Rung != b.rung {
 			t.Fatalf("incident %s/%d: live rung %q, want %q", b.device, b.seq, live.Rung, b.rung)
 		}
 		var forcedControl bool
@@ -458,17 +352,7 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 	// A full pool replay of the sealed journal still works with the traced
 	// frames in it — trace contexts on journaled control pushes are replay
 	// metadata, not state.
-	rec := fleet.NewPool(fleet.Options{Shards: 2})
-	defer rec.Stop()
-	jr, err := journal.OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := rec.Replay(jr, silenceMonitorFactory())
-	jr.Close()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	_, st := newDaemon(t, daemon.Config{Replay: dir, Shards: 2}, silenceMonitorFactory())
 	if st.Devices != devices {
 		t.Fatalf("replay rebuilt %d devices, want %d", st.Devices, devices)
 	}

@@ -2,7 +2,7 @@
 // recovers every plane from the journal. ARCHITECTURE.md §3.3 (recovery
 // order) and §3.6 (plane contract) are the normative spec.
 
-package main
+package daemon
 
 import (
 	"errors"
@@ -18,8 +18,8 @@ import (
 )
 
 // plane is one optional plane riding on the fleet pool — the recovery
-// controller, the diagnosis engine. runIngest registers the planes its
-// flags ask for once and every cross-cutting concern loops over the list:
+// controller, the diagnosis engine. New registers the planes its Config
+// asks for once and every cross-cutting concern loops over the list:
 // boot recovery, checkpoint capture, /metrics, the rollup log, the edge
 // uplink sample and the incident bundle's counters.
 type plane interface {
@@ -35,6 +35,8 @@ type plane interface {
 	Counters(map[string]int64)
 	// WriteMetrics writes the plane's /metrics families.
 	WriteMetrics(io.Writer)
+	// Close stops the plane's goroutine.
+	Close()
 	// Summary renders the plane's rollup as the key/value pairs of one log
 	// record, periodic or final.
 	Summary(final bool) []any
@@ -54,8 +56,8 @@ func (s *journalSink) Append(m wire.Message) error {
 	return s.w.Append(m)
 }
 
-// profileMarker is the meta record traderd appends when it opens a journal
-// for writing: a Hello frame from "traderd" itself naming the -suo monitor
+// profileMarker is the meta record Boot appends when it opens a journal for
+// writing: a Hello frame from "traderd" itself naming the -suo monitor
 // profile the frames are observed under. The pool's replay skips Hello
 // records, so the marker costs nothing there — but profileGate reads it
 // back so a journal written under one profile cannot be silently replayed
@@ -76,19 +78,20 @@ func profileMarker(suo string) wire.Message {
 // passed, so a mismatch is refused as a mismatch — before a device
 // checkpoint of the wrong profile fails to restore with a stranger error.
 type profileGate struct {
-	dir, suo string
-	pool     *fleet.Replayer
-	held     []wire.Message
-	open     bool
+	dir  string
+	cfg  *Config
+	pool *fleet.Replayer
+	held []wire.Message
+	open bool
 }
 
 func (g *profileGate) mismatch(written string) error {
-	if _, ok := profiles[written]; !ok {
+	if _, ok := g.cfg.Profiles[written]; !ok {
 		return fmt.Errorf("journal %s was written under -suo %s, a profile this build does not know (known: %s)",
-			g.dir, written, profileNames())
+			g.dir, written, g.cfg.ProfileNames())
 	}
 	return fmt.Errorf("journal %s was written under -suo %s, but -suo %s is in effect; pass -suo %s to replay it faithfully",
-		g.dir, written, g.suo, written)
+		g.dir, written, g.cfg.SUO, written)
 }
 
 func (g *profileGate) Apply(m wire.Message) error {
@@ -97,13 +100,13 @@ func (g *profileGate) Apply(m wire.Message) error {
 	}
 	switch {
 	case m.Type == wire.TypeCheckpoint:
-		if cp := m.Checkpoint; cp != nil && cp.Profile != "" && cp.Profile != g.suo {
+		if cp := m.Checkpoint; cp != nil && cp.Profile != "" && cp.Profile != g.cfg.SUO {
 			return g.mismatch(cp.Profile)
 		}
 		m.Event = nil // lent only until the next record, and no checkpoint path reads it
 		g.held = append(g.held, m)
 		return nil
-	case m.Type == wire.TypeHello && m.SUO == "traderd" && m.Target != "" && m.Target != g.suo:
+	case m.Type == wire.TypeHello && m.SUO == "traderd" && m.Target != "" && m.Target != g.cfg.SUO:
 		return g.mismatch(m.Target)
 	}
 	// The marker, or the first real frame of a markerless journal from an
@@ -135,15 +138,16 @@ func (g *profileGate) Settle() error {
 	return g.pool.Settle()
 }
 
-// recoverJournal rebuilds state from the journal at dir — the one recovery
+// replay rebuilds state from the journal at dir — the one recovery
 // sequence shared by -replay (offline post-mortem) and -journal (recovery
 // on daemon boot): a single pass of the replay driver fans every record to
 // the pool (behind the profile check) and to each rider, then settles them
 // in that order, and a summary with the torn-tail note is logged. It must
 // run before the directory is opened for writing, which repairs the torn
-// tails and appends the next marker.
-func recoverJournal(dir, suo string, pool *fleet.Pool, factory fleet.MonitorFactory, riders ...journal.Plane) (fleet.ReplayStats, error) {
-	rp := pool.Replayer(factory)
+// tails and appends the next marker. The riders are New's: the planes, or
+// the offline diagnosis of -replay.
+func (d *Daemon) replay(dir string) (fleet.ReplayStats, error) {
+	rp := d.pool.Replayer(d.cfg.Profiles[d.cfg.SUO])
 	r, err := journal.OpenReader(dir)
 	if err != nil {
 		return rp.Stats, err
@@ -151,7 +155,7 @@ func recoverJournal(dir, suo string, pool *fleet.Pool, factory fleet.MonitorFact
 	defer r.Close()
 	start := time.Now()
 	gc0, alloc0 := gcCounters()
-	planes := append([]journal.Plane{&profileGate{dir: dir, suo: suo, pool: rp}}, riders...)
+	planes := append([]journal.Plane{&profileGate{dir: dir, cfg: &d.cfg, pool: rp}}, d.riders...)
 	if err := journal.Replay(r, planes...); err != nil {
 		return rp.Stats, err
 	}

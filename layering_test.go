@@ -130,16 +130,16 @@ func harnessOnly(graph map[string][]string) []string {
 }
 
 // TestImportGraph pins the layering rule of ARCHITECTURE.md §1: the
-// generic planes and the device client name no product, the daemon links no
-// experiment harness, and neither the TV client nor the device client it
-// streams through links a daemon plane. Products are composed only in
-// cmd/traderd's profiles table.
+// generic planes, the daemon assembly and the device client name no
+// product, the daemon links no experiment harness, and neither the TV
+// client nor the device client it streams through links a daemon plane.
+// Products are composed only in cmd/traderd's profiles table.
 func TestImportGraph(t *testing.T) {
 	graph := importGraph(t, ".")
 	products := []string{"internal/tvsim", "internal/mediaplayer", "internal/exper"}
 	for _, p := range []string{"internal/core", "internal/fleet", "internal/journal", "internal/wire",
 		"internal/control", "internal/diagnose", "internal/federate", "internal/trace", "internal/metrics",
-		"internal/device"} {
+		"internal/device", "internal/daemon"} {
 		if _, ok := graph[p]; !ok {
 			t.Errorf("generic plane %s not found", p)
 		}
@@ -192,6 +192,11 @@ var testOnlyAllowed = map[string]keepReason{
 	"internal/tvsim.Recorder.Press":                 sharedOracle, // drives device-side coverage in the diagnose, traderd and e2e tests
 	"internal/federate.Aggregator.OwnerOf":          sharedOracle, // device-ownership oracle of the federate and e2e federation tests
 	"internal/core.Monitor.Kernel":                  sharedOracle, // the cmd/traderd profile tests check a factory's monitor runs on the kernel it returns
+	"internal/daemon.Daemon.Pool":                   sharedOracle, // the daemon's planes, as the boot, daemon and e2e tests read them
+	"internal/daemon.Daemon.Server":                 sharedOracle,
+	"internal/daemon.Daemon.Controller":             sharedOracle,
+	"internal/daemon.Daemon.Engine":                 sharedOracle,
+	"internal/daemon.Daemon.Tracer":                 sharedOracle,
 	"internal/hwmon.FlightRecorder.Capture":         paperConcept, // Sect. 4.1 trace buffer: the pre-error window
 	"internal/hwmon.FlightRecorder.CaptureMatching": paperConcept,
 	// Sect. 4.1 aspect-oriented observation, and the Koala binding API it
